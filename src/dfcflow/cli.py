@@ -1,11 +1,16 @@
 """Pipeline orchestration: checkpointed stages behind one config file.
 
-Every stage reads the previous stage's checkpoint and writes its own, so
-runs are resumable and auditable; checkpoints are the CSV/JSONL formats
-documented in docs/file_formats.md, never private binaries.  Rerunning a
-stage whose output is unchanged reports a cache hit and leaves the file
-untouched.  Stage failures exit with distinct codes (config 2, ingest 3,
-decode 4, cluster 5, ledger 6, report 7).
+Stages are plain functions over a `PipelineRun`, the state of one
+invocation; each returns its typed result (the kept logs, the
+`DecodeResult`, the `Partition`, the `LedgerRun`).  `dfcflow all` hands
+those results from stage to stage in memory and loads the registry,
+prices and deny-list once; a single-stage invocation reads its inputs
+back from the previous stage's checkpoints.  Either way every stage
+writes its checkpoints, the CSV/JSONL formats documented in
+docs/file_formats.md, never private binaries, so runs are resumable and
+auditable.  Rerunning a stage whose output is unchanged reports a cache
+hit and leaves the file untouched.  Stage failures exit with distinct
+codes (config 2, ingest 3, decode 4, cluster 5, ledger 6, report 7).
 """
 
 from __future__ import annotations
@@ -135,33 +140,86 @@ class PipelineConfig:
         return cluster.load_denylist(self.denylist)
 
 
-class _Console:
-    def __init__(self, quiet: bool):
+class PipelineRun:
+    """The state of one invocation: its config, whether it prints, and the
+    values its stages have produced or loaded.
+
+    Each input accessor returns the value a stage of this invocation
+    already produced, and otherwise reads it once from its checkpoint (or,
+    for the registry, prices and deny-list, from the configured file).
+    `main` makes a new run per call, so nothing carries over between
+    invocations.
+    """
+
+    def __init__(self, cfg: PipelineConfig, quiet: bool = False):
+        self.cfg = cfg
         self.quiet = quiet
+        self._values: dict[str, object] = {}
 
     def say(self, message: str) -> None:
         if not self.quiet:
             print(message)
 
+    def keep(self, **values) -> None:
+        """Hand stage results to later stages of this invocation."""
+        self._values.update(values)
 
-def _write_checkpoint(path: Path, content: bytes, console: _Console) -> None:
-    if path.exists() and path.read_bytes() == content:
-        console.say(f"{path.name}: cache hit (unchanged)")
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(content)
-    tmp.replace(path)
-    console.say(f"{path.name}: written")
+    def _once(self, name: str, load):
+        if name not in self._values:
+            self._values[name] = load()
+        return self._values[name]
+
+    def _read(self, name: str, read, stage: str):
+        return self._once(name, lambda: read(_require(self.cfg.checkpoint(name), stage)))
+
+    def registry(self) -> ContractRegistry:
+        return self._once("registry", self.cfg.load_registry)
+
+    def prices(self) -> market.PriceSeries:
+        return self._once("prices", self.cfg.load_prices)
+
+    def denylist(self) -> frozenset[str]:
+        return self._once("denylist", self.cfg.load_denylist)
+
+    def logs(self) -> list[ingest.RawLog]:
+        return self._read("logs", ingest.load_fixture, "ingest")
+
+    def events(self) -> list[decode.CanonicalEvent]:
+        return self._read("events", decode.read_events_csv, "decode")
+
+    def vault_triples(self) -> list[decode.VaultTriple]:
+        return self._read("vaults", decode.read_vaults_csv, "decode")
+
+    def approvals(self) -> list[decode.ApprovalEvent]:
+        return self._read("approvals", decode.read_approvals_csv, "decode")
+
+    def partition(self) -> cluster.Partition:
+        return self._read("partition", cluster.read_partition_csv, "cluster")
+
+    def flow_records(self) -> list[ledger.FlowRecord]:
+        return self._read("flows", ledger.read_flows_csv, "track")
+
+    def write(self, path: Path, writer, *args) -> None:
+        """Render `writer(tmp, *args)` into the `.tmp` sibling of `path`.
+        When `path` already holds the same bytes, report a cache hit and
+        leave it untouched; otherwise move the new file into place."""
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + ".tmp")
+        try:
+            writer(tmp, *args)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+        if path.exists() and path.read_bytes() == tmp.read_bytes():
+            tmp.unlink()
+            self.say(f"{path.name}: cache hit (unchanged)")
+        else:
+            tmp.replace(path)
+            self.say(f"{path.name}: written")
 
 
-def _render_csv(write_fn, *args) -> bytes:
-    import tempfile
-
-    with tempfile.TemporaryDirectory() as tmpdir:
-        target = Path(tmpdir) / "out.csv"
-        write_fn(target, *args)
-        return target.read_bytes()
+def _write_utf8(path: Path, text: str) -> None:
+    path.write_bytes(text.encode("utf-8"))
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -170,8 +228,9 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
-def stage_ingest(cfg: PipelineConfig, console: _Console) -> None:
-    registry = cfg.load_registry()
+def stage_ingest(run: PipelineRun) -> list[ingest.RawLog]:
+    cfg = run.cfg
+    registry = run.registry()
     block_range = cfg.block_range()
     if cfg.fixture is not None:
         logs = ingest.load_fixture(_require(cfg.fixture, "ingest"))
@@ -180,110 +239,85 @@ def stage_ingest(cfg: PipelineConfig, console: _Console) -> None:
             cfg.rpc_endpoint, block_range, registry, window_size=cfg.rpc_window
         )
     kept = ingest.filter_logs(logs, registry, block_range)
-    console.say(f"ingest: {len(kept)} of {len(logs)} logs kept")
-    content = ingest.serialize_fixture(kept).encode("utf-8")
-    _write_checkpoint(cfg.checkpoint("logs"), content, console)
+    run.say(f"ingest: {len(kept)} of {len(logs)} logs kept")
+    run.write(cfg.checkpoint("logs"), _write_utf8, ingest.serialize_fixture(kept))
+    run.keep(logs=kept)
+    return kept
 
 
-def stage_decode(cfg: PipelineConfig, console: _Console) -> None:
-    registry = cfg.load_registry()
-    logs = ingest.load_fixture(_require(cfg.checkpoint("logs"), "ingest"))
-    result = decode.decode_stream(logs, registry)
+def stage_decode(run: PipelineRun) -> decode.DecodeResult:
+    cfg = run.cfg
+    registry = run.registry()
+    result = decode.decode_stream(run.logs(), registry)
     stats = ", ".join(f"{k}={v}" for k, v in sorted(result.stats.items()))
-    console.say(f"decode: {len(result.events)} events ({stats})")
-    _write_checkpoint(
-        cfg.checkpoint("events"),
-        _render_csv(decode.write_events_csv, result.events),
-        console,
-    )
-    _write_checkpoint(
-        cfg.checkpoint("vaults"),
-        _render_csv(decode.write_vaults_csv, result.vault_triples),
-        console,
-    )
-    _write_checkpoint(
-        cfg.checkpoint("approvals"),
-        _render_csv(decode.write_approvals_csv, result.approvals),
-        console,
-    )
+    run.say(f"decode: {len(result.events)} events ({stats})")
+    run.write(cfg.checkpoint("events"), decode.write_events_csv, result.events)
+    run.write(cfg.checkpoint("vaults"), decode.write_vaults_csv, result.vault_triples)
+    run.write(cfg.checkpoint("approvals"), decode.write_approvals_csv, result.approvals)
+    run.keep(events=result.events, vaults=result.vault_triples, approvals=result.approvals)
+    return result
 
 
-def stage_cluster(cfg: PipelineConfig, console: _Console) -> None:
-    events = decode.read_events_csv(_require(cfg.checkpoint("events"), "decode"))
-    triples = decode.read_vaults_csv(_require(cfg.checkpoint("vaults"), "decode"))
-    denylist = cfg.load_denylist()
+def stage_cluster(run: PipelineRun) -> cluster.Partition:
+    events = run.events()
+    triples = run.vault_triples()
+    denylist = run.denylist()
     partition = cluster.group_addresses(triples, None, events)
     pairs = cluster.extract_heuristic_pairs(events, denylist)
     final = cluster.apply_heuristic_pairs(
-        partition, pairs, absorb_groups=cfg.absorb_pair_groups
+        partition, pairs, absorb_groups=run.cfg.absorb_pair_groups
     )
-    console.say(
+    run.say(
         f"cluster: {len(final.eligible)} eligible groups "
         f"({len(final.groups)} total, {len(pairs)} link pairs)"
     )
-    _write_checkpoint(
-        cfg.checkpoint("partition"),
-        _render_csv(cluster.write_partition_csv, final),
-        console,
-    )
+    run.write(run.cfg.checkpoint("partition"), cluster.write_partition_csv, final)
+    run.keep(partition=final)
+    return final
 
 
-def stage_track(cfg: PipelineConfig, console: _Console) -> None:
-    events = decode.read_events_csv(_require(cfg.checkpoint("events"), "decode"))
-    partition = cluster.read_partition_csv(_require(cfg.checkpoint("partition"), "cluster"))
-    registry = cfg.load_registry()
-    prices = cfg.load_prices()
-    valuer = market.make_valuer(prices, registry.currencies)
-    run = ledger.run_ledger(events, partition, valuer)
-    stats = ", ".join(f"{k}={v}" for k, v in sorted(run.stats.items()))
-    console.say(f"track: {len(run.flow_records)} flow records ({stats})")
-    _write_checkpoint(
-        cfg.checkpoint("flows"),
-        _render_csv(ledger.write_flows_csv, run.flow_records),
-        console,
-    )
+def stage_track(run: PipelineRun) -> ledger.LedgerRun:
+    events = run.events()
+    partition = run.partition()
+    registry = run.registry()
+    valuer = market.make_valuer(run.prices(), registry.currencies)
+    result = ledger.run_ledger(events, partition, valuer)
+    stats = ", ".join(f"{k}={v}" for k, v in sorted(result.stats.items()))
+    run.say(f"track: {len(result.flow_records)} flow records ({stats})")
+    run.write(run.cfg.checkpoint("flows"), ledger.write_flows_csv, result.flow_records)
+    run.keep(flows=result.flow_records)
+    return result
 
 
-def stage_report(cfg: PipelineConfig, console: _Console) -> None:
-    records = ledger.read_flows_csv(_require(cfg.checkpoint("flows"), "track"))
-    events = decode.read_events_csv(_require(cfg.checkpoint("events"), "decode"))
-    registry = cfg.load_registry()
-    prices = cfg.load_prices()
+def stage_report(run: PipelineRun) -> None:
+    records = run.flow_records()
+    events = run.events()
+    registry = run.registry()
+    prices = run.prices()
     monthly = report.monthly_dfc_rows(records)
     breakdown = report.protocol_breakdown(records)
     correlations = report.lagged_correlations(records, prices)
     summary = report.summary_stats(events, prices, registry.currencies)
-    console.say(f"report: {len(monthly)} months, {len(correlations)} correlation rows")
-    _write_checkpoint(
-        cfg.output / "monthly_dfc.csv", _render_csv(report.write_monthly_csv, monthly), console
-    )
-    _write_checkpoint(
-        cfg.output / "protocol_breakdown.csv",
-        _render_csv(report.write_breakdown_csv, breakdown),
-        console,
-    )
-    _write_checkpoint(
-        cfg.output / "correlations.csv",
-        _render_csv(report.write_correlations_csv, correlations),
-        console,
-    )
-    _write_checkpoint(
-        cfg.output / "summary.csv", _render_csv(report.write_summary_csv, summary), console
-    )
+    run.say(f"report: {len(monthly)} months, {len(correlations)} correlation rows")
+    out = run.cfg.output
+    run.write(out / "monthly_dfc.csv", report.write_monthly_csv, monthly)
+    run.write(out / "protocol_breakdown.csv", report.write_breakdown_csv, breakdown)
+    run.write(out / "correlations.csv", report.write_correlations_csv, correlations)
+    run.write(out / "summary.csv", report.write_summary_csv, summary)
 
 
-def stage_compare_clusters(cfg: PipelineConfig, console: _Console) -> None:
-    approvals = decode.read_approvals_csv(_require(cfg.checkpoint("approvals"), "decode"))
-    events = decode.read_events_csv(_require(cfg.checkpoint("events"), "decode"))
-    registry = cfg.load_registry()
-    denylist = cfg.load_denylist()
+def stage_compare_clusters(run: PipelineRun) -> None:
+    approvals = run.approvals()
+    events = run.events()
+    registry = run.registry()
+    denylist = run.denylist()
     known_contracts = frozenset(
         to_hex(a) for a in registry.addresses
     ) | frozenset(to_hex(t) for t in registry.tokens)
     approval_pairs = cluster.self_approval_pairs(approvals, denylist, known_contracts)
     heuristic_pairs = cluster.extract_heuristic_pairs(events, denylist)
     overlap = {p.unordered for p in approval_pairs} & {p.unordered for p in heuristic_pairs}
-    console.say(
+    run.say(
         f"compare-clusters: {len(approval_pairs)} approval pairs, "
         f"{len(heuristic_pairs)} heuristic pairs, {len(overlap)} overlapping"
     )
@@ -294,32 +328,32 @@ def stage_compare_clusters(cfg: PipelineConfig, console: _Console) -> None:
         f"overlap_pairs,{len(overlap)}",
         "",
     ]
-    _write_checkpoint(
-        cfg.output / "cluster_comparison.csv", "\n".join(lines).encode("utf-8"), console
-    )
+    run.write(run.cfg.output / "cluster_comparison.csv", _write_utf8, "\n".join(lines))
 
 
-def cmd_fetch_prices(cfg: PipelineConfig, console: _Console) -> None:
+def cmd_fetch_prices(run: PipelineRun) -> None:
+    cfg = run.cfg
     if not cfg.price_fetch:
         raise ConfigError("config has no price_fetch section")
     series = market.fetch_prices(cfg.price_fetch)
     target = cfg.prices if cfg.prices is not None else cfg.output / "prices.csv"
     target.parent.mkdir(parents=True, exist_ok=True)
     series.to_csv(target)
-    console.say(f"fetch-prices: wrote {target}")
+    run.say(f"fetch-prices: wrote {target}")
 
 
-def cmd_gen_fixture(output: Path, seed: int, registry_path: Path, console: _Console) -> None:
+def cmd_gen_fixture(output: Path, seed: int, registry_path: Path, quiet: bool) -> None:
     registry = ContractRegistry.from_json_file(registry_path)
     bundle = synth.generate_fixture(registry, seed=seed)
     output.mkdir(parents=True, exist_ok=True)
     ingest.save_fixture(output / "fixture_logs.jsonl", bundle.logs)
     bundle.prices.to_csv(output / "prices.csv")
     synth.write_denylist_csv(output / "denylist.csv", bundle.denylist)
-    console.say(
-        f"gen-fixture: {len(bundle.logs)} logs through block {bundle.end_block} "
-        f"(seed {seed}) in {output}"
-    )
+    if not quiet:
+        print(
+            f"gen-fixture: {len(bundle.logs)} logs through block {bundle.end_block} "
+            f"(seed {seed}) in {output}"
+        )
 
 
 STAGE_FUNCTIONS = {
@@ -372,14 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    console = _Console(getattr(args, "quiet", False))
 
     if args.command == "gen-fixture":
         registry_path = Path(args.registry) if args.registry else (
             Path(__file__).resolve().parents[2] / "config" / "registry.json"
         )
         try:
-            cmd_gen_fixture(Path(args.output), args.seed, registry_path, console)
+            cmd_gen_fixture(Path(args.output), args.seed, registry_path, args.quiet)
         except DfcError as exc:
             print(f"gen-fixture: error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
@@ -399,18 +432,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     stages = ALL_STAGES if args.command == "all" else (args.command,)
+    if args.command == "all" and cfg.self_approval_comparison:
+        stages += ("compare-clusters",)
+    run = PipelineRun(cfg, args.quiet)
     for stage in stages:
         try:
-            STAGE_FUNCTIONS[stage](cfg, console)
+            STAGE_FUNCTIONS[stage](run)
         except DfcError as exc:
             print(f"{stage}: error: {exc}", file=sys.stderr)
             return STAGE_EXIT_CODES[stage]
-    if args.command == "all" and cfg.self_approval_comparison:
-        try:
-            stage_compare_clusters(cfg, console)
-        except DfcError as exc:
-            print(f"compare-clusters: error: {exc}", file=sys.stderr)
-            return STAGE_EXIT_CODES["compare-clusters"]
     return EXIT_OK
 
 

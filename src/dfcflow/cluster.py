@@ -179,12 +179,6 @@ class Partition:
         if len(self.addr_to_rep) != len(seen):
             raise ValueError("membership index does not cover all grouped addresses")
 
-    def eligible_size_histogram(self) -> dict[int, int]:
-        hist: dict[int, int] = defaultdict(int)
-        for rep in self.eligible:
-            hist[len(self.groups[rep])] += 1
-        return dict(hist)
-
 
 def dedupe_vault_triples(triples: Iterable[VaultTriple]) -> list[VaultTriple]:
     """Collapse duplicate triples, preserving first-seen order."""

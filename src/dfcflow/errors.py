@@ -17,6 +17,10 @@ class FixtureParseError(DfcError):
         self.line_number = line_number
 
 
+class ConflictingLogError(DfcError):
+    """Two different log records claim the same (block_number, log_index)."""
+
+
 class RpcTransportError(DfcError):
     """Transport-level RPC failure; retryable from ``resume_from_block``."""
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import FixtureParseError
+from .errors import ConflictingLogError, FixtureParseError
 from .registry import ContractRegistry
 from .util import parse_hex, to_hex
 
@@ -104,8 +104,14 @@ class BlockRange:
 
 
 def load_fixture(path: str | Path) -> list[RawLog]:
-    """Parse a fixture file into logs, preserving file order."""
+    """Parse a fixture file into logs, preserving file order.
+
+    A record repeated verbatim is kept (`filter_logs` drops the repeat); a
+    different record at a position already seen is a parse error on its
+    line.
+    """
     logs = []
+    first_line: dict[tuple[int, int], tuple[int, RawLog]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -113,9 +119,17 @@ def load_fixture(path: str | Path) -> list[RawLog]:
                 continue
             try:
                 obj = json.loads(line)
-                logs.append(RawLog.from_json_obj(obj))
+                log = RawLog.from_json_obj(obj)
             except (ValueError, TypeError, KeyError) as exc:
                 raise FixtureParseError(lineno, str(exc)) from exc
+            seen_line, seen = first_line.setdefault(log.order_key, (lineno, log))
+            if seen is not log and seen != log:
+                raise FixtureParseError(
+                    lineno,
+                    f"log at (block {log.block_number}, log index {log.log_index}) "
+                    f"differs from the one on line {seen_line}",
+                )
+            logs.append(log)
     return logs
 
 
@@ -140,7 +154,9 @@ def filter_logs(
     A log survives iff its contract address is registered, its topic0 is
     registered for that contract, and its block number is within the
     inclusive range.  The result is sorted by (block_number, log_index),
-    which is unique per dataset, so the order is total and deterministic.
+    which is unique per dataset, so the order is total and deterministic:
+    a record repeated verbatim is kept once, and two different records at
+    one position raise ConflictingLogError.
     """
     kept = [
         log
@@ -150,4 +166,15 @@ def filter_logs(
         and registry.rule_for(log.contract_address, log.topics[0]) is not None
     ]
     kept.sort(key=lambda log: log.order_key)
-    return kept
+    unique: list[RawLog] = []
+    for log in kept:
+        if unique and log.order_key == unique[-1].order_key:
+            if log != unique[-1]:
+                raise ConflictingLogError(
+                    f"two different logs at (block {log.block_number}, log index "
+                    f"{log.log_index}): tx {to_hex(unique[-1].tx_hash)} and tx "
+                    f"{to_hex(log.tx_hash)}"
+                )
+            continue
+        unique.append(log)
+    return unique

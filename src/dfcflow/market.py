@@ -19,8 +19,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Iterable
 
-import requests
-
 from .errors import ConfigError, ValuationError
 from .registry import Currency
 from .util import format_exact, parse_amount
@@ -136,12 +134,15 @@ def fetch_prices(fetch_config: dict, *, session=None) -> PriceSeries:
     delay = fetch_config.get("delay_seconds", 0)
     start = fetch_config.get("start")
     end = fetch_config.get("end")
-    http = session or requests
+    if session is None:
+        import requests  # loaded only when prices are fetched
+
+        session = requests
 
     rows: list[tuple[str, int, Fraction]] = []
     for key in sorted(key_map):
         url = template.format(key=key_map[key], start=start, end=end)
-        response = http.get(url, timeout=30)
+        response = session.get(url, timeout=30)
         response.raise_for_status()
         candles = response.json()
         if not isinstance(candles, list):

@@ -28,10 +28,6 @@ LENDING_KINDS = (
 )
 KINDS = LENDING_KINDS + ("swap", "liquidation", "vault_open", "approval")
 
-# Swap data layout is the standard 4-word (amount0In, amount1In,
-# amount0Out, amount1Out) block; classification works on net pool flows.
-SWAP_DATA_WORDS = 4
-
 
 @dataclass(frozen=True)
 class Currency:

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
-
-from scipy.stats import t as student_t
 
 from .decode import COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW, SWAP, CanonicalEvent
 from .errors import InsufficientDataError, UndefinedCorrelationError, ValuationError
@@ -144,9 +143,72 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0
-    t_stat = r * math.sqrt((n - 2) / (1 - r * r))
-    p = 2 * float(student_t.sf(abs(t_stat), n - 2))
-    return r, p
+    dof = n - 2
+    t_sq = r * r * dof / (1 - r * r)
+    return r, _t_two_sided_p(t_sq, dof)
+
+
+def _t_two_sided_p(t_sq: float, dof: int) -> float:
+    """P(|T| > t) for Student's t with `dof` degrees of freedom, from the
+    regularized incomplete beta I_x(dof/2, 1/2) at x = dof / (dof + t^2).
+
+    The continued fraction runs on whichever side of the mean converges
+    fast (Numerical Recipes, 3rd ed., section 6.4).  A subnormal result
+    has lost its relative precision, so it is returned as 0.0.
+    """
+    if t_sq == 0.0:
+        return 1.0
+    a, b = dof / 2, 0.5
+    x = dof / (dof + t_sq)
+    y = t_sq / (dof + t_sq)
+    log_front = (
+        -a * math.log1p(t_sq / dof) + b * math.log(y)
+        - math.lgamma(b) + _log_gamma_ratio(a, b)
+    )
+    if x < (a + 1) / (a + b + 2):
+        p = math.exp(log_front) * _beta_fraction(a, b, x) / a
+    else:
+        p = 1.0 - math.exp(log_front) * _beta_fraction(b, a, y) / b
+    return p if p >= sys.float_info.min else 0.0
+
+
+def _log_gamma_ratio(a: float, b: float) -> float:
+    """ln Gamma(a + b) - ln Gamma(a).  For large `a` the two lgamma terms
+    nearly cancel, so the difference comes from Stirling's series instead."""
+    if a < 20:
+        return math.lgamma(a + b) - math.lgamma(a)
+
+    def tail(z: float) -> float:
+        z2 = z * z
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * z2)) / z2) / z2) / z
+
+    s = a + b
+    return (a - 0.5) * math.log1p(b / a) + b * math.log(s) - b + tail(s) - tail(a)
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta, by the modified Lentz
+    method."""
+    tiny = 1e-300
+
+    def guard(v: float) -> float:
+        return v if abs(v) >= tiny else tiny
+
+    c = 1.0
+    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1))
+    h = d
+    for m in range(1, 10_000):
+        m2 = 2 * m
+        for num in (
+            m * (b - m) * x / ((a + m2 - 1) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1)),
+        ):
+            d = 1.0 / guard(1.0 + num * d)
+            c = guard(1.0 + num / c)
+            h *= d * c
+        if abs(d * c - 1.0) < sys.float_info.epsilon:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
 
 
 def _period_series(records: Sequence[FlowRecord], period: int):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import requests
-
 from .errors import RpcServerError, RpcTransportError
 from .ingest import BlockRange, RawLog, filter_logs
 from .registry import ContractRegistry
@@ -24,6 +22,8 @@ DEFAULT_WINDOW_SIZE = 2000
 
 class RpcClient:
     def __init__(self, endpoint: str, session=None, timeout: float = 30.0):
+        import requests  # loaded only when a run talks to a node
+
         self.endpoint = endpoint
         self._session = session or requests.Session()
         self._timeout = timeout
@@ -31,6 +31,8 @@ class RpcClient:
         self._block_timestamps: dict[int, int] = {}
 
     def call(self, method: str, params: list, *, resume_block: int) -> object:
+        import requests
+
         payload = {
             "jsonrpc": "2.0",
             "id": self._next_id,

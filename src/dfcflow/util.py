@@ -53,18 +53,6 @@ def round_half_even(x: Fraction, places: int = 0) -> Fraction:
     return Fraction(n, scale)
 
 
-def format_fixed(x: Fraction, max_places: int = 18) -> str:
-    """Canonical fixed-point rendering: half-even at `max_places`, trailing
-    zeros stripped.  Exact for any value with a terminating expansion."""
-    sign = "-" if x < 0 else ""
-    rounded = round_half_even(abs(x), max_places)
-    units = rounded.numerator * (10**max_places // rounded.denominator)
-    digits = str(units).rjust(max_places + 1, "0")
-    whole, frac = digits[:-max_places], digits[-max_places:]
-    frac = frac.rstrip("0")
-    return sign + (f"{whole}.{frac}" if frac else whole)
-
-
 def format_exact(x: Fraction) -> str:
     """Lossless rendering for checkpoint files.
 

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from dfcflow import ingest, synth
 from dfcflow.cli import main
+from dfcflow.registry import ContractRegistry
 
 from tests.conftest import DATA_DIR, REGISTRY_PATH
 
@@ -14,6 +16,16 @@ REPORT_FILES = (
     "correlations.csv",
     "summary.csv",
 )
+CHECKPOINT_FILES = (
+    "logs.jsonl",
+    "events.csv",
+    "vaults.csv",
+    "approvals.csv",
+    "partition.csv",
+    "flows.csv",
+)
+ALL_OUTPUTS = CHECKPOINT_FILES + REPORT_FILES + ("cluster_comparison.csv",)
+STAGES = ("ingest", "decode", "cluster", "track", "report", "compare-clusters")
 
 
 def write_config(tmp_path, output, **overrides):
@@ -36,16 +48,85 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
-def test_all_then_staged_outputs_are_identical(tmp_path):
+def assert_all_matches_staged(tmp_path, **overrides):
+    """`all` (stages hand values over in memory) and the stages run one by
+    one (each reads the previous checkpoints) write the same bytes."""
     out_all = tmp_path / "out_all"
     out_staged = tmp_path / "out_staged"
-    config = write_config(tmp_path, out_all)
+    config = write_config(tmp_path, out_all, **overrides)
     assert run("all", "--config", config, "--quiet") == 0
-    config2 = write_config(tmp_path, out_staged)
-    for stage in ("ingest", "decode", "cluster", "track", "report", "compare-clusters"):
+    config2 = write_config(tmp_path, out_staged, **overrides)
+    for stage in STAGES:
         assert run(stage, "--config", config2, "--quiet") == 0
-    for name in REPORT_FILES + ("cluster_comparison.csv", "flows.csv", "partition.csv"):
+    for name in ALL_OUTPUTS:
         assert (out_all / name).read_bytes() == (out_staged / name).read_bytes(), name
+    assert sorted(p.name for p in out_all.iterdir()) == sorted(ALL_OUTPUTS)
+    return out_all
+
+
+def test_all_then_staged_outputs_are_identical(tmp_path):
+    assert_all_matches_staged(tmp_path)
+
+
+@pytest.mark.parametrize("absorb", [False, True])
+def test_all_then_staged_identical_on_generated_link_pairs(tmp_path, absorb):
+    # the partition checkpoint drops per-address activity and recomputes
+    # eligibility, so the in-memory partition must still route the same flows
+    bundle = synth.generate_fixture(ContractRegistry.from_json_file(REGISTRY_PATH), seed=5)
+    ingest.save_fixture(tmp_path / "logs.jsonl", bundle.logs)
+    bundle.prices.to_csv(tmp_path / "prices.csv")
+    synth.write_denylist_csv(tmp_path / "denylist.csv", bundle.denylist)
+    out = assert_all_matches_staged(
+        tmp_path,
+        to_block=bundle.end_block,
+        fixture=str(tmp_path / "logs.jsonl"),
+        prices=str(tmp_path / "prices.csv"),
+        denylist=str(tmp_path / "denylist.csv"),
+        absorb_pair_groups=absorb,
+    )
+    comparison = dict(
+        line.split(",") for line in (out / "cluster_comparison.csv").read_text().splitlines()
+    )
+    assert int(comparison["heuristic_pairs"]) > 0
+
+
+def test_repeated_fixture_lines_are_dropped_at_ingest(tmp_path):
+    lines = (DATA_DIR / "fixture_logs.jsonl").read_text().splitlines()
+    for lineno in (400, 200, 50):
+        lines.insert(lineno, lines[lineno - 1])
+    doubled = tmp_path / "doubled.jsonl"
+    doubled.write_text("\n".join(lines) + "\n")
+    clean, dup = tmp_path / "clean", tmp_path / "dup"
+    assert run("all", "--config", write_config(tmp_path, clean), "--quiet") == 0
+    config = write_config(tmp_path, dup, fixture=str(doubled))
+    assert run("all", "--config", config, "--quiet") == 0
+    for name in ALL_OUTPUTS:
+        assert (clean / name).read_bytes() == (dup / name).read_bytes(), name
+
+
+def test_conflicting_fixture_lines_fail_ingest_with_line_number(tmp_path, capsys):
+    lines = (DATA_DIR / "fixture_logs.jsonl").read_text().splitlines()
+    record = json.loads(lines[199])
+    record["timestamp"] += 1
+    lines.append(json.dumps(record, separators=(",", ":")))
+    conflicting = tmp_path / "conflicting.jsonl"
+    conflicting.write_text("\n".join(lines) + "\n")
+    config = write_config(tmp_path, tmp_path / "out", fixture=str(conflicting))
+    assert run("all", "--config", config, "--quiet") == 3
+    err = capsys.readouterr().err
+    assert f"line {len(lines)}:" in err and "line 200" in err
+    assert not (tmp_path / "out" / "logs.jsonl").exists()
+
+
+def test_cli_import_loads_no_scipy_numpy_or_requests():
+    code = (
+        "import sys, dfcflow.cli\n"
+        "print(sorted(m for m in ('scipy', 'numpy', 'requests') if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_rerun_reports_cache_hit(tmp_path, capsys):

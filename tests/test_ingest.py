@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dfcflow.errors import FixtureParseError
+from dfcflow.errors import ConflictingLogError, FixtureParseError
 from dfcflow.ingest import (
     BlockRange,
     RawLog,
@@ -134,6 +134,29 @@ def test_filter_drops_unregistered_topic_and_address(registry):
     )
     kept = filter_logs([wrong_topic, wrong_address, no_topics], registry, block_range)
     assert kept == []
+
+
+def test_filter_keeps_one_of_repeated_records_and_rejects_conflicts(registry):
+    block_range = BlockRange(10_000_000, 11_700_000)
+    first = RawLog.from_json_obj(json.loads(make_line(log_index=3)))
+    second = RawLog.from_json_obj(json.loads(make_line(log_index=4)))
+    repeat = RawLog.from_json_obj(json.loads(make_line(log_index=3)))
+    kept = filter_logs([second, first, repeat, second], registry, block_range)
+    assert kept == [first, second]
+    conflict = RawLog.from_json_obj(json.loads(make_line(log_index=3, data="0x" + "01" * 32)))
+    with pytest.raises(ConflictingLogError, match="log index 3"):
+        filter_logs([first, second, conflict], registry, block_range)
+
+
+def test_conflicting_fixture_record_names_both_lines(tmp_path):
+    path = tmp_path / "f.jsonl"
+    path.write_text("\n".join([
+        make_line(log_index=0), make_line(log_index=1), "",
+        make_line(log_index=0), make_line(log_index=1, timestamp=1_588_598_521),
+    ]) + "\n")
+    with pytest.raises(FixtureParseError, match="line 2") as err:
+        load_fixture(path)
+    assert err.value.line_number == 5
 
 
 def test_block_range_rejects_inverted_bounds():

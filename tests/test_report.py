@@ -1,4 +1,6 @@
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -195,6 +197,29 @@ def test_random_series_match_reference_within_1e12():
         r_ref, p_ref = pearson_reference(xs, ys)
         assert abs(r - r_ref) < 1e-12
         assert abs(p - p_ref) < 1e-12
+
+
+def test_t_tail_matches_reference_from_3_to_5000_points():
+    # slopes shrink with sqrt(n) so p stays away from 0 and 1 at every size,
+    # and both sides of the continued fraction's switch point are reached
+    rng = random.Random(23)
+    for n in (3, 4, 5, 7, 12, 41, 42, 100, 333, 1000, 2500, 5000):
+        for _ in range(4):
+            xs = [rng.gauss(0, 1) for _ in range(n)]
+            beta = rng.uniform(-4, 4) / math.sqrt(n)
+            ys = [beta * x + rng.gauss(0, 1) for x in xs]
+            _, p = pearson(xs, ys)
+            _, p_ref = pearson_reference(xs, ys)
+            assert abs(p - p_ref) < 1e-13, (n, p, p_ref)
+
+
+def test_subnormal_t_tail_is_returned_as_zero():
+    rng = random.Random(0)
+    xs = [rng.gauss(0, 1) for _ in range(1000)]
+    ys = [x + rng.gauss(0, 0.55) for x in xs]
+    _, p_ref = pearson_reference(xs, ys)
+    assert 0 < p_ref < sys.float_info.min
+    assert pearson(xs, ys)[1] == 0.0
 
 
 def test_star_annotation_thresholds():

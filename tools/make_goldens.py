@@ -17,7 +17,7 @@ sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from dfcflow import cluster, decode, ingest, market, report
-from dfcflow.cli import PipelineConfig, stage_compare_clusters, _Console
+from dfcflow.cli import PipelineConfig, PipelineRun, stage_compare_clusters
 from dfcflow.ledger import FlowRecord
 from dfcflow.registry import ContractRegistry
 
@@ -57,12 +57,9 @@ def main() -> None:
     # the comparison harness output is part of the golden set too
     cfg = PipelineConfig.from_file(ROOT / "config" / "pipeline.fixture.json",
                                    overrides={"output": str(golden)})
-    # compare-clusters reads checkpoints; write the two it needs
-    decode.write_events_csv(golden / "events.csv", decoded.events)
-    decode.write_approvals_csv(golden / "approvals.csv", decoded.approvals)
-    stage_compare_clusters(cfg, _Console(quiet=True))
-    (golden / "events.csv").unlink()
-    (golden / "approvals.csv").unlink()
+    run = PipelineRun(cfg, quiet=True)
+    run.keep(events=decoded.events, approvals=decoded.approvals)
+    stage_compare_clusters(run)
 
     for name in ("monthly_dfc.csv", "protocol_breakdown.csv", "correlations.csv",
                  "summary.csv", "cluster_comparison.csv"):
