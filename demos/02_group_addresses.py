@@ -32,7 +32,7 @@ kept = filter_logs(logs, registry, BlockRange(10_000_000, 10_700_000))
 decoded = decode_stream(kept, registry)
 denylist = load_denylist(ROOT / "data" / "denylist.csv")
 
-partition = group_addresses(decoded.vault_triples, None, decoded.events)
+partition = group_addresses(decoded.vault_triples, decoded.events)
 print(f"stage 1+2: {len(partition.groups)} groups over "
       f"{len(partition.addr_to_rep)} addresses")
 print(f"stage 3:   {len(partition.eligible)} groups touch >= 2 protocols")

@@ -16,6 +16,7 @@ from pathlib import Path
 from dfcflow import (
     BlockRange,
     CanonicalEvent,
+    FlowTotals,
     GroupLedger,
     apply_heuristic_pairs,
     decode_stream,
@@ -55,7 +56,8 @@ print(f"S1: wallet debt {dict(ledger.wallet_debt)}  (taint followed the swap)")
 ledger.apply(event("collateral_deposit", 2, currency="USDC", amount=F(50)))
 print(f"S2: wallet debt {dict(ledger.wallet_debt)}, "
       f"platform debt {dict(ledger.platform_debt)}")
-print(f"debt-financed deposit flow: {ledger.sum_debt_flows_usd}")
+totals = FlowTotals.from_flow_records(ledger.flow_log)
+print(f"debt-financed deposit flow: {totals.sum_debt_flows_usd}")
 
 print("\n=== the same deposit under all three heuristics ===")
 initial = {"DAI": (F(100), F(0)), "USDC": (F(0), F(100))}
@@ -73,7 +75,7 @@ kept = filter_logs(logs, registry, BlockRange(10_000_000, 10_700_000))
 decoded = decode_stream(kept, registry)
 denylist = load_denylist(ROOT / "data" / "denylist.csv")
 partition = apply_heuristic_pairs(
-    group_addresses(decoded.vault_triples, None, decoded.events),
+    group_addresses(decoded.vault_triples, decoded.events),
     extract_heuristic_pairs(decoded.events, denylist),
 )
 prices = PriceSeries.from_csv(ROOT / "data" / "prices.csv")

@@ -233,7 +233,9 @@ def stage_ingest(run: PipelineRun) -> list[ingest.RawLog]:
     registry = run.registry()
     block_range = cfg.block_range()
     if cfg.fixture is not None:
-        logs = ingest.load_fixture(_require(cfg.fixture, "ingest"))
+        if not cfg.fixture.exists():
+            raise ConfigError(f"fixture {cfg.fixture} does not exist")
+        logs = ingest.load_fixture(cfg.fixture)
     else:
         logs = rpc.fetch_logs(
             cfg.rpc_endpoint, block_range, registry, window_size=cfg.rpc_window
@@ -262,7 +264,7 @@ def stage_cluster(run: PipelineRun) -> cluster.Partition:
     events = run.events()
     triples = run.vault_triples()
     denylist = run.denylist()
-    partition = cluster.group_addresses(triples, None, events)
+    partition = cluster.group_addresses(triples, events)
     pairs = cluster.extract_heuristic_pairs(events, denylist)
     final = cluster.apply_heuristic_pairs(
         partition, pairs, absorb_groups=run.cfg.absorb_pair_groups
@@ -321,14 +323,12 @@ def stage_compare_clusters(run: PipelineRun) -> None:
         f"compare-clusters: {len(approval_pairs)} approval pairs, "
         f"{len(heuristic_pairs)} heuristic pairs, {len(overlap)} overlapping"
     )
-    lines = [
-        "metric,value",
-        f"self_approval_pairs,{len(approval_pairs)}",
-        f"heuristic_pairs,{len(heuristic_pairs)}",
-        f"overlap_pairs,{len(overlap)}",
-        "",
+    rows = [
+        ("self_approval_pairs", len(approval_pairs)),
+        ("heuristic_pairs", len(heuristic_pairs)),
+        ("overlap_pairs", len(overlap)),
     ]
-    run.write(run.cfg.output / "cluster_comparison.csv", _write_utf8, "\n".join(lines))
+    run.write(run.cfg.output / "cluster_comparison.csv", cluster.write_comparison_csv, rows)
 
 
 def cmd_fetch_prices(run: PipelineRun) -> None:

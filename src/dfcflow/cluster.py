@@ -15,13 +15,13 @@ report keyed by representative is therefore bit-stable across runs.
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .decode import DEBT_REPAY, SWAP, ApprovalEvent, CanonicalEvent, VaultTriple
+from .tables import Table
 
 PAIR_SOURCES = (
     "AaveRepayOnBehalf",
@@ -249,10 +249,6 @@ def self_approval_pairs(
     return out
 
 
-def actor_addresses(events: Sequence[CanonicalEvent]) -> set[str]:
-    return {e.actor for e in events}
-
-
 def address_protocol_map(events: Sequence[CanonicalEvent]) -> dict[str, frozenset[str]]:
     protos: dict[str, set[str]] = defaultdict(set)
     for e in events:
@@ -262,7 +258,6 @@ def address_protocol_map(events: Sequence[CanonicalEvent]) -> dict[str, frozense
 
 def group_addresses(
     triples: Sequence[VaultTriple],
-    actors: Iterable[str] | None,
     events: Sequence[CanonicalEvent],
 ) -> Partition:
     """Stages 1-3: vault-triple grouping, actor insertion, eligibility.
@@ -278,10 +273,8 @@ def group_addresses(
             dsu.add(addr)
         for left, right in zip(addrs, addrs[1:]):
             dsu.union(left, right)
-    if actors is None:
-        actors = actor_addresses(events)
-    for actor in actors:
-        dsu.add(actor)
+    for e in events:
+        dsu.add(e.actor)
     return Partition.build(dsu.groups().values(), address_protocol_map(events))
 
 
@@ -350,24 +343,22 @@ def apply_heuristic_pairs(
     return result
 
 
+DENYLIST = Table(("address", "label"), from_row=lambda address, label: address.lower())
+PARTITION = Table(("representative", "member", "protocols_touched"))
+write_comparison_csv = Table(("metric", "value")).write
+
+
 def load_denylist(path: str | Path) -> frozenset[str]:
     """Deny-list CSV: columns address,label."""
-    addrs = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            addrs.add(row["address"].lower())
-    return frozenset(addrs)
+    return frozenset(DENYLIST.read(path))
 
 
 def write_partition_csv(path: str | Path, partition: Partition) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("representative", "member", "protocols_touched"))
-        for rep in sorted(partition.groups):
-            protos = ";".join(sorted(partition.group_protocols[rep]))
-            for member in sorted(partition.groups[rep]):
-                writer.writerow((rep, member, protos))
+    PARTITION.write(path, (
+        (rep, member, ";".join(sorted(partition.group_protocols[rep])))
+        for rep in sorted(partition.groups)
+        for member in sorted(partition.groups[rep])
+    ))
 
 
 def read_partition_csv(path: str | Path) -> Partition:
@@ -378,12 +369,9 @@ def read_partition_csv(path: str | Path) -> Partition:
     """
     members: dict[str, set[str]] = defaultdict(set)
     protos: dict[str, frozenset[str]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            rep = row["representative"]
-            members[rep].add(row["member"])
-            protos[rep] = frozenset(p for p in row["protocols_touched"].split(";") if p)
+    for rep, member, touched in PARTITION.read(path):
+        members[rep].add(member)
+        protos[rep] = frozenset(p for p in touched.split(";") if p)
     groups = {rep: frozenset(m) for rep, m in members.items()}
     addr_to_rep = {addr: rep for rep, m in groups.items() for addr in m}
     eligible = frozenset(rep for rep, p in protos.items() if len(p) >= 2)

@@ -13,15 +13,14 @@ currencies, and liquidation-signature logs, decode to ``None``
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DecodeError
 from .ingest import RawLog
 from .registry import ContractRegistry, EventRule, Locator
+from .tables import Table
 from .util import format_exact, parse_amount, to_hex
 
 COLLATERAL_DEPOSIT = "collateral_deposit"
@@ -229,6 +228,10 @@ def decode_event(log: RawLog, registry: ContractRegistry) -> CanonicalEvent | No
             to_hex(log.tx_hash),
             log.log_index,
         )
+    return _decode_matched(log, rule, registry)
+
+
+def _decode_matched(log: RawLog, rule: EventRule, registry: ContractRegistry):
     if rule.kind in ("liquidation", "vault_open", "approval"):
         return None
     if rule.kind == SWAP:
@@ -293,7 +296,7 @@ def decode_stream(logs: Sequence[RawLog], registry: ContractRegistry) -> DecodeR
             result.approvals.append(decode_approval(log, rule, registry))
             result.bump("approval")
         else:
-            event = decode_event(log, registry)
+            event = _decode_matched(log, rule, registry)
             if event is None:
                 key = "liquidation_excluded" if rule.kind == "liquidation" else "not_relevant"
                 result.bump(key)
@@ -303,92 +306,54 @@ def decode_stream(logs: Sequence[RawLog], registry: ContractRegistry) -> DecodeR
     return result
 
 
-def write_events_csv(path: str | Path, events: Iterable[CanonicalEvent]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(EVENT_CSV_COLUMNS)
-        for e in events:
-            if e.kind == SWAP:
-                row = (
-                    e.block_number, e.log_index, e.timestamp, e.protocol, e.kind,
-                    e.actor, e.on_behalf_of or "",
-                    e.currency_sent, e.currency_received,
-                    format_exact(e.amount_sent), format_exact(e.amount_received),
-                )
-            else:
-                row = (
-                    e.block_number, e.log_index, e.timestamp, e.protocol, e.kind,
-                    e.actor, e.on_behalf_of or "",
-                    e.currency, "",
-                    format_exact(e.amount), "",
-                )
-            writer.writerow(row)
+def _event_row(e: CanonicalEvent) -> tuple:
+    head = (
+        e.block_number, e.log_index, e.timestamp, e.protocol, e.kind,
+        e.actor, e.on_behalf_of or "",
+    )
+    if e.kind == SWAP:
+        return head + (
+            e.currency_sent, e.currency_received,
+            format_exact(e.amount_sent), format_exact(e.amount_received),
+        )
+    return head + (e.currency, "", format_exact(e.amount), "")
 
 
-def read_events_csv(path: str | Path) -> list[CanonicalEvent]:
-    events = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            common = dict(
-                kind=row["kind"],
-                protocol=row["protocol"],
-                actor=row["actor"],
-                block_number=int(row["block_number"]),
-                log_index=int(row["log_index"]),
-                timestamp=int(row["timestamp"]),
-                on_behalf_of=row["on_behalf_of"] or None,
-            )
-            if row["kind"] == SWAP:
-                events.append(CanonicalEvent(
-                    **common,
-                    currency_sent=row["currency_sent_or_single"],
-                    currency_received=row["currency_received"],
-                    amount_sent=parse_amount(row["amount_sent_or_single"]),
-                    amount_received=parse_amount(row["amount_received"]),
-                ))
-            else:
-                events.append(CanonicalEvent(
-                    **common,
-                    currency=row["currency_sent_or_single"],
-                    amount=parse_amount(row["amount_sent_or_single"]),
-                ))
-    return events
+def _event_from_row(
+    block_number, log_index, timestamp, protocol, kind, actor, on_behalf_of,
+    currency, currency_received, amount, amount_received,
+) -> CanonicalEvent:
+    if kind not in CANONICAL_KINDS:
+        raise ValueError(f"unknown event kind {kind!r}")
+    position = (kind, protocol, actor, int(block_number), int(log_index), int(timestamp))
+    on_behalf_of = on_behalf_of or None
+    if kind == SWAP:
+        return CanonicalEvent(
+            *position,
+            currency_sent=currency,
+            currency_received=currency_received,
+            amount_sent=parse_amount(amount),
+            amount_received=parse_amount(amount_received),
+            on_behalf_of=on_behalf_of,
+        )
+    return CanonicalEvent(
+        *position, currency=currency, amount=parse_amount(amount), on_behalf_of=on_behalf_of
+    )
 
 
-def write_vaults_csv(path: str | Path, triples: Iterable[VaultTriple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("user", "proxy", "urn"))
-        for t in triples:
-            writer.writerow((t.user, t.proxy, t.urn))
+EVENTS = Table(EVENT_CSV_COLUMNS, _event_row, _event_from_row)
+VAULTS = Table(("user", "proxy", "urn"), lambda t: (t.user, t.proxy, t.urn), VaultTriple)
+APPROVALS = Table(
+    ("block_number", "log_index", "timestamp", "token", "owner", "spender"),
+    lambda a: (a.block_number, a.log_index, a.timestamp, a.token, a.owner, a.spender),
+    lambda block_number, log_index, timestamp, token, owner, spender: ApprovalEvent(
+        token, owner, spender, int(block_number), int(log_index), int(timestamp)
+    ),
+)
 
-
-def read_vaults_csv(path: str | Path) -> list[VaultTriple]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [VaultTriple(row["user"], row["proxy"], row["urn"]) for row in reader]
-
-
-def write_approvals_csv(path: str | Path, approvals: Iterable[ApprovalEvent]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("block_number", "log_index", "timestamp", "token", "owner", "spender"))
-        for a in approvals:
-            writer.writerow((a.block_number, a.log_index, a.timestamp, a.token, a.owner, a.spender))
-
-
-def read_approvals_csv(path: str | Path) -> list[ApprovalEvent]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            ApprovalEvent(
-                token=row["token"],
-                owner=row["owner"],
-                spender=row["spender"],
-                block_number=int(row["block_number"]),
-                log_index=int(row["log_index"]),
-                timestamp=int(row["timestamp"]),
-            )
-            for row in reader
-        ]
+write_events_csv = EVENTS.write
+read_events_csv = EVENTS.read
+write_vaults_csv = VAULTS.write
+read_vaults_csv = VAULTS.read
+write_approvals_csv = APPROVALS.write
+read_approvals_csv = APPROVALS.read

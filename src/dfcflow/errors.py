@@ -17,6 +17,17 @@ class FixtureParseError(DfcError):
         self.line_number = line_number
 
 
+class TableError(DfcError):
+    """A CSV file could not be read: it is missing or unreadable, lacks a
+    column, or has a bad row.  Names the file and, where known, the line."""
+
+    def __init__(self, path, message: str, line: int | None = None):
+        where = f"{path}, line {line}" if line is not None else str(path)
+        super().__init__(f"{where}: {message}")
+        self.path = path
+        self.line = line
+
+
 class ConflictingLogError(DfcError):
     """Two different log records claim the same (block_number, log_index)."""
 

@@ -20,11 +20,9 @@ delivery order because events are re-sorted on the unique
 
 from __future__ import annotations
 
-import csv
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .cluster import Partition
@@ -37,6 +35,7 @@ from .decode import (
     CanonicalEvent,
 )
 from .errors import LedgerError, SequencingError
+from .tables import Table
 from .util import ZERO, format_exact, month_key, parse_amount
 
 Valuer = Callable[[str, Fraction, int], Fraction]  # (currency, amount, ts) -> USD
@@ -88,7 +87,6 @@ class GroupLedger:
         self.wallet_debt: dict[str, Fraction] = defaultdict(lambda: ZERO)
         self.platform_debt: dict[tuple[str, str], Fraction] = defaultdict(lambda: ZERO)
         self.flow_log: list[FlowRecord] = []
-        self.sum_debt_flows_usd = ZERO
         self._last_key: tuple[int, int] | None = None
 
     def apply(self, e: CanonicalEvent) -> None:
@@ -107,8 +105,7 @@ class GroupLedger:
             debt_amt, nondebt_amt = first_out_split(e.amount, self.wallet_debt[e.currency])
             self.wallet_debt[e.currency] -= debt_amt
             self.platform_debt[(e.protocol, e.currency)] += debt_amt
-            record = self._record(e, debt_amt, nondebt_amt)
-            self.sum_debt_flows_usd += record.debt_usd
+            self._record(e, debt_amt, nondebt_amt)
         elif e.kind == COLLATERAL_WITHDRAW:
             held = self.platform_debt[(e.protocol, e.currency)]
             moved = min(e.amount, held)
@@ -130,8 +127,8 @@ class GroupLedger:
         self.wallet_debt[e.currency_sent] = held - e.amount_sent * debt_pct
         self.wallet_debt[e.currency_received] += e.amount_received * debt_pct
 
-    def _record(self, e: CanonicalEvent, debt_amt: Fraction, nondebt_amt: Fraction) -> FlowRecord:
-        record = FlowRecord(
+    def _record(self, e: CanonicalEvent, debt_amt: Fraction, nondebt_amt: Fraction) -> None:
+        self.flow_log.append(FlowRecord(
             group=self.group,
             timestamp=e.timestamp,
             block_number=e.block_number,
@@ -142,9 +139,7 @@ class GroupLedger:
             nondebt_token=nondebt_amt,
             debt_usd=self._valuer(e.currency, debt_amt, e.timestamp),
             nondebt_usd=self._valuer(e.currency, nondebt_amt, e.timestamp),
-        )
-        self.flow_log.append(record)
-        return record
+        ))
 
     def _check_non_negative(self, e: CanonicalEvent) -> None:
         for currency, balance in self.wallet_debt.items():
@@ -373,33 +368,25 @@ def heuristic_oracles(
 
 # --- flow log IO -------------------------------------------------------------
 
-def write_flows_csv(path: str | Path, records: Iterable[FlowRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FLOW_CSV_COLUMNS)
-        for r in records:
-            writer.writerow((
-                r.group, r.timestamp, r.block_number, r.protocol, r.currency, r.kind,
-                format_exact(r.debt_token), format_exact(r.nondebt_token),
-                format_exact(r.debt_usd), format_exact(r.nondebt_usd),
-            ))
+def _flow_row(r: FlowRecord) -> tuple:
+    return (
+        r.group, r.timestamp, r.block_number, r.protocol, r.currency, r.kind,
+        format_exact(r.debt_token), format_exact(r.nondebt_token),
+        format_exact(r.debt_usd), format_exact(r.nondebt_usd),
+    )
 
 
-def read_flows_csv(path: str | Path) -> list[FlowRecord]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [
-            FlowRecord(
-                group=row["group_representative"],
-                timestamp=int(row["timestamp"]),
-                block_number=int(row["block_number"]),
-                protocol=row["protocol"],
-                currency=row["currency"],
-                kind=row["kind"],
-                debt_token=parse_amount(row["debt_amount_token"]),
-                nondebt_token=parse_amount(row["nondebt_amount_token"]),
-                debt_usd=parse_amount(row["debt_amount_usd"]),
-                nondebt_usd=parse_amount(row["nondebt_amount_usd"]),
-            )
-            for row in reader
-        ]
+def _flow_from_row(
+    group, timestamp, block_number, protocol, currency, kind,
+    debt_token, nondebt_token, debt_usd, nondebt_usd,
+) -> FlowRecord:
+    return FlowRecord(
+        group, int(timestamp), int(block_number), protocol, currency, kind,
+        parse_amount(debt_token), parse_amount(nondebt_token),
+        parse_amount(debt_usd), parse_amount(nondebt_usd),
+    )
+
+
+FLOWS = Table(FLOW_CSV_COLUMNS, _flow_row, _flow_from_row)
+write_flows_csv = FLOWS.write
+read_flows_csv = FLOWS.read

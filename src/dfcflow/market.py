@@ -11,16 +11,15 @@ Series are immutable after load and safe for concurrent readers.
 
 from __future__ import annotations
 
-import csv
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
 
 from .errors import ConfigError, ValuationError
 from .registry import Currency
+from .tables import Table
 from .util import format_exact, parse_amount
 
 HOUR = 3600
@@ -92,13 +91,7 @@ class PriceSeries:
         staleness_multiplier: int = DEFAULT_STALENESS_MULTIPLIER,
     ) -> "PriceSeries":
         """Price file: columns price_key,timestamp,price_usd (exact decimal)."""
-        rows: list[tuple[str, int, Fraction]] = []
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rows.append(
-                    (row["price_key"], int(row["timestamp"]), parse_amount(row["price_usd"]))
-                )
+        rows = PRICES.read(path)
         rows.sort(key=lambda r: (r[0], r[1]))
         series = cls(staleness_multiplier=staleness_multiplier)
         for key, ts, price in rows:
@@ -106,12 +99,17 @@ class PriceSeries:
         return series
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(("price_key", "timestamp", "price_usd"))
-            for key in sorted(self._timestamps):
-                for ts, price in zip(self._timestamps[key], self._prices[key]):
-                    writer.writerow((key, ts, format_exact(price)))
+        PRICES.write(path, (
+            (key, ts, format_exact(price))
+            for key in sorted(self._timestamps)
+            for ts, price in zip(self._timestamps[key], self._prices[key])
+        ))
+
+
+PRICES = Table(
+    ("price_key", "timestamp", "price_usd"),
+    from_row=lambda key, timestamp, price: (key, int(timestamp), parse_amount(price)),
+)
 
 
 def fetch_prices(fetch_config: dict, *, session=None) -> PriceSeries:

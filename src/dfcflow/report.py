@@ -17,13 +17,11 @@ dropped pairwise rather than imputed.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 from .decode import COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW, SWAP, CanonicalEvent
@@ -31,6 +29,7 @@ from .errors import InsufficientDataError, UndefinedCorrelationError, ValuationE
 from .ledger import FlowRecord
 from .market import DAY, HOUR, PriceSeries
 from .registry import PROTOCOLS, Currency
+from .tables import Table
 from .util import ZERO, format_places, format_usd_millions, month_key, month_range
 
 MIN_CORRELATION_SAMPLES = 3
@@ -310,55 +309,41 @@ def summary_stats(
 
 # --- CSV writers --------------------------------------------------------------
 
-def write_monthly_csv(path: str | Path, rows: Sequence[MonthlyDfcRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ("month", "debt_usd_millions", "nondebt_usd_millions", "total_usd_millions", "debt_pct")
-        )
-        for row in rows:
-            pct = row.debt_pct
-            writer.writerow((
-                row.month,
-                format_usd_millions(row.debt_usd),
-                format_usd_millions(row.nondebt_usd),
-                format_usd_millions(row.total_usd),
-                format_places(pct, 1) if pct is not None else "",
-            ))
+def _pct(pct: Fraction | None) -> str:
+    return format_places(pct, 1) if pct is not None else ""
 
 
-def write_breakdown_csv(path: str | Path, cells) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("month", "protocol", "debt_pct"))
-        for month, protocol, pct in cells:
-            writer.writerow((month, protocol, format_places(pct, 1) if pct is not None else ""))
+def _summary_row(item: tuple[str, dict[str, object]]) -> tuple:
+    stat, per_protocol = item
+    return (stat,) + tuple(
+        format_places(value, 2) if isinstance(value, Fraction) else value
+        for value in (per_protocol[protocol] for protocol in PROTOCOLS)
+    )
 
 
-def write_correlations_csv(path: str | Path, results: Sequence[CorrelationResult]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("var1", "lag", "R", "p_value", "stars", "n"))
-        for res in results:
-            writer.writerow((
-                res.var1,
-                res.lag,
-                f"{res.r:.6f}" if res.r is not None else "",
-                f"{res.p_value:.6g}" if res.p_value is not None else "",
-                res.stars,
-                res.n,
-            ))
-
-
-def write_summary_csv(path: str | Path, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("statistic",) + PROTOCOLS)
-        for stat, per_protocol in rows:
-            formatted = []
-            for protocol in PROTOCOLS:
-                value = per_protocol[protocol]
-                formatted.append(
-                    format_places(value, 2) if isinstance(value, Fraction) else value
-                )
-            writer.writerow((stat,) + tuple(formatted))
+write_monthly_csv = Table(
+    ("month", "debt_usd_millions", "nondebt_usd_millions", "total_usd_millions", "debt_pct"),
+    lambda row: (
+        row.month,
+        format_usd_millions(row.debt_usd),
+        format_usd_millions(row.nondebt_usd),
+        format_usd_millions(row.total_usd),
+        _pct(row.debt_pct),
+    ),
+).write
+write_breakdown_csv = Table(
+    ("month", "protocol", "debt_pct"),
+    lambda cell: (cell[0], cell[1], _pct(cell[2])),
+).write
+write_correlations_csv = Table(
+    ("var1", "lag", "R", "p_value", "stars", "n"),
+    lambda res: (
+        res.var1,
+        res.lag,
+        f"{res.r:.6f}" if res.r is not None else "",
+        f"{res.p_value:.6g}" if res.p_value is not None else "",
+        res.stars,
+        res.n,
+    ),
+).write
+write_summary_csv = Table(("statistic",) + PROTOCOLS, _summary_row).write

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .cluster import DENYLIST
 from .ingest import RawLog
 from .market import DAY, HOUR, PriceSeries
 from .registry import ContractRegistry, EventRule, Locator
@@ -562,11 +563,4 @@ def _convert_across(rng: random.Random, amount: Fraction, sent: str, recv: str) 
     return Fraction(round(value * 10**6), 10**6)
 
 
-def write_denylist_csv(path, rows) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("address", "label"))
-        for address, label in rows:
-            writer.writerow((address, label))
+write_denylist_csv = DENYLIST.write

@@ -73,7 +73,7 @@ def eligible_partition(*addresses):
     for i, addr in enumerate(addresses):
         events.append(make_event("collateral_deposit", 2 * i, addr, protocol="Aave"))
         events.append(make_event("collateral_deposit", 2 * i + 1, addr, protocol="Compound"))
-    return cluster.group_addresses([], None, events)
+    return cluster.group_addresses([], events)
 
 
 # -----------------------------------------------------------------------------
@@ -173,7 +173,7 @@ def load_fixture_pipeline():
     decoded = decode.decode_stream(kept, registry)
     denylist = cluster.load_denylist(DATA_DIR / "denylist.csv")
     partition = cluster.apply_heuristic_pairs(
-        cluster.group_addresses(decoded.vault_triples, None, decoded.events),
+        cluster.group_addresses(decoded.vault_triples, decoded.events),
         cluster.extract_heuristic_pairs(decoded.events, denylist),
     )
     prices = market.PriceSeries.from_csv(DATA_DIR / "prices.csv")
@@ -231,7 +231,7 @@ def test_criterion_3_clustering_equals_brute_force():
     rng = random.Random(31_337)
     for index in range(500):
         triples, events, pairs = random_grouping_instance(rng)
-        partition = cluster.group_addresses(triples, None, events)
+        partition = cluster.group_addresses(triples, events)
         result = cluster.apply_heuristic_pairs(partition, pairs)
         result.validate()
         oracle_eligible, oracle_full = brute_force_grouping(triples, events, pairs)
@@ -242,7 +242,7 @@ def test_criterion_3_clustering_equals_brute_force():
             rng.shuffle(events)
             rng.shuffle(pairs)
             shuffled = cluster.apply_heuristic_pairs(
-                cluster.group_addresses(triples, None, events), pairs
+                cluster.group_addresses(triples, events), pairs
             )
             assert shuffled.eligible_family() == result.eligible_family()
             assert shuffled.group_family() == result.group_family()

@@ -236,3 +236,47 @@ def test_track_price_gap_maps_to_ledger_exit_code(tmp_path, capsys):
         assert run(stage, "--config", config, "--quiet") == 0
     assert run("track", "--config", config, "--quiet") == 6
     assert "price" in capsys.readouterr().err
+
+
+def test_missing_fixture_is_named_at_ingest(tmp_path, capsys):
+    missing = tmp_path / "absent.jsonl"
+    config = write_config(tmp_path, tmp_path / "out", fixture=str(missing))
+    assert run("ingest", "--config", config, "--quiet") == 3
+    err = capsys.readouterr().err
+    assert f"fixture {missing} does not exist" in err
+    assert "missing checkpoint" not in err
+
+
+@pytest.mark.parametrize("name, line, stage, code, message", [
+    ("events.csv", 1, "cluster", 5, "missing columns ['kind']"),
+    ("flows.csv", 3, "report", 7, "Invalid literal for Fraction: 'abc'"),
+    ("prices.csv", 5, "track", 6, "Invalid literal for Fraction: 'abc'"),
+    ("prices.csv", None, "track", 6, "cannot read"),
+    ("denylist.csv", None, "cluster", 5, "cannot read"),
+], ids=["events-header", "flows-amount", "prices-cell", "prices-missing", "denylist-missing"])
+def test_bad_csv_fails_its_stage_naming_file_and_line(tmp_path, capsys, name, line, stage,
+                                                      code, message):
+    out = tmp_path / "out"
+    inputs = {n: tmp_path / n for n in ("prices.csv", "denylist.csv")}
+    for n, path in inputs.items():
+        path.write_bytes((DATA_DIR / n).read_bytes())
+    config = write_config(tmp_path, out, prices=str(inputs["prices.csv"]),
+                          denylist=str(inputs["denylist.csv"]))
+    assert run("all", "--config", config, "--quiet") == 0
+    path = inputs.get(name, out / name)
+    if line is None:
+        path.unlink()
+        where = f"{path}: "
+    else:
+        lines = path.read_text().splitlines()
+        if line == 1:
+            lines[0] = lines[0].replace("kind", "event_kind")
+        else:  # a bad amount or price in the last cell
+            lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + ",abc"
+        path.write_text("\n".join(lines) + "\n")
+        where = f"{path}, line {line}: "
+    capsys.readouterr()
+    assert run(stage, "--config", config, "--quiet") == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"{stage}: error: {where}")
+    assert message in err and "Traceback" not in err

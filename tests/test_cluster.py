@@ -10,9 +10,7 @@ from dfcflow.cluster import (
     dedupe_vault_triples,
     extract_heuristic_pairs,
     group_addresses,
-    read_partition_csv,
     self_approval_pairs,
-    write_partition_csv,
 )
 from dfcflow.decode import ApprovalEvent, CanonicalEvent, VaultTriple
 
@@ -52,7 +50,7 @@ def two_protocol_events(actor, position=0):
 def test_shared_triple_addresses_merge_transitively():
     triples = [VaultTriple(addr(1), addr(2), addr(10)),
                VaultTriple(addr(2), addr(3), addr(11))]
-    partition = group_addresses(triples, None, [])
+    partition = group_addresses(triples, [])
     assert partition.group_family() == frozenset(
         {frozenset({addr(1), addr(2), addr(3), addr(10), addr(11)})}
     )
@@ -60,7 +58,7 @@ def test_shared_triple_addresses_merge_transitively():
 
 def test_degenerate_triple_is_a_two_address_set():
     triple = VaultTriple(addr(5), addr(5), addr(6))
-    partition = group_addresses([triple], None, [])
+    partition = group_addresses([triple], [])
     assert partition.group_family() == frozenset({frozenset({addr(5), addr(6)})})
 
 
@@ -71,13 +69,13 @@ def test_duplicate_triples_collapse():
 
 def test_single_protocol_group_is_not_eligible():
     events = [event(addr(1), "Aave")]
-    partition = group_addresses([], None, events)
+    partition = group_addresses([], events)
     assert partition.eligible == frozenset()
     assert partition.group_family() == frozenset({frozenset({addr(1)})})
 
 
 def test_two_protocol_group_is_eligible():
-    partition = group_addresses([], None, two_protocol_events(addr(1)))
+    partition = group_addresses([], two_protocol_events(addr(1)))
     assert partition.eligible == frozenset({addr(1)})
 
 
@@ -99,7 +97,7 @@ def test_hand_enumerated_eligible_count():
     for a in singles:
         events.extend(two_protocol_events(a, position))
         position += 2
-    partition = group_addresses(triples, None, events)
+    partition = group_addresses(triples, events)
     # hand count: {1,2,3,4,5}, {6,7,8}, and the 4 singletons
     assert len(partition.eligible) == 6
     expected_eligible, _ = brute_force_grouping(triples, events, [])
@@ -108,7 +106,7 @@ def test_hand_enumerated_eligible_count():
 
 def test_pair_bridging_two_eligible_groups_merges_them():
     events = two_protocol_events(addr(1)) + two_protocol_events(addr(2), 10)
-    partition = group_addresses([], None, events)
+    partition = group_addresses([], events)
     merged = apply_heuristic_pairs(
         partition, [HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient")]
     )
@@ -117,7 +115,7 @@ def test_pair_bridging_two_eligible_groups_merges_them():
 
 def test_pair_in_component_without_eligible_group_has_no_effect():
     events = [event(addr(1), "Aave")]  # one protocol: not eligible
-    partition = group_addresses([], None, events)
+    partition = group_addresses([], events)
     result = apply_heuristic_pairs(
         partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")]
     )
@@ -126,7 +124,7 @@ def test_pair_in_component_without_eligible_group_has_no_effect():
 
 
 def test_pair_absorbs_unassigned_address():
-    partition = group_addresses([], None, two_protocol_events(addr(1)))
+    partition = group_addresses([], two_protocol_events(addr(1)))
     result = apply_heuristic_pairs(
         partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")]
     )
@@ -141,7 +139,7 @@ def test_chain_of_pairs_is_order_independent():
     ]
     expected = frozenset({frozenset({addr(1), addr(2), addr(3)})})
     for ordering in (pairs, pairs[::-1]):
-        partition = group_addresses([], None, events)
+        partition = group_addresses([], events)
         result = apply_heuristic_pairs(partition, ordering)
         assert result.eligible_family() == expected
     oracle_eligible, _ = brute_force_grouping([], events, pairs)
@@ -152,7 +150,7 @@ def test_default_mode_moves_only_the_paired_address():
     # addr(2)+addr(3) form a non-eligible vault group; a pair pulls only addr(2)
     triples = [VaultTriple(addr(2), addr(3), addr(3))]
     events = two_protocol_events(addr(1)) + [event(addr(2), "Maker", 20)]
-    partition = group_addresses(triples, None, events)
+    partition = group_addresses(triples, events)
     result = apply_heuristic_pairs(
         partition, [HeuristicPair(addr(1), addr(2), "AaveRepayOnBehalf")]
     )
@@ -163,7 +161,7 @@ def test_default_mode_moves_only_the_paired_address():
 def test_absorb_mode_moves_the_whole_group():
     triples = [VaultTriple(addr(2), addr(3), addr(3))]
     events = two_protocol_events(addr(1)) + [event(addr(2), "Maker", 20)]
-    partition = group_addresses(triples, None, events)
+    partition = group_addresses(triples, events)
     result = apply_heuristic_pairs(
         partition,
         [HeuristicPair(addr(1), addr(2), "AaveRepayOnBehalf")],
@@ -175,7 +173,7 @@ def test_absorb_mode_moves_the_whole_group():
 def test_pairs_never_shrink_eligible_groups():
     events = (two_protocol_events(addr(1)) + two_protocol_events(addr(2), 10)
               + two_protocol_events(addr(3), 20))
-    partition = group_addresses([], None, events)
+    partition = group_addresses([], events)
     pairs = [HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient")]
     result = apply_heuristic_pairs(partition, pairs)
     for rep in partition.eligible:
@@ -239,19 +237,6 @@ def test_overlap_count_between_methods():
     assert len(overlap) == 1
 
 
-def test_partition_csv_round_trip(tmp_path):
-    triples = [VaultTriple(addr(1), addr(2), addr(3))]
-    events = (two_protocol_events(addr(1)) + [event(addr(7), "Maker", 30)]
-              + two_protocol_events(addr(5), 40))
-    partition = group_addresses(triples, None, events)
-    path = tmp_path / "partition.csv"
-    write_partition_csv(path, partition)
-    loaded = read_partition_csv(path)
-    assert loaded.group_family() == partition.group_family()
-    assert loaded.eligible == partition.eligible
-    assert loaded.group_protocols == partition.group_protocols
-
-
 def test_representative_is_smallest_member():
     ds = DisjointSet()
     ds.union(addr(9), addr(4))
@@ -286,7 +271,7 @@ def test_random_instances_match_brute_force(absorb):
     rng = random.Random(7)
     for _ in range(120):
         triples, events, pairs = random_instance(rng)
-        partition = group_addresses(triples, None, events)
+        partition = group_addresses(triples, events)
         result = apply_heuristic_pairs(partition, pairs, absorb_groups=absorb)
         result.validate()
         oracle_eligible, oracle_full = brute_force_grouping(
@@ -301,12 +286,12 @@ def test_random_instances_match_brute_force(absorb):
 def test_permutation_invariance(seed):
     rng = random.Random(seed)
     triples, events, pairs = random_instance(rng)
-    partition = group_addresses(triples, None, events)
+    partition = group_addresses(triples, events)
     baseline = apply_heuristic_pairs(partition, pairs)
     for _ in range(3):
         rng.shuffle(triples)
         rng.shuffle(events)
         rng.shuffle(pairs)
-        shuffled = apply_heuristic_pairs(group_addresses(triples, None, events), pairs)
+        shuffled = apply_heuristic_pairs(group_addresses(triples, events), pairs)
         assert shuffled.eligible_family() == baseline.eligible_family()
         assert shuffled.group_family() == baseline.group_family()

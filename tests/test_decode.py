@@ -9,8 +9,6 @@ from dfcflow.decode import (
     decode_stream,
     extract_actor,
     normalize_amount,
-    read_events_csv,
-    write_events_csv,
 )
 from dfcflow.errors import DecodeError
 from dfcflow.ingest import RawLog
@@ -297,25 +295,3 @@ def test_approval_decoding(registry):
     result = decode_stream([log], registry)
     approval = result.approvals[0]
     assert (approval.owner, approval.spender, approval.token) == (ACTOR, OTHER, "USDC")
-
-
-def test_events_csv_round_trip(registry, tmp_path):
-    rules = canonical_rules(registry)
-    logs = []
-    position = 0
-    for rule in rules[:8]:
-        position += 1
-        if rule.kind == SWAP:
-            logs.append(encode_event_log(
-                rule, registry, block_number=10_005_000 + position, log_index=0,
-                tx_hash=TXH, direction="0to1", amount_sent=Fraction(7, 4),
-                amount_received=Fraction(3), actor=ACTOR, recipient=OTHER))
-        else:
-            logs.append(encode_event_log(
-                rule, registry, block_number=10_005_000 + position, log_index=0,
-                tx_hash=TXH, actor=ACTOR, amount=Fraction(55, 8),
-                currency=rule.currency_fixed or "WBTC"))
-    events = decode_stream(logs, registry).events
-    path = tmp_path / "events.csv"
-    write_events_csv(path, events)
-    assert read_events_csv(path) == events

@@ -8,16 +8,15 @@ from dfcflow.cluster import group_addresses
 from dfcflow.decode import CanonicalEvent
 from dfcflow.errors import SequencingError
 from dfcflow.ledger import (
+    FlowTotals,
     GroupLedger,
     attribute_first_out,
     attribute_last_out,
     attribute_proportional,
     first_out_split,
     heuristic_oracles,
-    read_flows_csv,
     run_full_balance_scenario,
     run_ledger,
-    write_flows_csv,
 )
 
 from tests.oracles import taint_interpreter
@@ -109,7 +108,7 @@ def test_three_state_scenario_matches_first_out_table():
     assert ledger.platform_debt[("Compound", "USDC")] == 50
     record = ledger.flow_log[0]
     assert (record.debt_token, record.nondebt_token) == (F(50), F(0))
-    assert ledger.sum_debt_flows_usd == 50
+    assert FlowTotals.from_flow_records(ledger.flow_log).sum_debt_flows_usd == 50
 
 
 def test_swap_taint_follows_received_amount():
@@ -214,11 +213,11 @@ def eligible_partition(*addresses):
     for i, a in enumerate(addresses):
         events.append(ev("collateral_deposit", 2 * i, actor=a, protocol="Aave"))
         events.append(ev("collateral_deposit", 2 * i + 1, actor=a, protocol="Compound"))
-    return group_addresses([], None, events)
+    return group_addresses([], events)
 
 
 def test_no_eligible_groups_means_zero_totals():
-    partition = group_addresses([], None, [ev("collateral_deposit", 0)])  # 1 protocol
+    partition = group_addresses([], [ev("collateral_deposit", 0)])  # 1 protocol
     events = [ev("debt_create", 1, amount=10), ev("collateral_deposit", 2, amount=10)]
     run = run_ledger(events, partition, flat_valuer)
     assert run.totals.sum_debt_flows_usd == 0
@@ -292,19 +291,6 @@ def test_cross_group_repay_is_flagged():
     assert run.stats["cross_group_repays"] == 1
     # the repay still applies to the actor's group
     assert run.group_ledgers[GROUP].wallet_debt["DAI"] == 5
-
-
-def test_flows_csv_round_trip(tmp_path):
-    partition = eligible_partition(GROUP)
-    events = [
-        ev("debt_create", 10, amount=F(100, 3)),
-        ev("collateral_deposit", 11, amount=F(25, 2)),
-        ev("collateral_withdraw", 12, amount=F(7, 3)),
-    ]
-    run = run_ledger(events, partition, flat_valuer)
-    path = tmp_path / "flows.csv"
-    write_flows_csv(path, run.flow_records)
-    assert read_flows_csv(path) == run.flow_records
 
 
 # --- invariants under random streams -------------------------------------------

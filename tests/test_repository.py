@@ -1,0 +1,24 @@
+import re
+
+from tests.conftest import REPO_ROOT
+
+CITING_DIRS = ("src", "config", "demos", "tools")
+CITING_SUFFIXES = (".py", ".json", ".md")
+
+
+def test_cited_docs_exist_and_only_tables_imports_csv():
+    cited = set()
+    for top in CITING_DIRS:
+        for path in (REPO_ROOT / top).rglob("*"):
+            if path.suffix in CITING_SUFFIXES and path.is_file():
+                cited.update(re.findall(r"docs/[\w./-]+?\.md", path.read_text(encoding="utf-8")))
+    assert "docs/registry.md" in cited and "docs/file_formats.md" in cited
+    assert sorted(doc for doc in cited if not (REPO_ROOT / doc).is_file()) == []
+
+    src = REPO_ROOT / "src"
+    importers = sorted(
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if re.search(r"^\s*(import csv\b|from csv import)", path.read_text(encoding="utf-8"), re.M)
+    )
+    assert importers == ["dfcflow/tables.py"]

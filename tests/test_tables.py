@@ -1,0 +1,121 @@
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from dfcflow import cluster, decode, ledger, synth
+from dfcflow.cluster import group_addresses
+from dfcflow.decode import ApprovalEvent, CanonicalEvent, VaultTriple
+from dfcflow.errors import TableError
+from dfcflow.ledger import FlowRecord
+from dfcflow.market import DAY, HOUR, PriceSeries
+
+T0 = 1_588_598_520
+
+
+def addr(n: int) -> str:
+    return "0x" + f"{n:040x}"
+
+
+def events():
+    def at(position, kind, protocol, actor, **fields):
+        return CanonicalEvent(kind=kind, protocol=protocol, actor=actor,
+                              block_number=10_005_000 + position, log_index=position % 3,
+                              timestamp=T0 + position, **fields)
+
+    return [
+        at(0, "debt_create", "Aave", addr(1), currency="DAI", amount=F(55, 8)),
+        at(1, "debt_repay", "Compound", addr(1), currency="USDC", amount=F(1, 3),
+           on_behalf_of=addr(2)),
+        at(2, "swap", "Uniswap", addr(1), currency_sent="DAI", currency_received="WETH",
+           amount_sent=F(7, 4), amount_received=F(3), on_behalf_of=addr(2)),
+        at(3, "swap", "Uniswap", addr(2), currency_sent="WETH", currency_received="USDT",
+           amount_sent=F(2, 7), amount_received=F(0)),
+        at(4, "collateral_deposit", "Maker", addr(3), currency="WBTC", amount=F(0)),
+    ]
+
+
+def partition():
+    evs = [CanonicalEvent(kind="collateral_deposit", protocol=p, actor=a, block_number=i,
+                          log_index=0, timestamp=T0, currency="DAI", amount=F(1))
+           for i, (a, p) in enumerate([(addr(1), "Aave"), (addr(1), "Compound"),
+                                       (addr(7), "Maker"), (addr(5), "Aave")])]
+    return group_addresses([VaultTriple(addr(1), addr(2), addr(3))], evs)
+
+
+def prices():
+    series = PriceSeries()
+    for i in range(3):
+        series.add_point("ETH", T0 + i * HOUR, F(20_000 + i, 100))
+        series.add_point("USDT", T0 + i * DAY, F(1, 3) + i)
+    return series
+
+
+def same(value):
+    return value
+
+
+# name -> (write, read, value factory, what the read must return for the value)
+TABLES = {
+    "events": (decode.write_events_csv, decode.read_events_csv, events, same),
+    "vaults": (decode.write_vaults_csv, decode.read_vaults_csv,
+               lambda: [VaultTriple(addr(1), addr(2), addr(3)),
+                        VaultTriple(addr(4), addr(4), addr(4))], same),
+    "approvals": (decode.write_approvals_csv, decode.read_approvals_csv,
+                  lambda: [ApprovalEvent("USDC", addr(1), addr(2), 10_000_001, 4, T0),
+                           ApprovalEvent("DAI", addr(3), addr(1), 10_000_002, 0, T0 + 9)],
+                  same),
+    # the checkpoint does not keep per-address activity
+    "partition": (cluster.write_partition_csv, cluster.read_partition_csv, partition,
+                  lambda p: replace(p, address_protocols={})),
+    "flows": (ledger.write_flows_csv, ledger.read_flows_csv,
+              lambda: [FlowRecord(addr(1), T0, 10_000_003, "Aave", "DAI",
+                                  "collateral_deposit", F(25, 2), F(0), F(100, 3), F(7)),
+                       FlowRecord(addr(1), T0 + 1, 10_000_004, "Maker", "WETH",
+                                  "collateral_withdraw", F(0), F(1, 7), F(0), F(200, 7))],
+              same),
+    "prices": (lambda path, series: series.to_csv(path), PriceSeries.from_csv, prices, same),
+    "denylist": (synth.write_denylist_csv, cluster.load_denylist,
+                 lambda: [(addr(10).upper().replace("0X", "0x"), "exchange:a"),
+                          (addr(11), "otc:b")],
+                 lambda rows: frozenset(address.lower() for address, _ in rows)),
+}
+
+
+def shuffle_layout(path):
+    """Rewrite a written table with its columns reversed, an extra column
+    and a blank line.  No cell of these tables holds a comma or quote."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    rows = [line.split(",")[::-1] + [f"extra{i}"] for i, line in enumerate(lines)]
+    text = [",".join(row) for row in rows]
+    text.insert(min(2, len(text)), "")
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("layout", ["written", "shuffled"])
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_round_trip(tmp_path, name, layout):
+    write, read, make, expected = TABLES[name]
+    value = make()
+    path = tmp_path / f"{name}.csv"
+    write(path, value)
+    if layout == "shuffled":
+        shuffle_layout(path)
+    assert read(path) == expected(value)
+
+
+VAULT_ROW = f"{addr(1)},{addr(2)},{addr(3)}"
+
+
+@pytest.mark.parametrize("read, text, error", [
+    (decode.read_vaults_csv, f"user,proxy,urn\n{VAULT_ROW}\n\n{addr(4)},{addr(5)}\n",
+     "line 4: 2 cells, the header has 3"),
+    (decode.read_events_csv, ",".join(decode.EVENT_CSV_COLUMNS)
+     + f"\n1,0,{T0},Aave,debt_crate,{addr(1)},,DAI,,5,\n", "line 2: unknown event kind 'debt_crate'"),
+], ids=["short-row", "unknown-kind"])
+def test_bad_row_names_the_file_and_line(tmp_path, read, text, error):
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(TableError) as info:
+        read(path)
+    assert str(info.value) == f"{path}, {error}"

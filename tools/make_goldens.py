@@ -31,7 +31,7 @@ def main() -> None:
     decoded = decode.decode_stream(kept, registry)
     denylist = cluster.load_denylist(ROOT / "data" / "denylist.csv")
 
-    partition = cluster.group_addresses(decoded.vault_triples, None, decoded.events)
+    partition = cluster.group_addresses(decoded.vault_triples, decoded.events)
     pairs = cluster.extract_heuristic_pairs(decoded.events, denylist)
     final = cluster.apply_heuristic_pairs(partition, pairs)
 
