@@ -104,6 +104,15 @@ class PipelineConfig:
             raise ConfigError(f"block bounds must be integers: {exc}") from exc
         if from_block > to_block:
             raise ConfigError("from_block must not exceed to_block")
+
+        def positive_int(key, default) -> int:
+            value = doc.get(key)
+            if value is None:
+                return default
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"config field {key!r} must be an integer >= 1, got {value!r}")
+            return value
+
         return cls(
             registry=resolve("registry"),
             from_block=from_block,
@@ -116,8 +125,8 @@ class PipelineConfig:
             denylist=resolve("denylist"),
             absorb_pair_groups=bool(doc.get("absorb_pair_groups", False)),
             self_approval_comparison=bool(doc.get("self_approval_comparison", True)),
-            staleness_multiplier=int(doc.get("staleness_multiplier", 2)),
-            rpc_window=int(doc.get("rpc_window", rpc.DEFAULT_WINDOW_SIZE)),
+            staleness_multiplier=positive_int("staleness_multiplier", 2),
+            rpc_window=positive_int("rpc_window", rpc.DEFAULT_WINDOW_SIZE),
         )
 
     def checkpoint(self, name: str) -> Path:

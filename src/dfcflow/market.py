@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError, ValuationError
+from .errors import ConfigError, TableError, ValuationError
 from .registry import Currency
 from .tables import Table
 from .util import format_exact, parse_amount
@@ -94,8 +94,11 @@ class PriceSeries:
         rows = PRICES.read(path)
         rows.sort(key=lambda r: (r[0], r[1]))
         series = cls(staleness_multiplier=staleness_multiplier)
-        for key, ts, price in rows:
-            series.add_point(key, ts, price)
+        try:
+            for key, ts, price in rows:
+                series.add_point(key, ts, price)
+        except ConfigError as exc:
+            raise TableError(path, str(exc)) from exc
         return series
 
     def to_csv(self, path: str | Path) -> None:

@@ -185,6 +185,16 @@ def test_inverted_block_range_is_rejected(tmp_path, capsys):
     assert "from_block" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["rpc_window", "staleness_multiplier"])
+@pytest.mark.parametrize("value", [0, -3, "x", "5", 2.5, True])
+def test_config_integer_fields_must_be_positive(tmp_path, capsys, field, value):
+    config = write_config(tmp_path, tmp_path / "out", **{field: value})
+    assert run("ingest", "--config", config, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field {field!r} must be an integer >= 1")
+    assert "Traceback" not in err
+
+
 def test_block_overrides_narrow_the_range(tmp_path):
     out = tmp_path / "out"
     config = write_config(tmp_path, out)
@@ -280,3 +290,18 @@ def test_bad_csv_fails_its_stage_naming_file_and_line(tmp_path, capsys, name, li
     err = capsys.readouterr().err
     assert err.startswith(f"{stage}: error: {where}")
     assert message in err and "Traceback" not in err
+
+
+def test_duplicate_price_row_names_the_price_file(tmp_path, capsys):
+    out = tmp_path / "out"
+    prices = tmp_path / "prices.csv"
+    lines = (DATA_DIR / "prices.csv").read_text().splitlines()
+    prices.write_text("\n".join(lines[:3] + lines[2:]) + "\n")
+    config = write_config(tmp_path, out, prices=str(prices))
+    for stage in ("ingest", "decode", "cluster"):
+        assert run(stage, "--config", config, "--quiet") == 0
+    capsys.readouterr()
+    assert run("track", "--config", config, "--quiet") == 6
+    err = capsys.readouterr().err
+    assert err.startswith(f"track: error: {prices}: ")
+    assert "timestamps must be strictly increasing" in err
