@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from dfcflow.cluster import group_addresses
 from dfcflow.decode import CanonicalEvent
-from dfcflow.errors import SequencingError
+from dfcflow.errors import LedgerError, SequencingError
 from dfcflow.ledger import (
     FlowTotals,
     GroupLedger,
@@ -158,6 +158,25 @@ def test_out_of_order_event_raises():
     ledger.apply(ev("debt_create", 5, amount=1))
     with pytest.raises(SequencingError):
         ledger.apply(ev("debt_create", 4, amount=1))
+
+
+@pytest.mark.parametrize("events, message", [
+    ([ev("debt_create", 0, amount=-5)],
+     "wallet debt for DAI went negative at (10000000, 0)"),
+    ([ev("collateral_deposit", 0, amount=10), ev("collateral_withdraw", 1, amount=-5)],
+     "wallet debt for DAI went negative at (10000001, 0)"),
+    ([ev("debt_create", 0, currency="USDC", amount=1),
+      ev("debt_create", 1, amount=40),
+      ev("swap", 2, sent="DAI", received="USDC", amount_sent=100, amount_received=-200)],
+     "wallet debt for USDC went negative at (10000002, 0)"),
+], ids=["debt-create", "collateral-withdraw", "swap-received"])
+def test_negative_balance_raises_after_the_event(events, message):
+    ledger = GroupLedger(GROUP, flat_valuer)
+    for e in events[:-1]:
+        ledger.apply(e)
+    with pytest.raises(LedgerError) as err:
+        ledger.apply(events[-1])
+    assert str(err.value) == message
 
 
 # --- heuristic oracles ---------------------------------------------------------
