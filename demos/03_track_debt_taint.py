@@ -23,11 +23,11 @@ from dfcflow import (
     extract_heuristic_pairs,
     filter_logs,
     group_addresses,
-    heuristic_oracles,
     load_fixture,
     run_ledger,
 )
 from dfcflow.cluster import load_denylist
+from dfcflow.heuristics import heuristic_oracles
 from dfcflow.market import PriceSeries, make_valuer
 from dfcflow.registry import ContractRegistry
 

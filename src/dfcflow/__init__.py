@@ -24,13 +24,13 @@ from .decode import (
     normalize_amount,
 )
 from .errors import DfcError
+from .heuristics import heuristic_oracles
 from .ingest import BlockRange, RawLog, filter_logs, load_fixture, save_fixture
 from .ledger import (
     FlowRecord,
     FlowTotals,
     GroupLedger,
     first_out_split,
-    heuristic_oracles,
     run_ledger,
 )
 from .market import PriceSeries

@@ -97,21 +97,29 @@ class PipelineConfig:
         price_fetch = doc.get("price_fetch")
         if prices is None and price_fetch is None:
             raise ConfigError("config needs prices or price_fetch")
-        try:
-            from_block = int(doc["from_block"])
-            to_block = int(doc["to_block"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"block bounds must be integers: {exc}") from exc
-        if from_block > to_block:
-            raise ConfigError("from_block must not exceed to_block")
 
-        def positive_int(key, default) -> int:
+        def integer(key, minimum, default=None) -> int:
             value = doc.get(key)
             if value is None:
                 return default
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"config field {key!r} must be an integer >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+                raise ConfigError(
+                    f"config field {key!r} must be an integer >= {minimum}, got {value!r}"
+                )
             return value
+
+        def flag(key, default) -> bool:
+            value = doc.get(key)
+            if value is None:
+                return default
+            if not isinstance(value, bool):
+                raise ConfigError(f"config field {key!r} must be true or false, got {value!r}")
+            return value
+
+        from_block = integer("from_block", 0)
+        to_block = integer("to_block", 0)
+        if from_block > to_block:
+            raise ConfigError("from_block must not exceed to_block")
 
         return cls(
             registry=resolve("registry"),
@@ -123,10 +131,10 @@ class PipelineConfig:
             prices=prices,
             price_fetch=price_fetch,
             denylist=resolve("denylist"),
-            absorb_pair_groups=bool(doc.get("absorb_pair_groups", False)),
-            self_approval_comparison=bool(doc.get("self_approval_comparison", True)),
-            staleness_multiplier=positive_int("staleness_multiplier", 2),
-            rpc_window=positive_int("rpc_window", rpc.DEFAULT_WINDOW_SIZE),
+            absorb_pair_groups=flag("absorb_pair_groups", False),
+            self_approval_comparison=flag("self_approval_comparison", True),
+            staleness_multiplier=integer("staleness_multiplier", 1, 2),
+            rpc_window=integer("rpc_window", 1, rpc.DEFAULT_WINDOW_SIZE),
         )
 
     def checkpoint(self, name: str) -> Path:

@@ -12,6 +12,14 @@ direction, bounded by the platform balance, so tainted units are
 conserved.  Swaps carry taint across currencies in proportion to the debt
 share of the amount sent.
 
+After each event the ledger checks that every balance the event changed
+is non-negative, and raises `LedgerError` for the first one that is not:
+the wallet balance of the event's currency for a debt creation or
+repayment; that wallet balance, then the (protocol, currency) platform
+balance, for a deposit or withdrawal; the wallet balances of the sent,
+then the received currency for a swap.  Every other balance is unchanged
+since its own last check.
+
 All arithmetic is exact rational; the deposit split loses nothing
 (debt + non-debt == amount, exactly), and results are independent of
 delivery order because events are re-sorted on the unique
@@ -96,28 +104,36 @@ class GroupLedger:
             )
         self._last_key = e.order_key
 
+        platform_key = None
         if e.kind == DEBT_CREATE:
             self.wallet_debt[e.currency] += e.amount
+            changed = (e.currency,)
         elif e.kind == DEBT_REPAY:
             balance = self.wallet_debt[e.currency]
             self.wallet_debt[e.currency] = balance - min(e.amount, balance)
+            changed = (e.currency,)
         elif e.kind == COLLATERAL_DEPOSIT:
+            platform_key = (e.protocol, e.currency)
             debt_amt, nondebt_amt = first_out_split(e.amount, self.wallet_debt[e.currency])
             self.wallet_debt[e.currency] -= debt_amt
-            self.platform_debt[(e.protocol, e.currency)] += debt_amt
+            self.platform_debt[platform_key] += debt_amt
             self._record(e, debt_amt, nondebt_amt)
+            changed = (e.currency,)
         elif e.kind == COLLATERAL_WITHDRAW:
-            held = self.platform_debt[(e.protocol, e.currency)]
+            platform_key = (e.protocol, e.currency)
+            held = self.platform_debt[platform_key]
             moved = min(e.amount, held)
-            self.platform_debt[(e.protocol, e.currency)] = held - moved
+            self.platform_debt[platform_key] = held - moved
             self.wallet_debt[e.currency] += moved
             self._record(e, moved, e.amount - moved)
+            changed = (e.currency,)
         elif e.kind == SWAP:
             self._apply_swap(e)
+            changed = (e.currency_sent, e.currency_received)
         else:
             raise LedgerError(f"unknown event kind {e.kind!r}")
 
-        self._check_non_negative(e)
+        self._check_non_negative(e, changed, platform_key)
 
     def _apply_swap(self, e: CanonicalEvent) -> None:
         if e.amount_sent == 0:
@@ -141,15 +157,18 @@ class GroupLedger:
             nondebt_usd=self._valuer(e.currency, nondebt_amt, e.timestamp),
         ))
 
-    def _check_non_negative(self, e: CanonicalEvent) -> None:
-        for currency, balance in self.wallet_debt.items():
-            if balance < 0:
+    def _check_non_negative(
+        self, e: CanonicalEvent, currencies: tuple[str, ...], platform_key: tuple[str, str] | None,
+    ) -> None:
+        """Check the balances `e` changed; every other one passed when it last changed."""
+        for currency in currencies:
+            # .get: a swap that sent nothing created no balance
+            if self.wallet_debt.get(currency, ZERO).numerator < 0:
                 raise LedgerError(
                     f"wallet debt for {currency} went negative at {e.order_key}"
                 )
-        for key, balance in self.platform_debt.items():
-            if balance < 0:
-                raise LedgerError(f"platform debt for {key} went negative at {e.order_key}")
+        if platform_key is not None and self.platform_debt[platform_key].numerator < 0:
+            raise LedgerError(f"platform debt for {platform_key} went negative at {e.order_key}")
 
 
 @dataclass
@@ -184,10 +203,14 @@ class FlowTotals:
 
 @dataclass
 class LedgerRun:
-    totals: FlowTotals
     flow_records: list[FlowRecord]
     group_ledgers: dict[str, GroupLedger]
     stats: dict[str, int]
+
+    @property
+    def totals(self) -> FlowTotals:
+        """Deposit flow totals, summed from `flow_records` on each access."""
+        return FlowTotals.from_flow_records(self.flow_records)
 
 
 def run_ledger(
@@ -228,142 +251,7 @@ def run_ledger(
         flow_records.extend(ledger.flow_log[before:])
         stats["applied"] += 1
 
-    totals = FlowTotals.from_flow_records(flow_records)
-    return LedgerRun(
-        totals=totals,
-        flow_records=flow_records,
-        group_ledgers=ledgers,
-        stats=stats,
-    )
-
-
-# --- taint heuristics on fully known balances -------------------------------
-#
-# The production ledger needs only the running debt balance (the point of
-# the first-out rule).  Proportional and last-out need the full wallet
-# balance, so they live here as oracles over synthetic scenarios where the
-# non-debt side is known.
-
-def attribute_first_out(amount: Fraction, debt: Fraction, nondebt: Fraction) -> Fraction:
-    return min(amount, debt)
-
-
-def attribute_proportional(amount: Fraction, debt: Fraction, nondebt: Fraction) -> Fraction:
-    total = debt + nondebt
-    if total == 0:
-        return ZERO
-    return amount * debt / total
-
-
-def attribute_last_out(amount: Fraction, debt: Fraction, nondebt: Fraction) -> Fraction:
-    return max(ZERO, amount - nondebt)
-
-
-HEURISTICS = {
-    "first_out": attribute_first_out,
-    "proportional": attribute_proportional,
-    "last_out": attribute_last_out,
-}
-
-
-@dataclass
-class ScenarioState:
-    """Wallet and platform balances split into debt / non-debt components."""
-
-    wallet: dict[str, list[Fraction]] = field(default_factory=dict)
-    platform: dict[tuple[str, str], list[Fraction]] = field(default_factory=dict)
-
-    def wallet_slot(self, currency: str) -> list[Fraction]:
-        return self.wallet.setdefault(currency, [ZERO, ZERO])
-
-    def platform_slot(self, protocol: str, currency: str) -> list[Fraction]:
-        return self.platform.setdefault((protocol, currency), [ZERO, ZERO])
-
-
-def run_full_balance_scenario(
-    initial_wallet: dict[str, tuple[Fraction, Fraction]],
-    transactions: Sequence[tuple],
-    heuristic: str,
-) -> tuple[list[Fraction], ScenarioState]:
-    """Replay a fully specified scenario under one taint heuristic.
-
-    `initial_wallet` maps currency -> (debt, nondebt).  Transactions:
-        ("deposit",  protocol, currency, amount)
-        ("withdraw", protocol, currency, amount)
-        ("swap",     currency_sent, amount_sent, currency_received, amount_received)
-        ("debt_create", currency, amount)
-        ("debt_repay",  currency, amount)
-    Returns the debt amount attributed to each deposit/withdraw/swap, in
-    transaction order, plus the final state.
-    """
-    attribute = HEURISTICS[heuristic]
-    state = ScenarioState()
-    for currency, (debt, nondebt) in initial_wallet.items():
-        state.wallet[currency] = [Fraction(debt), Fraction(nondebt)]
-
-    attributions: list[Fraction] = []
-    for txn in transactions:
-        op = txn[0]
-        if op == "deposit":
-            _, protocol, currency, amount = txn
-            slot = state.wallet_slot(currency)
-            moved_debt = attribute(amount, slot[0], slot[1])
-            slot[0] -= moved_debt
-            slot[1] -= amount - moved_debt
-            dest = state.platform_slot(protocol, currency)
-            dest[0] += moved_debt
-            dest[1] += amount - moved_debt
-            attributions.append(moved_debt)
-        elif op == "withdraw":
-            _, protocol, currency, amount = txn
-            slot = state.platform_slot(protocol, currency)
-            moved_debt = attribute(amount, slot[0], slot[1])
-            slot[0] -= moved_debt
-            slot[1] -= amount - moved_debt
-            dest = state.wallet_slot(currency)
-            dest[0] += moved_debt
-            dest[1] += amount - moved_debt
-            attributions.append(moved_debt)
-        elif op == "swap":
-            _, sent_cur, sent_amt, recv_cur, recv_amt = txn
-            slot = state.wallet_slot(sent_cur)
-            moved_debt = attribute(sent_amt, slot[0], slot[1])
-            slot[0] -= moved_debt
-            slot[1] -= sent_amt - moved_debt
-            dest = state.wallet_slot(recv_cur)
-            if sent_amt > 0:
-                recv_debt = recv_amt * moved_debt / sent_amt
-            else:
-                recv_debt = ZERO
-            dest[0] += recv_debt
-            dest[1] += recv_amt - recv_debt
-            attributions.append(moved_debt)
-        elif op == "debt_create":
-            _, currency, amount = txn
-            state.wallet_slot(currency)[0] += amount
-        elif op == "debt_repay":
-            _, currency, amount = txn
-            slot = state.wallet_slot(currency)
-            from_debt = min(amount, slot[0])
-            slot[0] -= from_debt
-            slot[1] -= amount - from_debt
-        else:
-            raise ValueError(f"unknown scenario op {op!r}")
-        for balances in list(state.wallet.values()) + list(state.platform.values()):
-            if balances[0] < 0 or balances[1] < 0:
-                raise LedgerError(f"scenario balance went negative after {txn}")
-    return attributions, state
-
-
-def heuristic_oracles(
-    initial_wallet: dict[str, tuple[Fraction, Fraction]],
-    transactions: Sequence[tuple],
-) -> dict[str, list[Fraction]]:
-    """Per-transaction debt attribution under all three heuristics."""
-    return {
-        name: run_full_balance_scenario(initial_wallet, transactions, name)[0]
-        for name in HEURISTICS
-    }
+    return LedgerRun(flow_records=flow_records, group_ledgers=ledgers, stats=stats)
 
 
 # --- flow log IO -------------------------------------------------------------

@@ -15,6 +15,7 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import ConfigError, TableError, ValuationError
@@ -42,7 +43,7 @@ class PriceSeries:
     def add_point(self, key: str, timestamp: int, price: Fraction) -> None:
         if key not in GRANULARITY:
             raise ConfigError(f"unknown price key {key!r}")
-        if price <= 0:
+        if price.numerator <= 0:
             raise ConfigError(f"{key} price at {timestamp} is not positive")
         ts_list = self._timestamps.setdefault(key, [])
         if ts_list and timestamp <= ts_list[-1]:
@@ -92,7 +93,7 @@ class PriceSeries:
     ) -> "PriceSeries":
         """Price file: columns price_key,timestamp,price_usd (exact decimal)."""
         rows = PRICES.read(path)
-        rows.sort(key=lambda r: (r[0], r[1]))
+        rows.sort(key=itemgetter(0, 1))
         series = cls(staleness_multiplier=staleness_multiplier)
         try:
             for key, ts, price in rows:

@@ -234,10 +234,11 @@ def lagged_correlations(
     correlations against the following period's debt percentage."""
     if not records:
         raise InsufficientDataError("no flow records for correlation analysis")
+    series = {period: _period_series(records, period) for period in (HOUR, DAY)}
     results = []
     for var1 in ("collateral_change", "price_change"):
         for period, lag in ((HOUR, "next_hour"), (DAY, "next_day")):
-            dep_total, dep_debt, wd_total = _period_series(records, period)
+            dep_total, dep_debt, wd_total = series[period]
             buckets = sorted(set(dep_total) | set(wd_total))
             first, last = buckets[0], buckets[-1]
             xs: list[float] = []

@@ -8,10 +8,14 @@ byte-identical files.
 
 from __future__ import annotations
 
+import re
 from datetime import datetime, timezone
 from fractions import Fraction
 
 ZERO = Fraction(0)
+
+# the two forms format_exact writes: [-]digits[.digits] and [-]digits/digits
+_EXACT = re.compile(r"(-?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
 
 
 def parse_hex(value: str, expected_bytes: int | None = None) -> bytes:
@@ -37,8 +41,18 @@ def to_hex(raw: bytes) -> str:
 
 
 def parse_amount(text: str) -> Fraction:
-    """Exact decimal string -> Fraction (Fraction parses '12.34' natively)."""
-    return Fraction(text)
+    """Exact decimal or 'n/d' string, as :func:`format_exact` writes it -> Fraction.
+
+    Signs other than a leading '-', blanks, exponents and '_' separators
+    are rejected with the message `Fraction(str)` gives.
+    """
+    match = _EXACT.fullmatch(text)
+    if match is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    whole, frac, den = match.groups()
+    if frac is not None:
+        return Fraction(int(whole + frac), 10 ** len(frac))
+    return Fraction(int(whole), int(den) if den else 1)
 
 
 def round_half_even(x: Fraction, places: int = 0) -> Fraction:

@@ -12,18 +12,17 @@ from fractions import Fraction
 
 import pytest
 
-from dfcflow import cluster, decode, ingest, ledger, market, report
+from dfcflow import cluster, decode, heuristics, ingest, market, report
 from dfcflow.cli import main as cli_main
 from dfcflow.decode import CanonicalEvent, VaultTriple
 from dfcflow.cluster import HeuristicPair
-from dfcflow.ledger import (
-    GroupLedger,
+from dfcflow.heuristics import (
     attribute_first_out,
     attribute_last_out,
     attribute_proportional,
     heuristic_oracles,
-    run_ledger,
 )
+from dfcflow.ledger import GroupLedger, run_ledger
 from dfcflow.registry import ContractRegistry
 from dfcflow.rpc import fetch_logs
 
@@ -105,9 +104,9 @@ def test_criterion_1_heuristic_outcomes_scenario():
     assert attributions["first_out"][1] == 50
     assert attributions["proportional"][1] == 25
     assert attributions["last_out"][1] == 0
-    _, prop_state = ledger.run_full_balance_scenario(initial, txns, "proportional")
+    _, prop_state = heuristics.run_full_balance_scenario(initial, txns, "proportional")
     assert prop_state.platform[("P", "beta")] == [F(25), F(25)]
-    _, last_state = ledger.run_full_balance_scenario(initial, txns, "last_out")
+    _, last_state = heuristics.run_full_balance_scenario(initial, txns, "last_out")
     assert last_state.platform[("P", "beta")] == [F(0), F(50)]
 
     elapsed = time.perf_counter() - started

@@ -195,6 +195,23 @@ def test_config_integer_fields_must_be_positive(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value, rule", [
+    ("absorb_pair_groups", "false", "true or false"),
+    ("absorb_pair_groups", 0, "true or false"),
+    ("self_approval_comparison", "no", "true or false"),
+    ("from_block", 10_000_000.9, "an integer >= 0"),
+    ("from_block", -5, "an integer >= 0"),
+    ("from_block", "10000000", "an integer >= 0"),
+    ("from_block", True, "an integer >= 0"),
+    ("to_block", 10_700_000.0, "an integer >= 0"),
+])
+def test_config_flags_and_block_bounds_are_type_checked(tmp_path, capsys, field, value, rule):
+    config = write_config(tmp_path, tmp_path / "out", **{field: value})
+    assert run("ingest", "--config", config, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field {field!r} must be {rule}, got {value!r}")
+
+
 def test_block_overrides_narrow_the_range(tmp_path):
     out = tmp_path / "out"
     config = write_config(tmp_path, out)

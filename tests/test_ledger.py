@@ -7,17 +7,14 @@ from hypothesis import given, settings, strategies as st
 from dfcflow.cluster import group_addresses
 from dfcflow.decode import CanonicalEvent
 from dfcflow.errors import LedgerError, SequencingError
-from dfcflow.ledger import (
-    FlowTotals,
-    GroupLedger,
+from dfcflow.heuristics import (
     attribute_first_out,
     attribute_last_out,
     attribute_proportional,
-    first_out_split,
     heuristic_oracles,
     run_full_balance_scenario,
-    run_ledger,
 )
+from dfcflow.ledger import FlowTotals, GroupLedger, first_out_split, run_ledger
 
 from tests.oracles import taint_interpreter
 

@@ -1,3 +1,6 @@
+import importlib
+import importlib.util
+import inspect
 import re
 
 from tests.conftest import REPO_ROOT
@@ -22,3 +25,22 @@ def test_cited_docs_exist_and_only_tables_imports_csv():
         if re.search(r"^\s*(import csv\b|from csv import)", path.read_text(encoding="utf-8"), re.M)
     )
     assert importers == ["dfcflow/tables.py"]
+
+
+def test_trace_child_hooks_resolve_in_dfcflow():
+    # perfbench/trace_child.py patches these names by string; a rename in
+    # src/ would otherwise surface only in a traced benchmark run
+    spec = importlib.util.spec_from_file_location(
+        "trace_child", REPO_ROOT / "perfbench" / "trace_child.py")
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)
+    missing = [
+        f"{module}.{attr}"
+        for module, attr, _ in trace_child.LAYER_FUNCTIONS
+        if not callable(getattr(importlib.import_module(f"dfcflow.{module}"), attr, None))
+    ]
+    for module, cls_name, attr, _ in trace_child.LAYER_CLASSMETHODS:
+        cls = getattr(importlib.import_module(f"dfcflow.{module}"), cls_name, None)
+        if not isinstance(inspect.getattr_static(cls, attr, None), classmethod):
+            missing.append(f"{module}.{cls_name}.{attr}")
+    assert missing == []
