@@ -319,6 +319,13 @@ def _event_row(e: CanonicalEvent) -> tuple:
     return head + (e.currency, "", format_exact(e.amount), "")
 
 
+def _amount(name: str, text: str) -> Fraction:
+    amount = parse_amount(text)
+    if amount.numerator < 0:
+        raise ValueError(f"negative {name} {text!r}")
+    return amount
+
+
 def _event_from_row(
     block_number, log_index, timestamp, protocol, kind, actor, on_behalf_of,
     currency, currency_received, amount, amount_received,
@@ -332,12 +339,13 @@ def _event_from_row(
             *position,
             currency_sent=currency,
             currency_received=currency_received,
-            amount_sent=parse_amount(amount),
-            amount_received=parse_amount(amount_received),
+            amount_sent=_amount("amount_sent", amount),
+            amount_received=_amount("amount_received", amount_received),
             on_behalf_of=on_behalf_of,
         )
     return CanonicalEvent(
-        *position, currency=currency, amount=parse_amount(amount), on_behalf_of=on_behalf_of
+        *position, currency=currency, amount=_amount("amount", amount),
+        on_behalf_of=on_behalf_of,
     )
 
 

@@ -6,22 +6,28 @@ declared granularity (hourly for BTC/ETH/USDC/DAI, daily for USDT).
 Carry-forward avoids lookahead bias; the staleness bound keeps gaps from
 silently valuing events with week-old prices.
 
+Each key's prices are held as integer units over one scale, the least
+common denominator of that key's prices (10**4 for a file of prices with
+at most four decimals), so loading and lookups make no `Fraction` per
+point.  Prices and values are still exact `Fraction`s at the API.
+
 Series are immutable after load and safe for concurrent readers.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
 from pathlib import Path
 
 from .errors import ConfigError, TableError, ValuationError
 from .registry import Currency
 from .tables import Table
-from .util import format_exact, parse_amount
+from .util import format_exact, parse_ratio
 
 HOUR = 3600
 DAY = 86400
@@ -32,26 +38,41 @@ GRANULARITY = {"BTC": HOUR, "ETH": HOUR, "USDC": HOUR, "DAI": HOUR, "USDT": DAY}
 DEFAULT_STALENESS_MULTIPLIER = 2
 
 
+def _check_point(key: str, timestamp: int, numerator: int, error=ConfigError) -> None:
+    if key not in GRANULARITY:
+        raise error(f"unknown price key {key!r}")
+    if numerator <= 0:
+        raise error(f"{key} price at {timestamp} is not positive")
+
+
+def _not_increasing(key: str, timestamp: int) -> ConfigError:
+    return ConfigError(f"{key} timestamps must be strictly increasing (got {timestamp})")
+
+
 @dataclass
 class PriceSeries:
-    """Sorted (timestamp, price) points per price key."""
+    """Sorted (timestamp, price) points per price key; a key's prices are
+    `_units[key][i] / _scales[key]`."""
 
     staleness_multiplier: int = DEFAULT_STALENESS_MULTIPLIER
     _timestamps: dict[str, list[int]] = field(default_factory=dict)
-    _prices: dict[str, list[Fraction]] = field(default_factory=dict)
+    _units: dict[str, list[int]] = field(default_factory=dict)
+    _scales: dict[str, int] = field(default_factory=dict)
 
     def add_point(self, key: str, timestamp: int, price: Fraction) -> None:
-        if key not in GRANULARITY:
-            raise ConfigError(f"unknown price key {key!r}")
-        if price.numerator <= 0:
-            raise ConfigError(f"{key} price at {timestamp} is not positive")
+        _check_point(key, timestamp, price.numerator)
         ts_list = self._timestamps.setdefault(key, [])
         if ts_list and timestamp <= ts_list[-1]:
-            raise ConfigError(
-                f"{key} timestamps must be strictly increasing (got {timestamp})"
-            )
+            raise _not_increasing(key, timestamp)
+        units = self._units.setdefault(key, [])
+        scale = self._scales.setdefault(key, 1)
+        if scale % price.denominator:
+            rescaled = math.lcm(scale, price.denominator)
+            factor = rescaled // scale
+            units[:] = [u * factor for u in units]
+            self._scales[key] = scale = rescaled
         ts_list.append(timestamp)
-        self._prices.setdefault(key, []).append(price)
+        units.append(price.numerator * (scale // price.denominator))
 
     @property
     def keys(self) -> frozenset[str]:
@@ -61,8 +82,9 @@ class PriceSeries:
         ts = self._timestamps[key]
         return ts[0], ts[-1]
 
-    def price_at(self, key: str, timestamp: int) -> Fraction:
-        """Latest price at or before `timestamp`, within the staleness bound."""
+    def units_at(self, key: str, timestamp: int) -> int:
+        """`price_at` in units of 1 / the key's scale: two lookups on one
+        key give the price ratio as an int division."""
         ts_list = self._timestamps.get(key)
         if not ts_list:
             raise ValuationError(key, timestamp, "empty series")
@@ -75,15 +97,21 @@ class PriceSeries:
             raise ValuationError(
                 key, timestamp, f"nearest point is {age}s old, bound {bound}s"
             )
-        return self._prices[key][idx]
+        return self._units[key][idx]
+
+    def price_at(self, key: str, timestamp: int) -> Fraction:
+        """Latest price at or before `timestamp`, within the staleness bound."""
+        return Fraction(self.units_at(key, timestamp), self._scales[key])
 
     def value_usd(self, amount: Fraction, currency: Currency, timestamp: int) -> Fraction:
         """amount x carry-forward price, exact."""
-        if amount < 0:
+        if amount.numerator < 0:
             raise ValueError("cannot value a negative amount")
-        if amount == 0:
+        if amount.numerator == 0:
             return Fraction(0)
-        return amount * self.price_at(currency.price_key, timestamp)
+        key = currency.price_key
+        units = self.units_at(key, timestamp)
+        return Fraction(amount.numerator * units, amount.denominator * self._scales[key])
 
     @classmethod
     def from_csv(
@@ -91,29 +119,56 @@ class PriceSeries:
         path: str | Path,
         staleness_multiplier: int = DEFAULT_STALENESS_MULTIPLIER,
     ) -> "PriceSeries":
-        """Price file: columns price_key,timestamp,price_usd (exact decimal)."""
-        rows = PRICES.read(path)
-        rows.sort(key=itemgetter(0, 1))
+        """Price file: columns price_key,timestamp,price_usd (exact decimal).
+
+        Rows may come in any order; a key whose rows are out of time order
+        is sorted.  An unknown key or a non-positive price names its line;
+        a repeated timestamp names the file.
+        """
+        points: dict[str, list[tuple[str, int, int, int]]] = {}
+        for row in PRICES.read(path):
+            points.setdefault(row[0], []).append(row)
         series = cls(staleness_multiplier=staleness_multiplier)
-        try:
-            for key, ts, price in rows:
-                series.add_point(key, ts, price)
-        except ConfigError as exc:
-            raise TableError(path, str(exc)) from exc
+        for key in sorted(points):
+            rows = points[key]
+            ts_list = [row[1] for row in rows]
+            if not all(map(operator.lt, ts_list, ts_list[1:])):
+                rows.sort(key=operator.itemgetter(1))
+                ts_list = [row[1] for row in rows]
+                for earlier, ts in zip(ts_list, ts_list[1:]):
+                    if ts <= earlier:
+                        raise TableError(path, str(_not_increasing(key, ts)))
+            denominators = {row[3] for row in rows}
+            scale = math.lcm(*denominators)
+            factors = {den: scale // den for den in denominators}
+            units = [num * factors[den] for _, _, num, den in rows]
+            # the least common denominator, so a series equals itself read back
+            common = math.gcd(scale, *units)
+            if common > 1:
+                scale //= common
+                units = [u // common for u in units]
+            series._timestamps[key] = ts_list
+            series._units[key] = units
+            series._scales[key] = scale
         return series
 
     def to_csv(self, path: str | Path) -> None:
         PRICES.write(path, (
-            (key, ts, format_exact(price))
+            (key, ts, format_exact(Fraction(units, self._scales[key])))
             for key in sorted(self._timestamps)
-            for ts, price in zip(self._timestamps[key], self._prices[key])
+            for ts, units in zip(self._timestamps[key], self._units[key])
         ))
 
 
-PRICES = Table(
-    ("price_key", "timestamp", "price_usd"),
-    from_row=lambda key, timestamp, price: (key, int(timestamp), parse_amount(price)),
-)
+def _price_row(key: str, timestamp: str, price: str) -> tuple[str, int, int, int]:
+    timestamp = int(timestamp)
+    num, den = parse_ratio(price)
+    # a ValueError, so the table reader names the line
+    _check_point(key, timestamp, num, ValueError)
+    return key, timestamp, num, den
+
+
+PRICES = Table(("price_key", "timestamp", "price_usd"), from_row=_price_row)
 
 
 def fetch_prices(fetch_config: dict, *, session=None) -> PriceSeries:

@@ -30,7 +30,9 @@ from .ledger import FlowRecord
 from .market import DAY, HOUR, PriceSeries
 from .registry import PROTOCOLS, Currency
 from .tables import Table
-from .util import ZERO, format_places, format_usd_millions, month_key, month_range
+from .util import (
+    ZERO, exact_sums, format_places, format_usd_millions, month_key, month_range,
+)
 
 MIN_CORRELATION_SAMPLES = 3
 
@@ -79,21 +81,18 @@ class CorrelationResult:
 def _span_months(records: Sequence[FlowRecord]) -> list[str]:
     if not records:
         raise InsufficientDataError("no flow records to report on")
-    months = [month_key(r.timestamp) for r in records]
-    return month_range(min(months), max(months))
+    # month_key is monotonic in the timestamp
+    timestamps = [r.timestamp for r in records]
+    return month_range(month_key(min(timestamps)), month_key(max(timestamps)))
 
 
 def monthly_dfc_rows(records: Sequence[FlowRecord]) -> list[MonthlyDfcRow]:
     """One row per calendar month spanned by the flow log, deposits only."""
-    debt: dict[str, Fraction] = defaultdict(lambda: ZERO)
-    nondebt: dict[str, Fraction] = defaultdict(lambda: ZERO)
-    for r in records:
-        if r.kind == COLLATERAL_DEPOSIT:
-            month = month_key(r.timestamp)
-            debt[month] += r.debt_usd
-            nondebt[month] += r.nondebt_usd
+    deposits = [(month_key(r.timestamp), r) for r in records if r.kind == COLLATERAL_DEPOSIT]
+    debt = exact_sums((month, r.debt_usd) for month, r in deposits)
+    nondebt = exact_sums((month, r.nondebt_usd) for month, r in deposits)
     return [
-        MonthlyDfcRow(month, debt[month], nondebt[month])
+        MonthlyDfcRow(month, debt.get(month, ZERO), nondebt.get(month, ZERO))
         for month in _span_months(records)
     ]
 
@@ -101,20 +100,22 @@ def monthly_dfc_rows(records: Sequence[FlowRecord]) -> list[MonthlyDfcRow]:
 def protocol_breakdown(records: Sequence[FlowRecord]) -> list[tuple[str, str, Fraction | None]]:
     """(month, protocol, debt_pct) cells; None where a protocol took no
     deposits that month."""
-    debt: dict[tuple[str, str], Fraction] = defaultdict(lambda: ZERO)
-    total: dict[tuple[str, str], Fraction] = defaultdict(lambda: ZERO)
-    protocols: set[str] = set()
-    for r in records:
-        protocols.add(r.protocol)
-        if r.kind == COLLATERAL_DEPOSIT:
-            key = (month_key(r.timestamp), r.protocol)
-            debt[key] += r.debt_usd
-            total[key] += r.debt_usd + r.nondebt_usd
+    protocols = sorted({r.protocol for r in records})
+    deposits = [
+        ((month_key(r.timestamp), r.protocol), r)
+        for r in records if r.kind == COLLATERAL_DEPOSIT
+    ]
+    debt = exact_sums((key, r.debt_usd) for key, r in deposits)
+    nondebt = exact_sums((key, r.nondebt_usd) for key, r in deposits)
     cells = []
     for month in _span_months(records):
-        for protocol in sorted(protocols):
+        for protocol in protocols:
             key = (month, protocol)
-            pct = 100 * debt[key] / total[key] if total[key] > 0 else None
+            pct = None
+            if key in debt:
+                total = debt[key] + nondebt[key]
+                if total > 0:
+                    pct = 100 * debt[key] / total
             cells.append((month, protocol, pct))
     return cells
 
@@ -211,16 +212,21 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 
 def _period_series(records: Sequence[FlowRecord], period: int):
-    dep_total: dict[int, Fraction] = defaultdict(lambda: ZERO)
-    dep_debt: dict[int, Fraction] = defaultdict(lambda: ZERO)
-    wd_total: dict[int, Fraction] = defaultdict(lambda: ZERO)
+    # most hourly periods hold one record, so a period's first value is
+    # stored as it is rather than added to zero
+    dep_total: dict[int, Fraction] = {}
+    dep_debt: dict[int, Fraction] = {}
+    wd_total: dict[int, Fraction] = {}
     for r in records:
         bucket = r.timestamp // period
         if r.kind == COLLATERAL_DEPOSIT:
-            dep_total[bucket] += r.debt_usd + r.nondebt_usd
-            dep_debt[bucket] += r.debt_usd
+            total = r.debt_usd + r.nondebt_usd
+            dep_total[bucket] = dep_total[bucket] + total if bucket in dep_total else total
+            debt = r.debt_usd
+            dep_debt[bucket] = dep_debt[bucket] + debt if bucket in dep_debt else debt
         elif r.kind == COLLATERAL_WITHDRAW:
-            wd_total[bucket] += r.debt_usd + r.nondebt_usd
+            total = r.debt_usd + r.nondebt_usd
+            wd_total[bucket] = wd_total[bucket] + total if bucket in wd_total else total
     return dep_total, dep_debt, wd_total
 
 
@@ -235,30 +241,36 @@ def lagged_correlations(
     if not records:
         raise InsufficientDataError("no flow records for correlation analysis")
     series = {period: _period_series(records, period) for period in (HOUR, DAY)}
+    # the debt percentage of each period with deposits; others are dropped pairwise
+    debt_pcts = {
+        period: {b: float(dep_debt[b] / total) for b, total in dep_total.items() if total != 0}
+        for period, (dep_total, dep_debt, _) in series.items()
+    }
     results = []
     for var1 in ("collateral_change", "price_change"):
         for period, lag in ((HOUR, "next_hour"), (DAY, "next_day")):
-            dep_total, dep_debt, wd_total = series[period]
+            dep_total, _, wd_total = series[period]
+            debt_pct = debt_pcts[period]
             buckets = sorted(set(dep_total) | set(wd_total))
             first, last = buckets[0], buckets[-1]
             xs: list[float] = []
             ys: list[float] = []
             for bucket in range(first, last):
-                nxt = bucket + 1
-                if dep_total.get(nxt, ZERO) == 0:
-                    continue  # debt percentage undefined: drop pairwise
-                debt_pct = float(dep_debt[nxt] / dep_total[nxt])
+                y = debt_pct.get(bucket + 1)
+                if y is None:
+                    continue
                 if var1 == "collateral_change":
                     x = float(dep_total.get(bucket, ZERO) - wd_total.get(bucket, ZERO))
                 else:
                     try:
-                        open_price = prices.price_at(price_key, bucket * period)
-                        close_price = prices.price_at(price_key, (bucket + 1) * period)
+                        open_units = prices.units_at(price_key, bucket * period)
+                        close_units = prices.units_at(price_key, (bucket + 1) * period)
                     except ValuationError:
                         continue
-                    x = float(close_price / open_price) - 1.0
+                    # both at the key's one scale; int division rounds correctly
+                    x = close_units / open_units - 1.0
                 xs.append(x)
-                ys.append(debt_pct)
+                ys.append(y)
             if len(xs) < MIN_CORRELATION_SAMPLES:
                 raise InsufficientDataError(
                     f"{var1}/{lag}: only {len(xs)} usable paired periods"
@@ -281,7 +293,6 @@ def summary_stats(
     groups).  Swaps are valued on the sent leg at event time."""
     actors: dict[str, set[str]] = defaultdict(set)
     counts: dict[str, int] = defaultdict(int)
-    usd: dict[tuple[str, str], Fraction] = defaultdict(lambda: ZERO)
     kind_to_stat = {
         COLLATERAL_DEPOSIT: "collateral_deposited_usd",
         COLLATERAL_WITHDRAW: "collateral_withdrawn_usd",
@@ -289,22 +300,23 @@ def summary_stats(
         "debt_repay": "debt_repaid_usd",
         SWAP: "currency_swapped_usd",
     }
+    values = []
     for e in events:
         actors[e.protocol].add(e.actor)
         counts[e.protocol] += 1
-        stat = kind_to_stat[e.kind]
         if e.kind == SWAP:
             value = prices.value_usd(e.amount_sent, currencies[e.currency_sent], e.timestamp)
         else:
             value = prices.value_usd(e.amount, currencies[e.currency], e.timestamp)
-        usd[(stat, e.protocol)] += value
+        values.append(((kind_to_stat[e.kind], e.protocol), value))
+    usd = exact_sums(values)
 
     rows: list[tuple[str, dict[str, object]]] = [
         ("unique_addresses", {p: len(actors[p]) for p in PROTOCOLS}),
         ("transactions", {p: counts[p] for p in PROTOCOLS}),
     ]
     for stat in kind_to_stat.values():
-        rows.append((stat, {p: usd[(stat, p)] for p in PROTOCOLS}))
+        rows.append((stat, {p: usd.get((stat, p), ZERO) for p in PROTOCOLS}))
     return rows
 
 

@@ -1,16 +1,21 @@
 """Hex, exact-decimal and calendar helpers used throughout the pipeline.
 
 Amounts and prices are exact rationals (`fractions.Fraction`) end to end;
-binary floating point only appears in the statistics layer.  Rendering to
-CSV goes through the fixed-point formatters here so repeated runs emit
-byte-identical files.
+binary floating point only appears in the statistics layer.  Inside a
+price series prices are held as integer units over a per-key scale (see
+`dfcflow.market`), and the report sums exact values as integer numerators
+per denominator (:func:`exact_sums`); both hand out `Fraction`s at their
+API.  Rendering to CSV goes through the fixed-point formatters here so
+repeated runs emit byte-identical files.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from datetime import datetime, timezone
 from fractions import Fraction
+from typing import Hashable, Iterable
 
 ZERO = Fraction(0)
 
@@ -40,19 +45,48 @@ def to_hex(raw: bytes) -> str:
     return "0x" + raw.hex()
 
 
-def parse_amount(text: str) -> Fraction:
-    """Exact decimal or 'n/d' string, as :func:`format_exact` writes it -> Fraction.
+def parse_ratio(text: str) -> tuple[int, int]:
+    """Exact decimal or 'n/d' string, as :func:`format_exact` writes it ->
+    (numerator, denominator), with the denominator positive but not reduced:
+    '1.50' gives (150, 100).
 
     Signs other than a leading '-', blanks, exponents and '_' separators
-    are rejected with the message `Fraction(str)` gives.
+    are rejected with the message `Fraction(str)` gives; a zero denominator
+    raises the `ZeroDivisionError` that `Fraction(n, 0)` raises.
     """
     match = _EXACT.fullmatch(text)
     if match is None:
         raise ValueError(f"Invalid literal for Fraction: {text!r}")
     whole, frac, den = match.groups()
     if frac is not None:
-        return Fraction(int(whole + frac), 10 ** len(frac))
-    return Fraction(int(whole), int(den) if den else 1)
+        return int(whole + frac), 10 ** len(frac)
+    num, den = int(whole), int(den) if den else 1
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    return num, den
+
+
+def parse_amount(text: str) -> Fraction:
+    """Exact decimal or 'n/d' string -> Fraction; see :func:`parse_ratio`."""
+    return Fraction(*parse_ratio(text))
+
+
+def exact_sums(items: Iterable[tuple[Hashable, Fraction]]) -> dict[Hashable, Fraction]:
+    """Exact sum of the values per key, for (key, value) pairs.
+
+    Numerators are added as ints per (key, denominator), and each key's few
+    distinct denominators are combined once at the end, so a sum of many
+    values costs one int addition each instead of one `Fraction` addition.
+    Keys that never occur are absent from the result.
+    """
+    numerators: dict[tuple, int] = defaultdict(int)
+    for key, value in items:
+        numerators[key, value.denominator] += value.numerator
+    sums: dict[Hashable, Fraction] = {}
+    for (key, den), num in numerators.items():
+        part = Fraction(num, den)
+        sums[key] = sums[key] + part if key in sums else part
+    return sums
 
 
 def round_half_even(x: Fraction, places: int = 0) -> Fraction:

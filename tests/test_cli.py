@@ -274,15 +274,42 @@ def test_missing_fixture_is_named_at_ingest(tmp_path, capsys):
     assert "missing checkpoint" not in err
 
 
-@pytest.mark.parametrize("name, line, stage, code, message", [
-    ("events.csv", 1, "cluster", 5, "missing columns ['kind']"),
-    ("flows.csv", 3, "report", 7, "Invalid literal for Fraction: 'abc'"),
-    ("prices.csv", 5, "track", 6, "Invalid literal for Fraction: 'abc'"),
-    ("prices.csv", None, "track", 6, "cannot read"),
-    ("denylist.csv", None, "cluster", 5, "cannot read"),
-], ids=["events-header", "flows-amount", "prices-cell", "prices-missing", "denylist-missing"])
-def test_bad_csv_fails_its_stage_naming_file_and_line(tmp_path, capsys, name, line, stage,
-                                                      code, message):
+def set_cell(index, value):
+    """A row edit: the cell at `index` becomes `value(cell)`."""
+    def edit(row):
+        cells = row.split(",")
+        cells[index] = value(cells[index])
+        return ",".join(cells)
+    return edit
+
+
+def rename_kind(row):
+    return row.replace("kind", "event_kind")
+
+
+@pytest.mark.parametrize("name, line, edit, stage, code, message", [
+    ("events.csv", 1, rename_kind, "cluster", 5, "missing columns ['kind']"),
+    ("flows.csv", 3, set_cell(-1, lambda _: "abc"), "report", 7,
+     "Invalid literal for Fraction: 'abc'"),
+    ("prices.csv", 5, set_cell(-1, lambda _: "abc"), "track", 6,
+     "Invalid literal for Fraction: 'abc'"),
+    ("prices.csv", None, None, "track", 6, "cannot read"),
+    ("denylist.csv", None, None, "cluster", 5, "cannot read"),
+    # line 6 is a deposit, line 2 a withdrawal and line 5 a swap
+    ("events.csv", 6, set_cell(9, lambda cell: "-" + cell), "track", 6,
+     "negative amount '-11908056.49'"),
+    ("events.csv", 2, set_cell(9, lambda cell: "-" + cell), "track", 6,
+     "negative amount '-39172.5'"),
+    ("events.csv", 5, set_cell(10, lambda cell: "-" + cell), "cluster", 5,
+     "negative amount_received '-122038.922019'"),
+    ("prices.csv", 5, set_cell(0, lambda _: "DOGE"), "track", 6, "unknown price key 'DOGE'"),
+    ("prices.csv", 5, set_cell(-1, lambda _: "0"), "track", 6,
+     "BTC price at 1588600800 is not positive"),
+], ids=["events-header", "flows-amount", "prices-cell", "prices-missing", "denylist-missing",
+        "events-negative-deposit", "events-negative-withdrawal", "events-negative-swap",
+        "prices-unknown-key", "prices-not-positive"])
+def test_bad_csv_fails_its_stage_naming_file_and_line(tmp_path, capsys, name, line, edit,
+                                                      stage, code, message):
     out = tmp_path / "out"
     inputs = {n: tmp_path / n for n in ("prices.csv", "denylist.csv")}
     for n, path in inputs.items():
@@ -296,10 +323,7 @@ def test_bad_csv_fails_its_stage_naming_file_and_line(tmp_path, capsys, name, li
         where = f"{path}: "
     else:
         lines = path.read_text().splitlines()
-        if line == 1:
-            lines[0] = lines[0].replace("kind", "event_kind")
-        else:  # a bad amount or price in the last cell
-            lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + ",abc"
+        lines[line - 1] = edit(lines[line - 1])
         path.write_text("\n".join(lines) + "\n")
         where = f"{path}, line {line}: "
     capsys.readouterr()

@@ -1,9 +1,12 @@
 import json
+import tempfile
 import threading
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dfcflow.errors import ConfigError, ValuationError
 from dfcflow.market import DAY, HOUR, PriceSeries, fetch_prices, make_valuer
@@ -117,6 +120,36 @@ def test_make_valuer_uses_price_key_mapping():
     currencies = {"WETH": Currency("WETH", 18, "ETH")}
     valuer = make_valuer(series, currencies)
     assert valuer("WETH", F(3), T0) == F(750)
+
+
+# positive prices over mixed denominators: decimals, thirds, sevenths
+positive_prices = st.builds(
+    F, st.integers(1, 10**12), st.sampled_from([1, 2, 3, 7, 10, 100, 10**4, 10**8]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(prices=st.lists(positive_prices, min_size=1, max_size=12),
+       amount=st.fractions(min_value=0))
+@example(prices=[F("100.5"), F("101.25"), F(1, 3), F("99.0001")], amount=F(7, 2))
+def test_integer_series_agrees_with_fraction_reference(prices, amount):
+    series = hourly_series(prices)
+    weth = Currency("WETH", 18, "ETH")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        series.to_csv(path)
+        read_back = PriceSeries.from_csv(path)
+    assert read_back == series
+    for candidate in (series, read_back):
+        for i, price in enumerate(prices):
+            for ts in (T0 + i * HOUR, T0 + i * HOUR + HOUR // 2):
+                assert candidate.price_at("ETH", ts) == price
+                assert candidate.value_usd(amount, weth, ts) == amount * price
+        # the correlation price change: close over open as a float
+        for i, open_price in enumerate(prices):
+            for j, close_price in enumerate(prices):
+                ratio = (candidate.units_at("ETH", T0 + j * HOUR)
+                         / candidate.units_at("ETH", T0 + i * HOUR))
+                assert ratio == float(close_price / open_price)
 
 
 class _CandleHandler(BaseHTTPRequestHandler):

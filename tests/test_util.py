@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dfcflow.util import format_exact, parse_amount
+from dfcflow.util import exact_sums, format_exact, parse_amount, parse_ratio
 
 
 @given(st.fractions())
@@ -33,3 +33,30 @@ def test_parse_amount_rejects_other_text_like_fraction(text):
     with pytest.raises(ValueError) as info:
         parse_amount(text)
     assert str(info.value) == f"Invalid literal for Fraction: {text!r}"
+
+
+def test_parse_ratio_keeps_the_written_denominator():
+    assert parse_ratio("12.3400") == (123400, 10_000)
+    assert parse_ratio("-4/6") == (-4, 6)
+    assert parse_ratio("007") == (7, 1)
+    with pytest.raises(ZeroDivisionError, match=r"^Fraction\(3, 0\)$"):
+        parse_ratio("3/0")
+
+
+# n/d values of either sign, and decimals over a few powers of ten
+exact_values = st.one_of(
+    st.fractions(),
+    st.builds(F, st.integers(-10**20, 10**20), st.sampled_from([1, 10, 100, 10**4, 10**18])),
+)
+
+
+@given(st.lists(st.tuples(st.integers(0, 40), exact_values), max_size=80))
+@example([(0, F(1, 3)), (0, F(-1, 3)), (1, F(5, 2))])
+@example([(0, F(1, d)) for d in range(1, 40)] + [(1, F(-7, 10**18))])
+def test_exact_sums_equal_plain_sums(items):
+    expected: dict = {}
+    for key, value in items:
+        expected.setdefault(key, []).append(value)
+    sums = exact_sums(items)
+    assert sums == {key: sum(values) for key, values in expected.items()}
+    assert all(type(value) is F for value in sums.values())
