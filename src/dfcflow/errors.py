@@ -48,6 +48,10 @@ class RpcServerError(DfcError):
         self.code = code
 
 
+class PriceFetchError(DfcError):
+    """The candle endpoint could not be reached or gave an unusable reply."""
+
+
 class DecodeError(DfcError):
     """A registry-matched log could not be decoded."""
 

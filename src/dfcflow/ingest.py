@@ -75,7 +75,8 @@ class RawLog:
         if not isinstance(topics, list) or len(topics) > 4:
             raise ValueError("topics must be a list of at most 4 items")
         for name in ("block_number", "timestamp", "log_index"):
-            if not isinstance(obj[name], int) or obj[name] < 0:
+            # JSON true/false are ints to Python; reject them here
+            if type(obj[name]) is not int or obj[name] < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
         return cls(
             block_number=obj["block_number"],

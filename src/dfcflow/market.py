@@ -16,6 +16,7 @@ Series are immutable after load and safe for concurrent readers.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import time
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError, TableError, ValuationError
+from .errors import ConfigError, PriceFetchError, TableError, ValuationError
 from .registry import Currency
 from .tables import Table
 from .util import format_exact, parse_ratio
@@ -171,13 +172,18 @@ def _price_row(key: str, timestamp: str, price: str) -> tuple[str, int, int, int
 PRICES = Table(("price_key", "timestamp", "price_usd"), from_row=_price_row)
 
 
-def fetch_prices(fetch_config: dict, *, session=None) -> PriceSeries:
+def fetch_prices(fetch_config: dict) -> PriceSeries:
     """Pull candles from a configured HTTP endpoint into a PriceSeries.
 
     Config keys: url_template (with {key}, {start}, {end} placeholders),
     key_map (price key -> endpoint symbol), start, end (UTC seconds),
     optional timestamp_field / price_field (indexes into each candle row,
     defaults 0 and 3), optional delay_seconds between requests.
+
+    One GET per price key through `urllib.request`, which honours the
+    proxy environment variables, with a 30 s timeout.  A failed request,
+    an HTTP error status, a body that is not JSON or a candle that does
+    not parse raises PriceFetchError naming the key and the URL.
 
     Runtime fetching is opt-in; pipeline runs default to price files so
     results stay offline-reproducible.
@@ -191,21 +197,27 @@ def fetch_prices(fetch_config: dict, *, session=None) -> PriceSeries:
     delay = fetch_config.get("delay_seconds", 0)
     start = fetch_config.get("start")
     end = fetch_config.get("end")
-    if session is None:
-        import requests  # loaded only when prices are fetched
-
-        session = requests
+    # loaded only when prices are fetched
+    import http.client
+    import urllib.request
 
     rows: list[tuple[str, int, Fraction]] = []
     for key in sorted(key_map):
         url = template.format(key=key_map[key], start=start, end=end)
-        response = session.get(url, timeout=30)
-        response.raise_for_status()
-        candles = response.json()
+        try:
+            with urllib.request.urlopen(url, timeout=30) as response:
+                candles = json.loads(response.read())
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            raise PriceFetchError(f"{key} candles from {url}: {exc}") from exc
         if not isinstance(candles, list):
-            raise ConfigError(f"candle endpoint for {key} did not return a list")
-        for candle in candles:
-            rows.append((key, int(candle[ts_field]), Fraction(str(candle[price_field]))))
+            raise PriceFetchError(f"{key} candles from {url}: reply is not a list")
+        try:
+            rows.extend(
+                (key, int(candle[ts_field]), Fraction(str(candle[price_field])))
+                for candle in candles
+            )
+        except (LookupError, TypeError, ValueError) as exc:
+            raise PriceFetchError(f"{key} candles from {url}: bad candle: {exc}") from exc
         if delay:
             time.sleep(delay)
     rows.sort(key=lambda r: (r[0], r[1]))

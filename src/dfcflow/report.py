@@ -86,9 +86,23 @@ def _span_months(records: Sequence[FlowRecord]) -> list[str]:
     return month_range(month_key(min(timestamps)), month_key(max(timestamps)))
 
 
+def _deposit_months(records: Sequence[FlowRecord]) -> list[tuple[str, FlowRecord]]:
+    """(month, record) for each deposit; a month is named once per UTC day."""
+    months: dict[int, str] = {}
+    deposits = []
+    for r in records:
+        if r.kind == COLLATERAL_DEPOSIT:
+            day = r.timestamp // DAY
+            month = months.get(day)
+            if month is None:
+                month = months[day] = month_key(r.timestamp)
+            deposits.append((month, r))
+    return deposits
+
+
 def monthly_dfc_rows(records: Sequence[FlowRecord]) -> list[MonthlyDfcRow]:
     """One row per calendar month spanned by the flow log, deposits only."""
-    deposits = [(month_key(r.timestamp), r) for r in records if r.kind == COLLATERAL_DEPOSIT]
+    deposits = _deposit_months(records)
     debt = exact_sums((month, r.debt_usd) for month, r in deposits)
     nondebt = exact_sums((month, r.nondebt_usd) for month, r in deposits)
     return [
@@ -101,10 +115,7 @@ def protocol_breakdown(records: Sequence[FlowRecord]) -> list[tuple[str, str, Fr
     """(month, protocol, debt_pct) cells; None where a protocol took no
     deposits that month."""
     protocols = sorted({r.protocol for r in records})
-    deposits = [
-        ((month_key(r.timestamp), r.protocol), r)
-        for r in records if r.kind == COLLATERAL_DEPOSIT
-    ]
+    deposits = [((month, r.protocol), r) for month, r in _deposit_months(records)]
     debt = exact_sums((key, r.debt_usd) for key, r in deposits)
     nondebt = exact_sums((key, r.nondebt_usd) for key, r in deposits)
     cells = []

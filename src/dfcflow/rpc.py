@@ -11,23 +11,46 @@ fetch; 100 calls sits well under geth's default limit of 1,000 calls per
 batch.  A node may answer a batch's calls in any order, so replies are
 matched by id.
 
-A missing reply or a reply carrying a JSON-RPC error object is terminal.
-A node that rejects batches answers with a single error object instead
-of a list; that is terminal too, as there is no single-call fallback.
+The transport is the standard library's `http.client`, imported only
+when a fetch starts.  A fetch keeps one HTTP/1.1 connection to the
+endpoint for all its batches, so an HTTPS node costs one TLS handshake
+per fetch, not one per batch; a reply with `Connection: close` (or an
+HTTP/1.0 reply) reopens it for the next batch, and so does a connection
+the node closed while idle.  Proxies come from the environment
+(`http_proxy`, `https_proxy`, `no_proxy`, in either case, read through
+`urllib.request.getproxies` and `proxy_bypass`): an http endpoint is
+sent to the proxy as an absolute URI, an https endpoint through a
+CONNECT tunnel, and credentials in the proxy URL (or the endpoint URL)
+go out as HTTP Basic authorization.  TLS uses the default `ssl` context:
+the system trust store, or the one `SSL_CERT_FILE` / `SSL_CERT_DIR`
+name.  Requests accept gzip and gzip-encoded replies are decoded, as
+nodes commonly compress large eth_getLogs results.
 
-A batch's logs join the result only once their timestamps have arrived,
-so a transport failure raises a retryable error carrying the first
+A connection failure, a timeout (30 s, on connect and on each read), an
+HTTP status outside 2xx and a body that is not JSON are transport
+errors.  A batch's logs join the result only once their timestamps have
+arrived, so a transport error (`RpcTransportError`) carries the first
 window of the failed batch: a caller resumes from there without
 refetching earlier batches, and no partial output is ever returned.
+Nothing is retried.
+
+A missing reply or a reply carrying a JSON-RPC error object is terminal
+(`RpcServerError`), and so is a log or block object with a missing or
+malformed field, named with its block and log index where known.  A node
+that rejects batches answers with a single error object instead of a
+list; that is terminal too, as there is no single-call fallback.
+
 Results pass through the same filter/sort as fixture loading, so an RPC
 fetch and a fixture export of the same data are identical.
 """
 
 from __future__ import annotations
 
+import json
+from contextlib import closing
 from typing import Sequence
 
-from .errors import RpcServerError, RpcTransportError
+from .errors import ConfigError, RpcServerError, RpcTransportError
 from .ingest import BlockRange, RawLog, filter_logs
 from .registry import ContractRegistry
 from .util import parse_hex, to_hex
@@ -36,33 +59,98 @@ DEFAULT_WINDOW_SIZE = 2000
 BATCH_CALLS = 100
 
 
-class RpcClient:
-    def __init__(self, endpoint: str, session=None, timeout: float = 30.0):
-        import requests  # loaded only when a run talks to a node
+def _basic_auth(url) -> str:
+    """`Basic` credentials from the user and password of a split URL."""
+    import base64
+    from urllib.parse import unquote
 
-        self.endpoint = endpoint
-        self._session = session or requests.Session()
-        self._timeout = timeout
+    user_password = f"{unquote(url.username)}:{unquote(url.password or '')}"
+    return "Basic " + base64.b64encode(user_password.encode()).decode()
+
+
+class RpcClient:
+    """JSON-RPC batches to one endpoint over one persistent connection."""
+
+    def __init__(self, endpoint: str, timeout: float = 30.0):
+        # loaded only when a run talks to a node; http.client loads ssl
+        import http.client
+        import urllib.request
+        from urllib.parse import urlsplit
+
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ConfigError(f"rpc_endpoint {endpoint!r} is not an http or https URL")
+        host = url.netloc.rpartition("@")[2]
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json", "Accept-Encoding": "gzip"}
+        if url.username is not None:
+            self._headers["Authorization"] = _basic_auth(url)
+        connection = (http.client.HTTPSConnection if url.scheme == "https"
+                      else http.client.HTTPConnection)
+        proxy = urllib.request.getproxies().get(url.scheme)
+        if not proxy or urllib.request.proxy_bypass(host):
+            self._conn = connection(host, timeout=timeout)
+        else:
+            proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            proxy_host = proxy.netloc.rpartition("@")[2]
+            proxy_headers = {}
+            if proxy.username is not None:
+                proxy_headers["Proxy-Authorization"] = _basic_auth(proxy)
+            if url.scheme == "https":
+                self._conn = connection(proxy_host, timeout=timeout)
+                self._conn.set_tunnel(host, headers=proxy_headers)
+            else:
+                to_proxy = (http.client.HTTPSConnection if proxy.scheme == "https"
+                            else http.client.HTTPConnection)
+                self._conn = to_proxy(proxy_host, timeout=timeout)
+                self._target = f"http://{host}{self._target}"
+                self._headers.update(proxy_headers)
         self._next_id = 1
+
+    def close(self) -> None:
+        self._conn.close()
 
     def batch(self, calls: Sequence[tuple[str, list]], *, resume_block: int) -> list:
         """Send (method, params) calls as one batch; results in call order."""
-        import requests
+        import gzip
+        import http.client
+        import select
+        import zlib
 
         payload = [
             {"jsonrpc": "2.0", "id": self._next_id + i, "method": method, "params": params}
             for i, (method, params) in enumerate(calls)
         ]
         self._next_id += len(payload)
-        try:
-            response = self._session.post(self.endpoint, json=payload, timeout=self._timeout)
-            response.raise_for_status()
-            body = response.json()
-        except (requests.RequestException, ValueError) as exc:
-            raise RpcTransportError(
-                f"batch of {len(payload)} {payload[0]['method']} calls failed: {exc}",
+
+        def failed(reason) -> RpcTransportError:
+            return RpcTransportError(
+                f"batch of {len(payload)} {payload[0]['method']} calls failed: {reason}",
                 resume_block,
-            ) from exc
+            )
+
+        sock = self._conn.sock
+        if sock is not None and select.select([sock], [], [], 0)[0]:
+            # an idle connection turns readable only when the node closed it
+            self._conn.close()
+        try:
+            self._conn.request(
+                "POST", self._target, json.dumps(payload, separators=(",", ":")).encode(),
+                self._headers,
+            )
+            response = self._conn.getresponse()
+            raw = response.read()
+            if response.getheader("Content-Encoding", "").lower() == "gzip":
+                raw = gzip.decompress(raw)
+        except (http.client.HTTPException, OSError, EOFError, zlib.error) as exc:
+            self._conn.close()
+            raise failed(exc) from exc
+        if not 200 <= response.status < 300:
+            raise failed(f"HTTP {response.status} {response.reason}")
+        try:
+            body = json.loads(raw)
+        except ValueError as exc:
+            raise failed(f"reply is not JSON: {exc}") from exc
         if not isinstance(body, list):
             error = (body.get("error") if isinstance(body, dict) else None) or {}
             raise RpcServerError(
@@ -81,21 +169,43 @@ class RpcClient:
         return results
 
 
-def _raw_log_from_rpc(obj: dict, timestamps: dict[int, int]) -> RawLog:
-    block_number = int(obj["blockNumber"], 16)
-    log_index = int(obj["logIndex"], 16)
+def _quantity(obj: dict, name: str, where: str) -> int:
+    """A hex quantity field of a node reply, such as '0x1b4' -> 436."""
+    value = obj.get(name)
+    if isinstance(value, str) and value.startswith("0x"):
+        try:
+            return int(value, 16)
+        except ValueError:
+            pass
+    raise RpcServerError(-1, f"{where}: {name} is not a hex quantity: {value!r}")
+
+
+def _log_fields(obj) -> tuple:
+    """The RawLog fields but the timestamp, in order, of one eth_getLogs entry."""
+    if not isinstance(obj, dict):
+        raise RpcServerError(-1, f"eth_getLogs entry is not an object: {obj!r}")
+    block_number = _quantity(obj, "blockNumber", "eth_getLogs entry")
+    log_index = _quantity(obj, "logIndex", f"log of block {block_number}")
+    where = f"log {log_index} of block {block_number}"
     if obj.get("removed"):
-        raise RpcServerError(
-            -1, f"log {log_index} of block {block_number} was removed by a reorg"
-        )
-    return RawLog(
-        block_number=block_number,
-        tx_hash=parse_hex(obj["transactionHash"], expected_bytes=32),
-        log_index=log_index,
-        contract_address=parse_hex(obj["address"], expected_bytes=20),
-        topics=tuple(parse_hex(t, expected_bytes=32) for t in obj.get("topics", [])),
-        data=parse_hex(obj.get("data", "0x")),
-        timestamp=timestamps[block_number],
+        raise RpcServerError(-1, f"{where} was removed by a reorg")
+    topics = obj.get("topics")
+    if not isinstance(topics, list):
+        raise RpcServerError(-1, f"{where}: topics is not a list: {topics!r}")
+
+    def hex_field(name: str, value, expected_bytes: int | None = None) -> bytes:
+        try:
+            return parse_hex(value, expected_bytes)
+        except ValueError as exc:
+            raise RpcServerError(-1, f"{where}: {name}: {exc}") from None
+
+    return (
+        block_number,
+        hex_field("transactionHash", obj.get("transactionHash"), 32),
+        log_index,
+        hex_field("address", obj.get("address"), 20),
+        tuple(hex_field("topics", topic, 32) for topic in topics),
+        hex_field("data", obj.get("data")),
     )
 
 
@@ -106,7 +216,6 @@ def fetch_logs(
     *,
     window_size: int = DEFAULT_WINDOW_SIZE,
     resume_from: int | None = None,
-    session=None,
 ) -> list[RawLog]:
     """Fetch all registry-relevant logs in the range, in global order.
 
@@ -115,7 +224,6 @@ def fetch_logs(
     """
     if window_size < 1:
         raise ValueError("window_size must be positive")
-    client = RpcClient(endpoint, session=session)
     log_filter = {
         "address": sorted(to_hex(a) for a in registry.addresses),
         "topics": [sorted(to_hex(t) for t in registry.all_topic0)],
@@ -124,31 +232,32 @@ def fetch_logs(
     collected: list[RawLog] = []
     first = resume_from if resume_from is not None else block_range.start
     starts = range(first, block_range.end + 1, window_size)
-    for i in range(0, len(starts), BATCH_CALLS):
-        batch_starts = starts[i:i + BATCH_CALLS]
-        resume_block = batch_starts[0]
-        calls = [
-            ("eth_getLogs", [{
-                "fromBlock": hex(start),
-                "toBlock": hex(min(start + window_size - 1, block_range.end)),
-                **log_filter,
-            }])
-            for start in batch_starts
-        ]
-        objs = []
-        for result in client.batch(calls, resume_block=resume_block):
-            if not isinstance(result, list):
-                raise RpcServerError(-1, "eth_getLogs did not return a list")
-            objs.extend(result)
+    with closing(RpcClient(endpoint)) as client:
+        for i in range(0, len(starts), BATCH_CALLS):
+            batch_starts = starts[i:i + BATCH_CALLS]
+            resume_block = batch_starts[0]
+            calls = [
+                ("eth_getLogs", [{
+                    "fromBlock": hex(start),
+                    "toBlock": hex(min(start + window_size - 1, block_range.end)),
+                    **log_filter,
+                }])
+                for start in batch_starts
+            ]
+            fields = []
+            for result in client.batch(calls, resume_block=resume_block):
+                if not isinstance(result, list):
+                    raise RpcServerError(-1, "eth_getLogs did not return a list")
+                fields.extend(_log_fields(obj) for obj in result)
 
-        blocks = sorted({int(obj["blockNumber"], 16) for obj in objs} - timestamps.keys())
-        for j in range(0, len(blocks), BATCH_CALLS):
-            chunk = blocks[j:j + BATCH_CALLS]
-            calls = [("eth_getBlockByNumber", [hex(number), False]) for number in chunk]
-            for number, block in zip(chunk, client.batch(calls, resume_block=resume_block)):
-                if not isinstance(block, dict) or "timestamp" not in block:
-                    raise RpcServerError(-1, f"no block data for {number}")
-                timestamps[number] = int(block["timestamp"], 16)
+            blocks = sorted({f[0] for f in fields} - timestamps.keys())
+            for j in range(0, len(blocks), BATCH_CALLS):
+                chunk = blocks[j:j + BATCH_CALLS]
+                calls = [("eth_getBlockByNumber", [hex(number), False]) for number in chunk]
+                for number, block in zip(chunk, client.batch(calls, resume_block=resume_block)):
+                    if not isinstance(block, dict):
+                        raise RpcServerError(-1, f"no block data for {number}")
+                    timestamps[number] = _quantity(block, "timestamp", f"block {number}")
 
-        collected.extend(_raw_log_from_rpc(obj, timestamps) for obj in objs)
+            collected.extend(RawLog(*f, timestamps[f[0]]) for f in fields)
     return filter_logs(collected, registry, block_range)

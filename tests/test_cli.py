@@ -1,6 +1,10 @@
+import contextlib
 import json
+import socket
 import subprocess
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -121,7 +125,8 @@ def test_conflicting_fixture_lines_fail_ingest_with_line_number(tmp_path, capsys
 def test_cli_import_loads_no_scipy_numpy_or_requests():
     code = (
         "import sys, dfcflow.cli\n"
-        "print(sorted(m for m in ('scipy', 'numpy', 'requests') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'numpy', 'requests', 'http.client', 'ssl', 'gzip')\n"
+        "             if m in sys.modules))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
@@ -272,6 +277,49 @@ def test_missing_fixture_is_named_at_ingest(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"fixture {missing} does not exist" in err
     assert "missing checkpoint" not in err
+
+
+class _FailingCandles(BaseHTTPRequestHandler):
+    def do_GET(self):
+        self.send_error(500)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextlib.contextmanager
+def candle_url(reply):
+    """A candle endpoint that refuses connections or answers HTTP 500."""
+    if reply == "refused":
+        with socket.socket() as sock:  # a port that was free a moment ago
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        yield f"http://127.0.0.1:{port}/candles"
+        return
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _FailingCandles)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}/candles"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+@pytest.mark.parametrize("reply, reason", [
+    ("refused", "Connection refused"),
+    ("http-500", "HTTP Error 500"),
+], ids=["refused", "http-500"])
+def test_unreachable_candle_endpoint_fails_fetch_prices(tmp_path, capsys, reply, reason):
+    with candle_url(reply) as url:
+        config = write_config(tmp_path, tmp_path / "out", prices=None, price_fetch={
+            "url_template": url + "/{key}", "key_map": {"BTC": "BTC-USD"},
+        })
+        assert run("fetch-prices", "--config", config, "--quiet") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"fetch-prices: error: BTC candles from {url}/BTC-USD: ")
+    assert reason in err
+    assert not (tmp_path / "out" / "prices.csv").exists()
 
 
 def set_cell(index, value):

@@ -81,6 +81,19 @@ def test_missing_field_is_a_parse_error(tmp_path):
         load_fixture(path)
 
 
+@pytest.mark.parametrize("field", ["block_number", "timestamp", "log_index"])
+def test_boolean_integer_field_is_a_parse_error(tmp_path, field):
+    # JSON true is an int to Python; it must not load and be written back
+    obj = json.loads(make_line())
+    obj[field] = True
+    path = tmp_path / "bad.jsonl"
+    path.write_text(make_line(log_index=1) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(FixtureParseError) as err:
+        load_fixture(path)
+    assert err.value.line_number == 2
+    assert f"{field} must be a non-negative integer" in str(err.value)
+
+
 def test_load_preserves_file_order(tmp_path):
     lines = [make_line(block=b, log_index=i) for b, i in
              [(10_000_005, 1), (10_000_001, 0), (10_000_005, 0)]]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dfcflow.errors import ConfigError, ValuationError
+from dfcflow.errors import ConfigError, PriceFetchError, ValuationError
 from dfcflow.market import DAY, HOUR, PriceSeries, fetch_prices, make_valuer
 from dfcflow.registry import Currency
 
@@ -194,3 +194,12 @@ def test_fetch_prices_from_candle_endpoint(candle_server):
 def test_fetch_prices_requires_template_and_map():
     with pytest.raises(ConfigError):
         fetch_prices({"url_template": "http://x/{key}"})
+
+
+def test_candle_that_does_not_parse_names_the_key_and_url(candle_server):
+    with pytest.raises(PriceFetchError, match="BTC candles from .*/candles/BTC-USD: bad candle"):
+        fetch_prices({
+            "url_template": candle_server + "/candles/{key}",
+            "key_map": {"BTC": "BTC-USD"},
+            "price_field": 9,  # each candle has six entries
+        })

@@ -11,6 +11,7 @@ from dfcflow.ledger import FlowRecord
 from dfcflow.market import HOUR, PriceSeries
 from dfcflow.report import (
     CorrelationResult,
+    MonthlyDfcRow,
     lagged_correlations,
     monthly_dfc_rows,
     pearson,
@@ -124,6 +125,17 @@ def test_breakdown_is_per_protocol():
     cells = dict(((m, p), pct) for m, p, pct in protocol_breakdown(records))
     assert cells[("2020-05", "Aave")] == F(20)
     assert cells[("2020-05", "Compound")] == F(60)
+
+
+def test_deposits_either_side_of_a_month_boundary_keep_their_months():
+    aug_1 = 1_596_240_000  # 2020-08-01 00:00 UTC
+    records = [flow(aug_1 - 1, 1, 2), flow(aug_1, 3, 4), flow(aug_1 + 1, 5, 6)]
+    assert monthly_dfc_rows(records) == [
+        MonthlyDfcRow("2020-07", F(1), F(2)), MonthlyDfcRow("2020-08", F(8), F(10)),
+    ]
+    assert protocol_breakdown(records) == [
+        ("2020-07", "Compound", F(100, 3)), ("2020-08", "Compound", F(800, 18)),
+    ]
 
 
 # --- pearson --------------------------------------------------------------------

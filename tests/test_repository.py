@@ -9,6 +9,17 @@ CITING_DIRS = ("src", "config", "demos", "tools")
 CITING_SUFFIXES = (".py", ".json", ".md")
 
 
+def _importers(module: str) -> list[str]:
+    """Files under src/ that import `module`, relative to src/."""
+    src = REPO_ROOT / "src"
+    pattern = rf"^\s*(import {module}\b|from {module}\b.* import)"
+    return sorted(
+        path.relative_to(src).as_posix()
+        for path in src.rglob("*.py")
+        if re.search(pattern, path.read_text(encoding="utf-8"), re.M)
+    )
+
+
 def test_cited_docs_exist_and_only_tables_imports_csv():
     cited = set()
     for top in CITING_DIRS:
@@ -18,13 +29,12 @@ def test_cited_docs_exist_and_only_tables_imports_csv():
     assert "docs/registry.md" in cited and "docs/file_formats.md" in cited
     assert sorted(doc for doc in cited if not (REPO_ROOT / doc).is_file()) == []
 
-    src = REPO_ROOT / "src"
-    importers = sorted(
-        path.relative_to(src).as_posix()
-        for path in src.rglob("*.py")
-        if re.search(r"^\s*(import csv\b|from csv import)", path.read_text(encoding="utf-8"), re.M)
-    )
-    assert importers == ["dfcflow/tables.py"]
+    assert _importers("csv") == ["dfcflow/tables.py"]
+
+
+def test_no_source_file_imports_requests():
+    # the RPC and price transports are the standard library's
+    assert _importers("requests") == []
 
 
 def test_trace_child_hooks_resolve_in_dfcflow():
