@@ -8,7 +8,8 @@ comes out the other side.
 
 from pathlib import Path
 
-from dfcflow import BlockRange, decode_stream, filter_logs, load_fixture
+from dfcflow.decode import decode_stream
+from dfcflow.ingest import BlockRange, filter_logs, load_fixture
 from dfcflow.registry import ContractRegistry
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -10,17 +10,16 @@ swap destinations) extend and merge the eligible family.
 from collections import Counter
 from pathlib import Path
 
-from dfcflow import (
-    BlockRange,
+from dfcflow.cluster import (
+    address_protocol_map,
     apply_heuristic_pairs,
-    decode_stream,
     extract_heuristic_pairs,
-    filter_logs,
     group_addresses,
-    load_fixture,
+    load_denylist,
     self_approval_pairs,
 )
-from dfcflow.cluster import load_denylist
+from dfcflow.decode import decode_stream
+from dfcflow.ingest import BlockRange, filter_logs, load_fixture
 from dfcflow.registry import ContractRegistry
 from dfcflow.util import to_hex
 
@@ -43,7 +42,7 @@ print(f"\nlink pairs mined from the event stream: {len(pairs)}")
 for source, count in sorted(by_source.items()):
     print(f"  {source:28s} {count}")
 
-final = apply_heuristic_pairs(partition, pairs)
+final = apply_heuristic_pairs(partition, pairs, address_protocol_map(decoded.events))
 print(f"\nafter pair application: {len(final.eligible)} eligible groups "
       f"({len(final.groups)} total)")
 

@@ -10,29 +10,27 @@ Part 2 runs the production ledger over the bundled fixture and prints
 where debt-financed collateral went.
 """
 
+import sys
 from fractions import Fraction
 from pathlib import Path
 
-from dfcflow import (
-    BlockRange,
-    CanonicalEvent,
-    FlowTotals,
-    GroupLedger,
+from dfcflow.cluster import (
+    address_protocol_map,
     apply_heuristic_pairs,
-    decode_stream,
     extract_heuristic_pairs,
-    filter_logs,
     group_addresses,
-    load_fixture,
-    run_ledger,
+    load_denylist,
 )
-from dfcflow.cluster import load_denylist
-from dfcflow.heuristics import heuristic_oracles
+from dfcflow.decode import COLLATERAL_DEPOSIT, CanonicalEvent, decode_stream
+from dfcflow.ingest import BlockRange, filter_logs, load_fixture
+from dfcflow.ledger import GroupLedger, run_ledger
 from dfcflow.market import PriceSeries, make_valuer
 from dfcflow.registry import ContractRegistry
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from tests.oracles import heuristic_oracles  # the proportional and last-out oracles
 
 # --- part 1: the three-state scenario ----------------------------------------
 
@@ -56,8 +54,7 @@ print(f"S1: wallet debt {dict(ledger.wallet_debt)}  (taint followed the swap)")
 ledger.apply(event("collateral_deposit", 2, currency="USDC", amount=F(50)))
 print(f"S2: wallet debt {dict(ledger.wallet_debt)}, "
       f"platform debt {dict(ledger.platform_debt)}")
-totals = FlowTotals.from_flow_records(ledger.flow_log)
-print(f"debt-financed deposit flow: {totals.sum_debt_flows_usd}")
+print(f"debt-financed deposit flow: {ledger.flow_log[0].debt_usd}")
 
 print("\n=== the same deposit under all three heuristics ===")
 initial = {"DAI": (F(100), F(0)), "USDC": (F(0), F(100))}
@@ -77,20 +74,22 @@ denylist = load_denylist(ROOT / "data" / "denylist.csv")
 partition = apply_heuristic_pairs(
     group_addresses(decoded.vault_triples, decoded.events),
     extract_heuristic_pairs(decoded.events, denylist),
+    address_protocol_map(decoded.events),
 )
 prices = PriceSeries.from_csv(ROOT / "data" / "prices.csv")
 run = run_ledger(decoded.events, partition, make_valuer(prices, registry.currencies))
 
 print(f"events applied: {run.stats['applied']}, "
       f"outside eligible groups: {run.stats['skipped_unrouted']}")
+deposits = [r for r in run.flow_records if r.kind == COLLATERAL_DEPOSIT]
 print(f"total debt-financed deposit flow: "
-      f"${float(run.totals.sum_debt_flows_usd) / 1e6:,.1f}M")
+      f"${float(sum(r.debt_usd for r in deposits)) / 1e6:,.1f}M")
 
 by_currency = {}
-for (month, protocol, currency), (debt, nondebt) in run.totals.buckets.items():
-    slot = by_currency.setdefault(currency, [F(0), F(0)])
-    slot[0] += debt
-    slot[1] += debt + nondebt
+for record in deposits:
+    slot = by_currency.setdefault(record.currency, [F(0), F(0)])
+    slot[0] += record.debt_usd
+    slot[1] += record.debt_usd + record.nondebt_usd
 print("\ndebt share of deposits by currency:")
 for currency in sorted(by_currency):
     debt, total = by_currency[currency]

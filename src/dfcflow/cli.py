@@ -9,8 +9,11 @@ back from the previous stage's checkpoints.  Either way every stage
 writes its checkpoints, the CSV/JSONL formats documented in
 docs/file_formats.md, never private binaries, so runs are resumable and
 auditable.  Rerunning a stage whose output is unchanged reports a cache
-hit and leaves the file untouched.  Stage failures exit with distinct
-codes (config 2, ingest 3, decode 4, cluster 5, ledger 6, report 7).
+hit and leaves the file untouched.  `all` runs ingest through report,
+then `compare-clusters`.  Stage failures exit with distinct codes
+(config 2, ingest 3, decode 4, cluster 5, ledger 6, report 7); a config
+key that is neither a `PipelineConfig` field nor `comment` is a config
+error.  Test data comes from tools/gen_fixture.py, not a subcommand.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from . import cluster, decode, ingest, ledger, market, report, rpc, synth
+from . import cluster, decode, ingest, ledger, market, report, rpc
 from .errors import ConfigError, DfcError, MissingCheckpointError
 from .registry import ContractRegistry
 from .util import to_hex
@@ -59,9 +62,6 @@ class PipelineConfig:
     prices: Path | None = None
     price_fetch: dict | None = None
     denylist: Path | None = None
-    absorb_pair_groups: bool = False
-    self_approval_comparison: bool = True
-    staleness_multiplier: int = 2
     rpc_window: int = rpc.DEFAULT_WINDOW_SIZE
 
     @classmethod
@@ -74,8 +74,14 @@ class PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         if overrides:
             doc.update({k: v for k, v in overrides.items() if v is not None})
+        known = {f.name for f in fields(cls)} | {"comment"}
+        unknown = sorted(doc.keys() - known)
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r} in {path}")
 
         base = path.parent
 
@@ -108,14 +114,6 @@ class PipelineConfig:
                 )
             return value
 
-        def flag(key, default) -> bool:
-            value = doc.get(key)
-            if value is None:
-                return default
-            if not isinstance(value, bool):
-                raise ConfigError(f"config field {key!r} must be true or false, got {value!r}")
-            return value
-
         from_block = integer("from_block", 0)
         to_block = integer("to_block", 0)
         if from_block > to_block:
@@ -131,9 +129,6 @@ class PipelineConfig:
             prices=prices,
             price_fetch=price_fetch,
             denylist=resolve("denylist"),
-            absorb_pair_groups=flag("absorb_pair_groups", False),
-            self_approval_comparison=flag("self_approval_comparison", True),
-            staleness_multiplier=integer("staleness_multiplier", 1, 2),
             rpc_window=integer("rpc_window", 1, rpc.DEFAULT_WINDOW_SIZE),
         )
 
@@ -149,7 +144,7 @@ class PipelineConfig:
     def load_prices(self) -> market.PriceSeries:
         if self.prices is None:
             raise ConfigError("no price file configured; run fetch-prices first")
-        return market.PriceSeries.from_csv(self.prices, self.staleness_multiplier)
+        return market.PriceSeries.from_csv(self.prices)
 
     def load_denylist(self) -> frozenset[str]:
         if self.denylist is None:
@@ -284,7 +279,7 @@ def stage_cluster(run: PipelineRun) -> cluster.Partition:
     partition = cluster.group_addresses(triples, events)
     pairs = cluster.extract_heuristic_pairs(events, denylist)
     final = cluster.apply_heuristic_pairs(
-        partition, pairs, absorb_groups=run.cfg.absorb_pair_groups
+        partition, pairs, cluster.address_protocol_map(events)
     )
     run.say(
         f"cluster: {len(final.eligible)} eligible groups "
@@ -359,20 +354,6 @@ def cmd_fetch_prices(run: PipelineRun) -> None:
     run.say(f"fetch-prices: wrote {target}")
 
 
-def cmd_gen_fixture(output: Path, seed: int, registry_path: Path, quiet: bool) -> None:
-    registry = ContractRegistry.from_json_file(registry_path)
-    bundle = synth.generate_fixture(registry, seed=seed)
-    output.mkdir(parents=True, exist_ok=True)
-    ingest.save_fixture(output / "fixture_logs.jsonl", bundle.logs)
-    bundle.prices.to_csv(output / "prices.csv")
-    synth.write_denylist_csv(output / "denylist.csv", bundle.denylist)
-    if not quiet:
-        print(
-            f"gen-fixture: {len(bundle.logs)} logs through block {bundle.end_block} "
-            f"(seed {seed}) in {output}"
-        )
-
-
 STAGE_FUNCTIONS = {
     "ingest": stage_ingest,
     "decode": stage_decode,
@@ -383,7 +364,7 @@ STAGE_FUNCTIONS = {
     "fetch-prices": cmd_fetch_prices,
 }
 
-ALL_STAGES = ("ingest", "decode", "cluster", "track", "report")
+ALL_STAGES = ("ingest", "decode", "cluster", "track", "report", "compare-clusters")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -411,30 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
         ("fetch-prices", "pull candles into the price-file format"),
     ):
         sub.add_parser(name, parents=[common], help=help_text)
-
-    gen = sub.add_parser("gen-fixture", help="generate deterministic test data")
-    gen.add_argument("--seed", type=int, default=42)
-    gen.add_argument("--output", required=True)
-    gen.add_argument("--registry", default=None, help="registry JSON (defaults to config/registry.json next to the package)")
-    gen.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-
-    if args.command == "gen-fixture":
-        registry_path = Path(args.registry) if args.registry else (
-            Path(__file__).resolve().parents[2] / "config" / "registry.json"
-        )
-        try:
-            cmd_gen_fixture(Path(args.output), args.seed, registry_path, args.quiet)
-        except DfcError as exc:
-            print(f"gen-fixture: error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        return EXIT_OK
-
     try:
         cfg = PipelineConfig.from_file(
             args.config,
@@ -449,8 +412,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     stages = ALL_STAGES if args.command == "all" else (args.command,)
-    if args.command == "all" and cfg.self_approval_comparison:
-        stages += ("compare-clusters",)
     run = PipelineRun(cfg, args.quiet)
     for stage in stages:
         try:

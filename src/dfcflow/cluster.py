@@ -4,31 +4,28 @@ Grouping runs in three stages: (1) union the three addresses of every
 Maker vault triple, merging triples that share any address; (2) add every
 event-initiating address, as a singleton if unseen; (3) keep as "eligible"
 the groups whose members initiated events in two or more protocols.
-Link pairs mined from on-behalf repayments, swap destinations and (for the
-comparison harness) ERC-20 self-approvals are then applied on top of the
-eligible family with connected-components semantics, so the final grouping
-is invariant under any permutation of the inputs.
+Link pairs mined from on-behalf repayments and swap destinations are then
+applied on top of the eligible family with connected-components
+semantics, so the final grouping is invariant under any permutation of
+the inputs.  ERC-20 self-approval pairs feed only the comparison harness
+(`compare-clusters`), never the grouping.
 
-Representatives are the lexicographically smallest member address; every
-report keyed by representative is therefore bit-stable across runs.
+Eligibility is always derived from a group's protocols, in memory and on
+read-back from `partition.csv` alike, so a partition equals its own
+checkpoint.  Representatives are the lexicographically smallest member
+address; every report keyed by representative is therefore bit-stable
+across runs.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .decode import DEBT_REPAY, SWAP, ApprovalEvent, CanonicalEvent, VaultTriple
 from .tables import Table
-
-PAIR_SOURCES = (
-    "AaveRepayOnBehalf",
-    "CompoundRepayBorrowBehalf",
-    "UniswapSwapRecipient",
-    "Erc20SelfApproval",
-)
 
 _REPAY_SOURCE = {
     "Aave": "AaveRepayOnBehalf",
@@ -105,54 +102,42 @@ class DisjointSet:
 class Partition:
     """Disjoint address groups with per-group protocol activity.
 
+    `addr_to_rep` and `eligible` are derived from the two given fields: a
+    group is eligible when its members touched two or more protocols.
     Immutable once built; the ledger and report stages read it
     concurrently without coordination.
     """
 
     groups: dict[str, frozenset[str]]            # representative -> members
-    addr_to_rep: dict[str, str]
     group_protocols: dict[str, frozenset[str]]    # representative -> protocols
-    eligible: frozenset[str]                      # eligible representatives
-    address_protocols: dict[str, frozenset[str]]  # per-address activity
+    addr_to_rep: dict[str, str] = field(init=False)
+    eligible: frozenset[str] = field(init=False)  # eligible representatives
+
+    def __post_init__(self):
+        object.__setattr__(self, "addr_to_rep", {
+            addr: rep for rep, members in self.groups.items() for addr in members
+        })
+        object.__setattr__(self, "eligible", frozenset(
+            rep for rep, protos in self.group_protocols.items() if len(protos) >= 2
+        ))
 
     @classmethod
     def build(
         cls,
         member_sets: Iterable[frozenset[str]],
-        address_protocols: Mapping[str, frozenset[str]],
-        *,
-        eligible_reps: frozenset[str] | None = None,
-        min_protocols: int = 2,
+        activity: Mapping[str, frozenset[str]],
     ) -> "Partition":
+        """Groups from member sets; a group's protocols are the union of
+        its members' `activity` (address -> protocols it initiated events in)."""
         groups: dict[str, frozenset[str]] = {}
-        addr_to_rep: dict[str, str] = {}
         group_protocols: dict[str, frozenset[str]] = {}
         for members in member_sets:
             if not members:
                 continue
             rep = min(members)
             groups[rep] = members
-            protos: set[str] = set()
-            for addr in members:
-                if addr in addr_to_rep:
-                    raise ValueError(f"address {addr} assigned to two groups")
-                addr_to_rep[addr] = rep
-                protos.update(address_protocols.get(addr, ()))
-            group_protocols[rep] = frozenset(protos)
-        if eligible_reps is None:
-            eligible_reps = frozenset(
-                rep for rep, protos in group_protocols.items() if len(protos) >= min_protocols
-            )
-        return cls(
-            groups=groups,
-            addr_to_rep=addr_to_rep,
-            group_protocols=group_protocols,
-            eligible=eligible_reps,
-            address_protocols=dict(address_protocols),
-        )
-
-    def eligible_groups(self) -> dict[str, frozenset[str]]:
-        return {rep: self.groups[rep] for rep in sorted(self.eligible)}
+            group_protocols[rep] = frozenset().union(*(activity.get(a, ()) for a in members))
+        return cls(groups, group_protocols)
 
     def eligible_rep_of(self, addr: str) -> str | None:
         rep = self.addr_to_rep.get(addr)
@@ -178,17 +163,6 @@ class Partition:
                 raise ValueError(f"index points {addr} at a group that lacks it")
         if len(self.addr_to_rep) != len(seen):
             raise ValueError("membership index does not cover all grouped addresses")
-
-
-def dedupe_vault_triples(triples: Iterable[VaultTriple]) -> list[VaultTriple]:
-    """Collapse duplicate triples, preserving first-seen order."""
-    seen: set[VaultTriple] = set()
-    out = []
-    for t in triples:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
 
 
 def extract_heuristic_pairs(
@@ -267,7 +241,7 @@ def group_addresses(
     members initiated events in more than one protocol.
     """
     dsu = DisjointSet()
-    for t in dedupe_vault_triples(triples):
+    for t in triples:
         addrs = sorted(t.addresses)
         for addr in addrs:
             dsu.add(addr)
@@ -281,20 +255,22 @@ def group_addresses(
 def apply_heuristic_pairs(
     partition: Partition,
     pairs: Sequence[HeuristicPair],
-    *,
-    absorb_groups: bool = False,
+    activity: Mapping[str, frozenset[str]],
 ) -> Partition:
     """Extend/merge the eligible family with link pairs.
 
     Connected-components semantics over (eligible groups + pair edges):
     a pair merges the eligible groups it bridges and absorbs addresses
-    that connect, transitively, to at least one eligible group.
-    Components that touch no eligible group leave the partition unchanged.
+    that connect, transitively, to at least one eligible group.  An
+    absorbed address leaves the rest of its former (non-eligible) group
+    behind.  Components that touch no eligible group leave the partition
+    unchanged.
 
-    By default an absorbed address leaves its former (non-eligible) group
-    alone; with ``absorb_groups`` its whole former group travels with it.
-    Eligibility is not recomputed: absorbed addresses never promote a
-    non-eligible group.
+    `activity` is the per-address protocol map the partition was built
+    from (`address_protocol_map` of the same events).  A merged group
+    contains an eligible group and a leftover group is part of a
+    non-eligible one, so the eligibility derived from it never promotes
+    or drops a group through absorption alone.
     """
     scratch = DisjointSet()
     for rep in partition.eligible:
@@ -303,19 +279,11 @@ def apply_heuristic_pairs(
             scratch.add(addr)
         for left, right in zip(members, members[1:]):
             scratch.union(left, right)
-    if absorb_groups:
-        for rep, group in partition.groups.items():
-            members = sorted(group)
-            for addr in members:
-                scratch.add(addr)
-            for left, right in zip(members, members[1:]):
-                scratch.union(left, right)
     for pair in pairs:
         scratch.union(pair.r1, pair.r2)
 
     moved: set[str] = set()
     final_sets: list[frozenset[str]] = []
-    eligible_reps: set[str] = set()
     for component in scratch.groups().values():
         touches_eligible = any(
             partition.addr_to_rep.get(addr) in partition.eligible for addr in component
@@ -323,7 +291,6 @@ def apply_heuristic_pairs(
         if not touches_eligible:
             continue
         final_sets.append(component)
-        eligible_reps.add(min(component))
         moved |= component
 
     # whatever was not pulled into an eligible component stays put
@@ -334,11 +301,7 @@ def apply_heuristic_pairs(
         if remaining:
             final_sets.append(frozenset(remaining))
 
-    result = Partition.build(
-        final_sets,
-        partition.address_protocols,
-        eligible_reps=frozenset(eligible_reps),
-    )
+    result = Partition.build(final_sets, activity)
     result.validate()
     return result
 
@@ -362,23 +325,9 @@ def write_partition_csv(path: str | Path, partition: Partition) -> None:
 
 
 def read_partition_csv(path: str | Path) -> Partition:
-    """Rebuild a partition checkpoint.
-
-    Per-address activity is not stored in the checkpoint; eligibility is
-    recovered from the group-level protocol count.
-    """
     members: dict[str, set[str]] = defaultdict(set)
     protos: dict[str, frozenset[str]] = {}
     for rep, member, touched in PARTITION.read(path):
         members[rep].add(member)
         protos[rep] = frozenset(p for p in touched.split(";") if p)
-    groups = {rep: frozenset(m) for rep, m in members.items()}
-    addr_to_rep = {addr: rep for rep, m in groups.items() for addr in m}
-    eligible = frozenset(rep for rep, p in protos.items() if len(p) >= 2)
-    return Partition(
-        groups=groups,
-        addr_to_rep=addr_to_rep,
-        group_protocols=protos,
-        eligible=eligible,
-        address_protocols={},
-    )
+    return Partition({rep: frozenset(m) for rep, m in members.items()}, protos)

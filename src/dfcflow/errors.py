@@ -63,10 +63,6 @@ class DecodeError(DfcError):
         self.log_index = log_index
 
 
-class ClusterError(DfcError):
-    """Partition construction failure."""
-
-
 class SequencingError(DfcError):
     """An event arrived out of (block_number, log_index) order."""
 

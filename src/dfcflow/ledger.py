@@ -5,9 +5,9 @@ a per-(protocol, currency) platform debt balance.  Debt creation raises
 the wallet balance, repayment lowers it (clamped at zero: with only five
 currencies and four protocols observed, repaying more than the tracked
 debt is partial observability, not an error).  Collateral deposits move
-debt first (the first-out rule: min of amount and wallet debt), and the
-debt-financed part of every deposit accumulates into the reported flow
-totals, valued in USD at event time.  Withdrawals reverse the deposit
+debt first (the first-out rule: min of amount and wallet debt), and every
+deposit becomes a flow record of its debt-financed and other parts,
+valued in USD at event time.  Withdrawals reverse the deposit
 direction, bounded by the platform balance, so tainted units are
 conserved.  Swaps carry taint across currencies in proportion to the debt
 share of the amount sent.
@@ -29,9 +29,9 @@ delivery order because events are re-sorted on the unique
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .cluster import Partition
 from .decode import (
@@ -44,7 +44,7 @@ from .decode import (
 )
 from .errors import LedgerError, SequencingError
 from .tables import Table
-from .util import ZERO, format_exact, month_key, parse_amount
+from .util import ZERO, format_exact, parse_amount
 
 Valuer = Callable[[str, Fraction, int], Fraction]  # (currency, amount, ts) -> USD
 
@@ -172,45 +172,10 @@ class GroupLedger:
 
 
 @dataclass
-class FlowTotals:
-    """Cumulative debt-financed deposit flows, bucketed for reporting."""
-
-    sum_debt_flows_usd: Fraction = ZERO
-    # (month, protocol, currency) -> [debt_usd, nondebt_usd]; deposits only
-    buckets: dict[tuple[str, str, str], list[Fraction]] = field(default_factory=dict)
-
-    def add_deposit(self, record: FlowRecord) -> None:
-        key = (month_key(record.timestamp), record.protocol, record.currency)
-        bucket = self.buckets.setdefault(key, [ZERO, ZERO])
-        bucket[0] += record.debt_usd
-        bucket[1] += record.nondebt_usd
-        self.sum_debt_flows_usd += record.debt_usd
-
-    @classmethod
-    def from_flow_records(cls, records: Iterable[FlowRecord]) -> "FlowTotals":
-        totals = cls()
-        for record in records:
-            if record.kind == COLLATERAL_DEPOSIT:
-                totals.add_deposit(record)
-        return totals
-
-    def as_comparable(self):
-        return (
-            self.sum_debt_flows_usd,
-            {k: tuple(v) for k, v in self.buckets.items()},
-        )
-
-
-@dataclass
 class LedgerRun:
     flow_records: list[FlowRecord]
     group_ledgers: dict[str, GroupLedger]
     stats: dict[str, int]
-
-    @property
-    def totals(self) -> FlowTotals:
-        """Deposit flow totals, summed from `flow_records` on each access."""
-        return FlowTotals.from_flow_records(self.flow_records)
 
 
 def run_ledger(

@@ -36,6 +36,7 @@ DAY = 86400
 # declared sampling granularity per price key, in seconds
 GRANULARITY = {"BTC": HOUR, "ETH": HOUR, "USDC": HOUR, "DAI": HOUR, "USDT": DAY}
 
+# a lookup accepts a point at most this many granularities old
 DEFAULT_STALENESS_MULTIPLIER = 2
 
 
@@ -55,7 +56,6 @@ class PriceSeries:
     """Sorted (timestamp, price) points per price key; a key's prices are
     `_units[key][i] / _scales[key]`."""
 
-    staleness_multiplier: int = DEFAULT_STALENESS_MULTIPLIER
     _timestamps: dict[str, list[int]] = field(default_factory=dict)
     _units: dict[str, list[int]] = field(default_factory=dict)
     _scales: dict[str, int] = field(default_factory=dict)
@@ -93,7 +93,7 @@ class PriceSeries:
         if idx < 0:
             raise ValuationError(key, timestamp, "before first price point")
         age = timestamp - ts_list[idx]
-        bound = self.staleness_multiplier * GRANULARITY[key]
+        bound = DEFAULT_STALENESS_MULTIPLIER * GRANULARITY[key]
         if age > bound:
             raise ValuationError(
                 key, timestamp, f"nearest point is {age}s old, bound {bound}s"
@@ -115,11 +115,7 @@ class PriceSeries:
         return Fraction(amount.numerator * units, amount.denominator * self._scales[key])
 
     @classmethod
-    def from_csv(
-        cls,
-        path: str | Path,
-        staleness_multiplier: int = DEFAULT_STALENESS_MULTIPLIER,
-    ) -> "PriceSeries":
+    def from_csv(cls, path: str | Path) -> "PriceSeries":
         """Price file: columns price_key,timestamp,price_usd (exact decimal).
 
         Rows may come in any order; a key whose rows are out of time order
@@ -129,7 +125,7 @@ class PriceSeries:
         points: dict[str, list[tuple[str, int, int, int]]] = {}
         for row in PRICES.read(path):
             points.setdefault(row[0], []).append(row)
-        series = cls(staleness_multiplier=staleness_multiplier)
+        series = cls()
         for key in sorted(points):
             rows = points[key]
             ts_list = [row[1] for row in rows]

@@ -32,7 +32,10 @@ errors.  A batch's logs join the result only once their timestamps have
 arrived, so a transport error (`RpcTransportError`) carries the first
 window of the failed batch: a caller resumes from there without
 refetching earlier batches, and no partial output is ever returned.
-Nothing is retried.
+The one retry: a batch sent over a reused connection that fails before
+any status line arrives is sent once more on a fresh connection, since
+a node may close a kept-alive connection just as the next request goes
+out, and every call sent is a read.
 
 A missing reply or a reply carrying a JSON-RPC error object is terminal
 (`RpcServerError`), and so is a log or block object with a missing or
@@ -129,22 +132,28 @@ class RpcClient:
                 resume_block,
             )
 
+        body = json.dumps(payload, separators=(",", ":")).encode()
         sock = self._conn.sock
         if sock is not None and select.select([sock], [], [], 0)[0]:
             # an idle connection turns readable only when the node closed it
             self._conn.close()
-        try:
-            self._conn.request(
-                "POST", self._target, json.dumps(payload, separators=(",", ":")).encode(),
-                self._headers,
-            )
-            response = self._conn.getresponse()
-            raw = response.read()
-            if response.getheader("Content-Encoding", "").lower() == "gzip":
-                raw = gzip.decompress(raw)
-        except (http.client.HTTPException, OSError, EOFError, zlib.error) as exc:
-            self._conn.close()
-            raise failed(exc) from exc
+        reused = self._conn.sock is not None
+        while True:
+            response = None
+            try:
+                self._conn.request("POST", self._target, body, self._headers)
+                response = self._conn.getresponse()
+                raw = response.read()
+                if response.getheader("Content-Encoding", "").lower() == "gzip":
+                    raw = gzip.decompress(raw)
+                break
+            except (http.client.HTTPException, OSError, EOFError, zlib.error) as exc:
+                self._conn.close()
+                if not reused or response is not None:
+                    raise failed(exc) from exc
+                # the node closed the kept-alive connection as the batch went
+                # out; its calls are reads, so send them once more, afresh
+                reused = False
         if not 200 <= response.status < 300:
             raise failed(f"HTTP {response.status} {response.reason}")
         try:

@@ -13,6 +13,7 @@ from dfcflow.cli import main
 from dfcflow.registry import ContractRegistry
 
 from tests.conftest import DATA_DIR, REGISTRY_PATH
+from tools.gen_fixture import generate_fixture, main as gen_fixture_main
 
 REPORT_FILES = (
     "monthly_dfc.csv",
@@ -72,11 +73,10 @@ def test_all_then_staged_outputs_are_identical(tmp_path):
     assert_all_matches_staged(tmp_path)
 
 
-@pytest.mark.parametrize("absorb", [False, True])
-def test_all_then_staged_identical_on_generated_link_pairs(tmp_path, absorb):
-    # the partition checkpoint drops per-address activity and recomputes
-    # eligibility, so the in-memory partition must still route the same flows
-    bundle = synth.generate_fixture(ContractRegistry.from_json_file(REGISTRY_PATH), seed=5)
+def test_all_then_staged_identical_on_generated_link_pairs(tmp_path):
+    # the partition checkpoint drops per-address activity, so the read-back
+    # partition must still route the same flows as the in-memory one
+    bundle = generate_fixture(ContractRegistry.from_json_file(REGISTRY_PATH), seed=5)
     ingest.save_fixture(tmp_path / "logs.jsonl", bundle.logs)
     bundle.prices.to_csv(tmp_path / "prices.csv")
     synth.write_denylist_csv(tmp_path / "denylist.csv", bundle.denylist)
@@ -86,7 +86,6 @@ def test_all_then_staged_identical_on_generated_link_pairs(tmp_path, absorb):
         fixture=str(tmp_path / "logs.jsonl"),
         prices=str(tmp_path / "prices.csv"),
         denylist=str(tmp_path / "denylist.csv"),
-        absorb_pair_groups=absorb,
     )
     comparison = dict(
         line.split(",") for line in (out / "cluster_comparison.csv").read_text().splitlines()
@@ -190,7 +189,7 @@ def test_inverted_block_range_is_rejected(tmp_path, capsys):
     assert "from_block" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field", ["rpc_window", "staleness_multiplier"])
+@pytest.mark.parametrize("field", ["rpc_window"])
 @pytest.mark.parametrize("value", [0, -3, "x", "5", 2.5, True])
 def test_config_integer_fields_must_be_positive(tmp_path, capsys, field, value):
     config = write_config(tmp_path, tmp_path / "out", **{field: value})
@@ -201,9 +200,6 @@ def test_config_integer_fields_must_be_positive(tmp_path, capsys, field, value):
 
 
 @pytest.mark.parametrize("field, value, rule", [
-    ("absorb_pair_groups", "false", "true or false"),
-    ("absorb_pair_groups", 0, "true or false"),
-    ("self_approval_comparison", "no", "true or false"),
     ("from_block", 10_000_000.9, "an integer >= 0"),
     ("from_block", -5, "an integer >= 0"),
     ("from_block", "10000000", "an integer >= 0"),
@@ -215,6 +211,17 @@ def test_config_flags_and_block_bounds_are_type_checked(tmp_path, capsys, field,
     assert run("ingest", "--config", config, "--quiet") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: config field {field!r} must be {rule}, got {value!r}")
+
+
+@pytest.mark.parametrize("key", ["staleness_multipler", "absorb_pair_groups"])
+def test_unknown_config_key_is_rejected(tmp_path, capsys, key):
+    # a misspelt key, or a knob this version no longer has, must not
+    # silently run with the default
+    config = write_config(tmp_path, tmp_path / "out", **{key: 50})
+    assert run("ingest", "--config", config, "--quiet") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: unknown config key {key!r} in {config}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_block_overrides_narrow_the_range(tmp_path):
@@ -236,11 +243,11 @@ def test_output_override(tmp_path):
 
 
 def test_gen_fixture_is_deterministic(tmp_path):
+    # tools/gen_fixture.py took over from the removed `gen-fixture` subcommand
     a = tmp_path / "a"
     b = tmp_path / "b"
     for target in (a, b):
-        assert run("gen-fixture", "--seed", 7, "--output", target,
-                   "--registry", REGISTRY_PATH, "--quiet") == 0
+        assert gen_fixture_main(["--seed", "7", "--output", str(target)]) == 0
     for name in ("fixture_logs.jsonl", "prices.csv", "denylist.csv"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 

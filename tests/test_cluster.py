@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from dfcflow.cluster import (
     DisjointSet,
     HeuristicPair,
+    address_protocol_map,
     apply_heuristic_pairs,
-    dedupe_vault_triples,
     extract_heuristic_pairs,
     group_addresses,
     self_approval_pairs,
@@ -64,7 +64,7 @@ def test_degenerate_triple_is_a_two_address_set():
 
 def test_duplicate_triples_collapse():
     t = VaultTriple(addr(1), addr(2), addr(3))
-    assert dedupe_vault_triples([t, t, t]) == [t]
+    assert group_addresses([t, t, t], []) == group_addresses([t], [])
 
 
 def test_single_protocol_group_is_not_eligible():
@@ -108,7 +108,8 @@ def test_pair_bridging_two_eligible_groups_merges_them():
     events = two_protocol_events(addr(1)) + two_protocol_events(addr(2), 10)
     partition = group_addresses([], events)
     merged = apply_heuristic_pairs(
-        partition, [HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient")]
+        partition, [HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient")],
+        address_protocol_map(events),
     )
     assert merged.eligible_family() == frozenset({frozenset({addr(1), addr(2)})})
 
@@ -117,16 +118,19 @@ def test_pair_in_component_without_eligible_group_has_no_effect():
     events = [event(addr(1), "Aave")]  # one protocol: not eligible
     partition = group_addresses([], events)
     result = apply_heuristic_pairs(
-        partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")]
+        partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")],
+        address_protocol_map(events),
     )
     assert result.group_family() == partition.group_family()
     assert result.eligible == frozenset()
 
 
 def test_pair_absorbs_unassigned_address():
-    partition = group_addresses([], two_protocol_events(addr(1)))
+    events = two_protocol_events(addr(1))
+    partition = group_addresses([], events)
     result = apply_heuristic_pairs(
-        partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")]
+        partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")],
+        address_protocol_map(events),
     )
     assert result.eligible_family() == frozenset({frozenset({addr(1), addr(9)})})
 
@@ -140,7 +144,7 @@ def test_chain_of_pairs_is_order_independent():
     expected = frozenset({frozenset({addr(1), addr(2), addr(3)})})
     for ordering in (pairs, pairs[::-1]):
         partition = group_addresses([], events)
-        result = apply_heuristic_pairs(partition, ordering)
+        result = apply_heuristic_pairs(partition, ordering, address_protocol_map(events))
         assert result.eligible_family() == expected
     oracle_eligible, _ = brute_force_grouping([], events, pairs)
     assert oracle_eligible == expected
@@ -152,22 +156,11 @@ def test_default_mode_moves_only_the_paired_address():
     events = two_protocol_events(addr(1)) + [event(addr(2), "Maker", 20)]
     partition = group_addresses(triples, events)
     result = apply_heuristic_pairs(
-        partition, [HeuristicPair(addr(1), addr(2), "AaveRepayOnBehalf")]
+        partition, [HeuristicPair(addr(1), addr(2), "AaveRepayOnBehalf")],
+        address_protocol_map(events),
     )
     assert frozenset({addr(1), addr(2)}) in result.eligible_family()
     assert frozenset({addr(3)}) in result.group_family()
-
-
-def test_absorb_mode_moves_the_whole_group():
-    triples = [VaultTriple(addr(2), addr(3), addr(3))]
-    events = two_protocol_events(addr(1)) + [event(addr(2), "Maker", 20)]
-    partition = group_addresses(triples, events)
-    result = apply_heuristic_pairs(
-        partition,
-        [HeuristicPair(addr(1), addr(2), "AaveRepayOnBehalf")],
-        absorb_groups=True,
-    )
-    assert result.eligible_family() == frozenset({frozenset({addr(1), addr(2), addr(3)})})
 
 
 def test_pairs_never_shrink_eligible_groups():
@@ -175,7 +168,7 @@ def test_pairs_never_shrink_eligible_groups():
               + two_protocol_events(addr(3), 20))
     partition = group_addresses([], events)
     pairs = [HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient")]
-    result = apply_heuristic_pairs(partition, pairs)
+    result = apply_heuristic_pairs(partition, pairs, address_protocol_map(events))
     for rep in partition.eligible:
         members = partition.groups[rep]
         assert any(members <= final for final in result.eligible_family())
@@ -266,17 +259,14 @@ def random_instance(rng: random.Random):
     return triples, events, pairs
 
 
-@pytest.mark.parametrize("absorb", [False, True])
-def test_random_instances_match_brute_force(absorb):
+def test_random_instances_match_brute_force():
     rng = random.Random(7)
     for _ in range(120):
         triples, events, pairs = random_instance(rng)
         partition = group_addresses(triples, events)
-        result = apply_heuristic_pairs(partition, pairs, absorb_groups=absorb)
+        result = apply_heuristic_pairs(partition, pairs, address_protocol_map(events))
         result.validate()
-        oracle_eligible, oracle_full = brute_force_grouping(
-            triples, events, pairs, absorb_groups=absorb
-        )
+        oracle_eligible, oracle_full = brute_force_grouping(triples, events, pairs)
         assert result.eligible_family() == oracle_eligible
         assert result.group_family() == oracle_full
 
@@ -286,12 +276,14 @@ def test_random_instances_match_brute_force(absorb):
 def test_permutation_invariance(seed):
     rng = random.Random(seed)
     triples, events, pairs = random_instance(rng)
-    partition = group_addresses(triples, events)
-    baseline = apply_heuristic_pairs(partition, pairs)
+    activity = address_protocol_map(events)
+    baseline = apply_heuristic_pairs(group_addresses(triples, events), pairs, activity)
     for _ in range(3):
         rng.shuffle(triples)
         rng.shuffle(events)
         rng.shuffle(pairs)
-        shuffled = apply_heuristic_pairs(group_addresses(triples, events), pairs)
+        shuffled = apply_heuristic_pairs(
+            group_addresses(triples, events), pairs, address_protocol_map(events)
+        )
         assert shuffled.eligible_family() == baseline.eligible_family()
         assert shuffled.group_family() == baseline.group_family()

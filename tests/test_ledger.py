@@ -7,16 +7,16 @@ from hypothesis import given, settings, strategies as st
 from dfcflow.cluster import group_addresses
 from dfcflow.decode import CanonicalEvent
 from dfcflow.errors import LedgerError, SequencingError
-from dfcflow.heuristics import (
+from dfcflow.ledger import FlowRecord, GroupLedger, first_out_split, run_ledger
+
+from tests.oracles import (
     attribute_first_out,
     attribute_last_out,
     attribute_proportional,
     heuristic_oracles,
     run_full_balance_scenario,
+    taint_interpreter,
 )
-from dfcflow.ledger import FlowTotals, GroupLedger, first_out_split, run_ledger
-
-from tests.oracles import taint_interpreter
 
 F = Fraction
 GROUP = "0x" + "01" * 20
@@ -105,7 +105,7 @@ def test_three_state_scenario_matches_first_out_table():
     assert ledger.platform_debt[("Compound", "USDC")] == 50
     record = ledger.flow_log[0]
     assert (record.debt_token, record.nondebt_token) == (F(50), F(0))
-    assert FlowTotals.from_flow_records(ledger.flow_log).sum_debt_flows_usd == 50
+    assert record.debt_usd == 50
 
 
 def test_swap_taint_follows_received_amount():
@@ -236,8 +236,7 @@ def test_no_eligible_groups_means_zero_totals():
     partition = group_addresses([], [ev("collateral_deposit", 0)])  # 1 protocol
     events = [ev("debt_create", 1, amount=10), ev("collateral_deposit", 2, amount=10)]
     run = run_ledger(events, partition, flat_valuer)
-    assert run.totals.sum_debt_flows_usd == 0
-    assert run.totals.buckets == {}
+    assert run.flow_records == []
     assert run.stats["skipped_unrouted"] == 2
 
 
@@ -248,12 +247,9 @@ def test_full_taint_deposit_equals_its_usd_value():
         ev("collateral_deposit", 11, currency="WETH", amount=3, protocol="Compound"),
     ]
     run = run_ledger(events, partition, flat_valuer)
-    assert run.totals.sum_debt_flows_usd == 600  # 3 WETH x 200 USD
-    ((key, (debt, nondebt)),) = [
-        (k, tuple(v)) for k, v in run.totals.buckets.items()
-    ]
-    assert key == ("2020-05", "Compound", "WETH")
-    assert (debt, nondebt) == (F(600), F(0))
+    (record,) = run.flow_records
+    assert (record.protocol, record.currency) == ("Compound", "WETH")
+    assert (record.debt_usd, record.nondebt_usd) == (F(600), F(0))  # 3 WETH x 200 USD
 
 
 def test_no_debt_group_reports_zero_debt_flow():
@@ -264,8 +260,8 @@ def test_no_debt_group_reports_zero_debt_flow():
         ev("collateral_deposit", 12, currency="USDC", amount=50),
     ]
     run = run_ledger(events, partition, flat_valuer)
-    assert run.totals.sum_debt_flows_usd == 0
-    assert all(debt == 0 for debt, _ in map(tuple, run.totals.buckets.values()))
+    assert len(run.flow_records) == 2
+    assert all(record.debt_usd == 0 for record in run.flow_records)
 
 
 def test_shuffled_delivery_yields_identical_totals():
@@ -286,7 +282,6 @@ def test_shuffled_delivery_yields_identical_totals():
     shuffled = events[:]
     rng.shuffle(shuffled)
     again = run_ledger(shuffled, partition, flat_valuer)
-    assert again.totals.as_comparable() == baseline.totals.as_comparable()
     assert again.flow_records == baseline.flow_records
 
 
@@ -377,10 +372,9 @@ def test_stream_invariants(events):
 def test_production_matches_interpreter(events):
     partition = eligible_partition(GROUP)
     run = run_ledger(events, partition, flat_valuer)
-    oracle_sum, oracle_buckets, _ = taint_interpreter(
+    _, _, rows = taint_interpreter(
         events,
         lambda a: GROUP if a == GROUP else None,
         flat_price,
     )
-    assert run.totals.sum_debt_flows_usd == oracle_sum
-    assert {k: tuple(v) for k, v in run.totals.buckets.items()} == oracle_buckets
+    assert run.flow_records == [FlowRecord(*row) for row in rows]

@@ -172,10 +172,14 @@ class _CandleHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def candle_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _CandleHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll keeps shutdown() from waiting half a second per test
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_port}"
-    server.shutdown()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 def test_fetch_prices_from_candle_endpoint(candle_server):

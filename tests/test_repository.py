@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -53,4 +54,29 @@ def test_trace_child_hooks_resolve_in_dfcflow():
         cls = getattr(importlib.import_module(f"dfcflow.{module}"), cls_name, None)
         if not isinstance(inspect.getattr_static(cls, attr, None), classmethod):
             missing.append(f"{module}.{cls_name}.{attr}")
+    assert missing == []
+
+
+def _resolves(module: str, name: str) -> bool:
+    """`from module import name` works: an attribute or a submodule."""
+    mod = importlib.import_module(module)
+    return hasattr(mod, name) or (
+        hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
+    )
+
+
+def test_perfbench_imports_resolve_in_dfcflow():
+    # the benchmark builds its workloads from these names; moving one out
+    # of the package would otherwise surface only in a benchmark run
+    missing = []
+    for name in ("workloads.py", "layers.py"):
+        tree = ast.parse((REPO_ROOT / "perfbench" / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dfcflow"):
+                missing += [f"{node.module}.{alias.name}" for alias in node.names
+                            if not _resolves(node.module, alias.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in ("synth", "ingest")
+                  and not _resolves(f"dfcflow.{node.value.id}", node.attr)):
+                missing.append(f"dfcflow.{node.value.id}.{node.attr}")
     assert missing == []

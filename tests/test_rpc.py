@@ -35,6 +35,7 @@ class _NodeState:
         self.raw_body = None         # reply with these bytes instead of JSON
         self.gzip_replies = False    # gzip replies to requests that accept gzip
         self.close_after_reply = False  # close each connection after one reply
+        self.drop_second_request = False  # read a connection's 2nd request, close unanswered
         self.gzipped = 0
         self.get_logs_calls = 0
         self.block_calls = 0
@@ -63,10 +64,15 @@ def _node_handler(state: _NodeState):
         def setup(self):
             super().setup()
             state.connections += 1
+            self.requests_here = 0
 
         def do_POST(self):
             body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
             state.requests += 1
+            self.requests_here += 1
+            if state.drop_second_request and self.requests_here == 2:
+                self.close_connection = True
+                return
             state.authorization.add(self.headers.get("Authorization"))
             if isinstance(body, list) and state.reject_batches:
                 self._reply({"jsonrpc": "2.0", "id": None, "error": {
@@ -445,6 +451,17 @@ def test_connection_the_node_closed_while_idle_is_reopened(registry, node_logs):
             select.select([client._conn.sock], [], [], 5)
             assert client.batch(calls, resume_block=0) == first
     assert state.connections == 2
+
+
+def test_batch_the_node_dropped_on_a_reused_connection_is_resent(registry, node_logs):
+    calls = [("eth_getBlockByNumber", [hex(10_000_000), False])]
+    with _serve(node_logs, _keep_alive_handler) as (endpoint, state):
+        state.drop_second_request = True
+        with contextlib.closing(RpcClient(endpoint)) as client:
+            first = client.batch(calls, resume_block=0)
+            # the node reads the second request, then closes without a reply
+            assert client.batch(calls, resume_block=0) == first
+    assert (state.requests, state.connections) == (3, 2)
 
 
 @pytest.mark.parametrize("switch, value, message", [

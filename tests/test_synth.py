@@ -1,6 +1,6 @@
 from dfcflow.decode import CANONICAL_KINDS, decode_stream
 from dfcflow.ingest import BlockRange, filter_logs, serialize_fixture
-from dfcflow.synth import generate_fixture
+from tools.gen_fixture import generate_fixture
 from dfcflow.util import month_key
 
 

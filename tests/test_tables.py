@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -65,9 +64,7 @@ TABLES = {
                   lambda: [ApprovalEvent("USDC", addr(1), addr(2), 10_000_001, 4, T0),
                            ApprovalEvent("DAI", addr(3), addr(1), 10_000_002, 0, T0 + 9)],
                   same),
-    # the checkpoint does not keep per-address activity
-    "partition": (cluster.write_partition_csv, cluster.read_partition_csv, partition,
-                  lambda p: replace(p, address_protocols={})),
+    "partition": (cluster.write_partition_csv, cluster.read_partition_csv, partition, same),
     "flows": (ledger.write_flows_csv, ledger.read_flows_csv,
               lambda: [FlowRecord(addr(1), T0, 10_000_003, "Aave", "DAI",
                                   "collateral_deposit", F(25, 2), F(0), F(100, 3), F(7)),
