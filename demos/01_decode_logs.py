@@ -6,13 +6,16 @@ raw logs down to registry-relevant ones, decode them, and look at what
 comes out the other side.
 """
 
+import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from dfcflow.decode import decode_stream
 from dfcflow.ingest import BlockRange, filter_logs, load_fixture
 from dfcflow.registry import ContractRegistry
-
-ROOT = Path(__file__).resolve().parent.parent
+from dfcflow.util import format_fixed
 
 registry = ContractRegistry.from_json_file(ROOT / "config" / "registry.json")
 logs = load_fixture(ROOT / "data" / "fixture_logs.jsonl")
@@ -40,11 +43,11 @@ for key, count in sorted(result.stats.items()):
 print("\na few decoded events:")
 for event in result.events[:3]:
     if event.kind == "swap":
-        print(f"  [{event.protocol}] swap {event.amount_sent} {event.currency_sent}"
-              f" -> {event.amount_received} {event.currency_received}"
+        print(f"  [{event.protocol}] swap {format_fixed(event.amount_sent)} {event.currency_sent}"
+              f" -> {format_fixed(event.amount_received)} {event.currency_received}"
               f" by {event.actor[:10]}…")
     else:
-        print(f"  [{event.protocol}] {event.kind} {event.amount} {event.currency}"
+        print(f"  [{event.protocol}] {event.kind} {format_fixed(event.amount)} {event.currency}"
               f" by {event.actor[:10]}…")
 
 print(f"\nMaker vault openings decoded: {len(result.vault_triples)}")

@@ -7,8 +7,12 @@ more protocols become eligible, and link pairs (on-behalf repayments,
 swap destinations) extend and merge the eligible family.
 """
 
+import sys
 from collections import Counter
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from dfcflow.cluster import (
     address_protocol_map,
@@ -22,8 +26,6 @@ from dfcflow.decode import decode_stream
 from dfcflow.ingest import BlockRange, filter_logs, load_fixture
 from dfcflow.registry import ContractRegistry
 from dfcflow.util import to_hex
-
-ROOT = Path(__file__).resolve().parent.parent
 
 registry = ContractRegistry.from_json_file(ROOT / "config" / "registry.json")
 logs = load_fixture(ROOT / "data" / "fixture_logs.jsonl")

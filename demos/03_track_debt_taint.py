@@ -14,6 +14,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
 from dfcflow.cluster import (
     address_protocol_map,
     apply_heuristic_pairs,
@@ -26,11 +29,16 @@ from dfcflow.ingest import BlockRange, filter_logs, load_fixture
 from dfcflow.ledger import GroupLedger, run_ledger
 from dfcflow.market import PriceSeries, make_valuer
 from dfcflow.registry import ContractRegistry
+from dfcflow.util import SCALE, format_fixed
+from tests.oracles import heuristic_oracles  # the proportional and last-out oracles
 
 F = Fraction
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT))
-from tests.oracles import heuristic_oracles  # the proportional and last-out oracles
+
+
+def shown(balances):
+    """Fixed-point balances (ints of 1/SCALE tokens) as decimal strings."""
+    return {key: format_fixed(units) for key, units in balances.items()}
+
 
 # --- part 1: the three-state scenario ----------------------------------------
 
@@ -44,17 +52,17 @@ def event(kind, position, **kw):
                 timestamp=1_588_598_520 + position)
     return CanonicalEvent(**base, **kw)
 
-ledger.apply(event("debt_create", 0, currency="DAI", amount=F(100), protocol="Maker"))
-print(f"S0: wallet debt {dict(ledger.wallet_debt)}")
+ledger.apply(event("debt_create", 0, currency="DAI", amount=100 * SCALE, protocol="Maker"))
+print(f"S0: wallet debt {shown(ledger.wallet_debt)}")
 
-ledger.apply(event("swap", 1, protocol="Uniswap", currency_sent="DAI",
-                   currency_received="USDC", amount_sent=F(100), amount_received=F(100)))
-print(f"S1: wallet debt {dict(ledger.wallet_debt)}  (taint followed the swap)")
+ledger.apply(event("swap", 1, protocol="Uniswap", currency_sent="DAI", currency_received="USDC",
+                   amount_sent=100 * SCALE, amount_received=100 * SCALE))
+print(f"S1: wallet debt {shown(ledger.wallet_debt)}  (taint followed the swap)")
 
-ledger.apply(event("collateral_deposit", 2, currency="USDC", amount=F(50)))
-print(f"S2: wallet debt {dict(ledger.wallet_debt)}, "
-      f"platform debt {dict(ledger.platform_debt)}")
-print(f"debt-financed deposit flow: {ledger.flow_log[0].debt_usd}")
+ledger.apply(event("collateral_deposit", 2, currency="USDC", amount=50 * SCALE))
+print(f"S2: wallet debt {shown(ledger.wallet_debt)}, "
+      f"platform debt {shown(ledger.platform_debt)}")
+print(f"debt-financed deposit flow: {format_fixed(ledger.flow_log[0].debt_usd)}")
 
 print("\n=== the same deposit under all three heuristics ===")
 initial = {"DAI": (F(100), F(0)), "USDC": (F(0), F(100))}
@@ -83,15 +91,15 @@ print(f"events applied: {run.stats['applied']}, "
       f"outside eligible groups: {run.stats['skipped_unrouted']}")
 deposits = [r for r in run.flow_records if r.kind == COLLATERAL_DEPOSIT]
 print(f"total debt-financed deposit flow: "
-      f"${float(sum(r.debt_usd for r in deposits)) / 1e6:,.1f}M")
+      f"${sum(r.debt_usd for r in deposits) / SCALE / 1e6:,.1f}M")
 
 by_currency = {}
 for record in deposits:
-    slot = by_currency.setdefault(record.currency, [F(0), F(0)])
+    slot = by_currency.setdefault(record.currency, [0, 0])
     slot[0] += record.debt_usd
     slot[1] += record.debt_usd + record.nondebt_usd
 print("\ndebt share of deposits by currency:")
 for currency in sorted(by_currency):
     debt, total = by_currency[currency]
-    print(f"  {currency:5s} {float(100 * debt / total):5.1f}% of "
-          f"${float(total) / 1e6:,.0f}M")
+    print(f"  {currency:5s} {100 * debt / total:5.1f}% of "
+          f"${total / SCALE / 1e6:,.0f}M")

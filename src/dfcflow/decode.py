@@ -2,9 +2,11 @@
 
 Each registry rule names where the acting address, amounts and currency
 live inside a log (topic index or data byte offset).  Amounts leave this
-module as exact rationals in whole-token units; binary floating point is
-never used on the accounting path, because the first-out min/subtraction
-chains downstream amplify rounding drift.
+module as `int` counts of 1/`util.SCALE` tokens: a token with `decimals`
+d has 10**(36 - d) units per base unit, so decoding is exact for every d
+up to 18 and an amount in `events.csv` reads back to the same count.
+Binary floating point is never used on the accounting path, because the
+first-out min/subtraction chains downstream amplify rounding drift.
 
 Logs whose currency (or either swap leg) falls outside the five supported
 currencies, and liquidation-signature logs, decode to ``None``
@@ -14,14 +16,13 @@ currencies, and liquidation-signature logs, decode to ``None``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DecodeError
 from .ingest import RawLog
 from .registry import ContractRegistry, EventRule, Locator
 from .tables import Table
-from .util import format_exact, parse_amount, to_hex
+from .util import PLACES, format_fixed, parse_fixed, to_hex
 
 COLLATERAL_DEPOSIT = "collateral_deposit"
 COLLATERAL_WITHDRAW = "collateral_withdraw"
@@ -69,11 +70,11 @@ class CanonicalEvent:
     log_index: int
     timestamp: int
     currency: str | None = None
-    amount: Fraction | None = None
+    amount: int | None = None
     currency_sent: str | None = None
     currency_received: str | None = None
-    amount_sent: Fraction | None = None
-    amount_received: Fraction | None = None
+    amount_sent: int | None = None
+    amount_received: int | None = None
     on_behalf_of: str | None = None
 
     @property
@@ -120,13 +121,13 @@ class DecodeResult:
         self.stats[key] = self.stats.get(key, 0) + 1
 
 
-def normalize_amount(raw: int, decimals: int) -> Fraction:
-    """raw base units / 10**decimals, exactly."""
+def normalize_amount(raw: int, decimals: int) -> int:
+    """raw base units / 10**decimals, as a count of 1/SCALE tokens, exactly."""
     if not 0 <= decimals <= 18:
         raise ValueError(f"decimals {decimals} outside [0, 18]")
     if raw < 0:
         raise ValueError("raw amount must be unsigned")
-    return Fraction(raw, 10**decimals)
+    return raw * 10 ** (PLACES - decimals)
 
 
 def _read_topic(log: RawLog, index: int) -> bytes:
@@ -314,14 +315,14 @@ def _event_row(e: CanonicalEvent) -> tuple:
     if e.kind == SWAP:
         return head + (
             e.currency_sent, e.currency_received,
-            format_exact(e.amount_sent), format_exact(e.amount_received),
+            format_fixed(e.amount_sent), format_fixed(e.amount_received),
         )
-    return head + (e.currency, "", format_exact(e.amount), "")
+    return head + (e.currency, "", format_fixed(e.amount), "")
 
 
-def _amount(name: str, text: str) -> Fraction:
-    amount = parse_amount(text)
-    if amount.numerator < 0:
+def _amount(name: str, text: str) -> int:
+    amount = parse_fixed(text)
+    if amount < 0:
         raise ValueError(f"negative {name} {text!r}")
     return amount
 

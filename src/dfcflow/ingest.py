@@ -55,16 +55,15 @@ class RawLog:
         return self.topics[0] if self.topics else None
 
     def to_json_line(self) -> str:
-        obj = {
-            "block_number": self.block_number,
-            "timestamp": self.timestamp,
-            "tx_hash": to_hex(self.tx_hash),
-            "address": to_hex(self.contract_address),
-            "topics": [to_hex(t) for t in self.topics],
-            "data": to_hex(self.data),
-            "log_index": self.log_index,
-        }
-        return json.dumps(obj, separators=(",", ":"))
+        """The compact JSON object of the fixture format, keys in
+        FIXTURE_FIELDS order; hex strings need no escaping, so it is
+        formatted directly."""
+        topics = ",".join(f'"0x{topic.hex()}"' for topic in self.topics)
+        return (
+            f'{{"block_number":{self.block_number},"timestamp":{self.timestamp},'
+            f'"tx_hash":"0x{self.tx_hash.hex()}","address":"0x{self.contract_address.hex()}",'
+            f'"topics":[{topics}],"data":"0x{self.data.hex()}","log_index":{self.log_index}}}'
+        )
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RawLog":

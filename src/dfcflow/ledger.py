@@ -20,17 +20,39 @@ balance, for a deposit or withdrawal; the wallet balances of the sent,
 then the received currency for a swap.  Every other balance is unchanged
 since its own last check.
 
-All arithmetic is exact rational; the deposit split loses nothing
-(debt + non-debt == amount, exactly), and results are independent of
-delivery order because events are re-sorted on the unique
-(block_number, log_index) key before application.
+Amounts, balances and USD values are `int` counts of 1/`util.SCALE`
+units (10**-36 of a token or a dollar).  The rounding rule: every
+division floors to a whole unit.  The ledger divides in one place, the
+received side of a swap, `amount_received * min(held, amount_sent) //
+amount_sent`; the sent side, `held - min(held, amount_sent)`, is exact,
+and `PriceSeries.value_usd` floors its USD value.  Against the same
+events run in exact rational arithmetic:
+
+- No taint is created.  Every step is monotone in the balances it reads
+  and a floor never exceeds the exact quotient, so each fixed-point debt
+  balance, and each flow record's debt amount, is <= its exact value.
+- The deposit split loses nothing: debt + non-debt == amount, exactly,
+  and a deposit or withdrawal moves debt between wallet and platform
+  without loss.
+- The shortfall is bounded.  Let D_c be the shortfall of currency c,
+  summed over the group's wallet and platform balances.  Debt creation,
+  deposits and withdrawals leave D_c unchanged; repayments and the sent
+  side of a swap cannot raise it; a swap raises D_received by less than
+  (amount_received / amount_sent) * D_sent + 1.  So with b_c = 0 at the
+  start and, at each swap, b_received += (amount_received / amount_sent)
+  * b_sent + 1, every debt balance in c and every debt amount of a flow
+  record in c falls short by at most b_c units, and its USD value by at
+  most price * b_c + 1 units.  At 10**-36 per unit the reports, rounded
+  to six digits at most, do not see it.
+
+Results are independent of delivery order because events are re-sorted
+on the unique (block_number, log_index) key before application.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .cluster import Partition
@@ -44,9 +66,9 @@ from .decode import (
 )
 from .errors import LedgerError, SequencingError
 from .tables import Table
-from .util import ZERO, format_exact, parse_amount
+from .util import format_fixed, parse_fixed
 
-Valuer = Callable[[str, Fraction, int], Fraction]  # (currency, amount, ts) -> USD
+Valuer = Callable[[str, int, int], int]  # (currency, amount, ts) -> USD, fixed point
 
 FLOW_CSV_COLUMNS = (
     "group_representative",
@@ -62,7 +84,7 @@ FLOW_CSV_COLUMNS = (
 )
 
 
-def first_out_split(amount: Fraction, wallet_debt_balance: Fraction) -> tuple[Fraction, Fraction]:
+def first_out_split(amount: int, wallet_debt_balance: int) -> tuple[int, int]:
     """Debt-financed units move first: (min(amount, debt), remainder)."""
     if amount < 0 or wallet_debt_balance < 0:
         raise ValueError("first-out split needs non-negative inputs")
@@ -80,10 +102,10 @@ class FlowRecord:
     protocol: str
     currency: str
     kind: str  # collateral_deposit | collateral_withdraw
-    debt_token: Fraction
-    nondebt_token: Fraction
-    debt_usd: Fraction
-    nondebt_usd: Fraction
+    debt_token: int
+    nondebt_token: int
+    debt_usd: int
+    nondebt_usd: int
 
 
 class GroupLedger:
@@ -92,8 +114,8 @@ class GroupLedger:
     def __init__(self, group: str, valuer: Valuer):
         self.group = group
         self._valuer = valuer
-        self.wallet_debt: dict[str, Fraction] = defaultdict(lambda: ZERO)
-        self.platform_debt: dict[tuple[str, str], Fraction] = defaultdict(lambda: ZERO)
+        self.wallet_debt: dict[str, int] = defaultdict(int)
+        self.platform_debt: dict[tuple[str, str], int] = defaultdict(int)
         self.flow_log: list[FlowRecord] = []
         self._last_key: tuple[int, int] | None = None
 
@@ -139,11 +161,12 @@ class GroupLedger:
         if e.amount_sent == 0:
             return
         held = self.wallet_debt[e.currency_sent]
-        debt_pct = min(Fraction(1), held / e.amount_sent)
-        self.wallet_debt[e.currency_sent] = held - e.amount_sent * debt_pct
-        self.wallet_debt[e.currency_received] += e.amount_received * debt_pct
+        moved = min(held, e.amount_sent)
+        self.wallet_debt[e.currency_sent] = held - moved
+        # the one taint division: floored, so it never creates taint
+        self.wallet_debt[e.currency_received] += e.amount_received * moved // e.amount_sent
 
-    def _record(self, e: CanonicalEvent, debt_amt: Fraction, nondebt_amt: Fraction) -> None:
+    def _record(self, e: CanonicalEvent, debt_amt: int, nondebt_amt: int) -> None:
         self.flow_log.append(FlowRecord(
             group=self.group,
             timestamp=e.timestamp,
@@ -163,11 +186,11 @@ class GroupLedger:
         """Check the balances `e` changed; every other one passed when it last changed."""
         for currency in currencies:
             # .get: a swap that sent nothing created no balance
-            if self.wallet_debt.get(currency, ZERO).numerator < 0:
+            if self.wallet_debt.get(currency, 0) < 0:
                 raise LedgerError(
                     f"wallet debt for {currency} went negative at {e.order_key}"
                 )
-        if platform_key is not None and self.platform_debt[platform_key].numerator < 0:
+        if platform_key is not None and self.platform_debt[platform_key] < 0:
             raise LedgerError(f"platform debt for {platform_key} went negative at {e.order_key}")
 
 
@@ -224,8 +247,8 @@ def run_ledger(
 def _flow_row(r: FlowRecord) -> tuple:
     return (
         r.group, r.timestamp, r.block_number, r.protocol, r.currency, r.kind,
-        format_exact(r.debt_token), format_exact(r.nondebt_token),
-        format_exact(r.debt_usd), format_exact(r.nondebt_usd),
+        format_fixed(r.debt_token), format_fixed(r.nondebt_token),
+        format_fixed(r.debt_usd), format_fixed(r.nondebt_usd),
     )
 
 
@@ -235,8 +258,8 @@ def _flow_from_row(
 ) -> FlowRecord:
     return FlowRecord(
         group, int(timestamp), int(block_number), protocol, currency, kind,
-        parse_amount(debt_token), parse_amount(nondebt_token),
-        parse_amount(debt_usd), parse_amount(nondebt_usd),
+        parse_fixed(debt_token), parse_fixed(nondebt_token),
+        parse_fixed(debt_usd), parse_fixed(nondebt_usd),
     )
 
 

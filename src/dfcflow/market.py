@@ -9,7 +9,10 @@ silently valuing events with week-old prices.
 Each key's prices are held as integer units over one scale, the least
 common denominator of that key's prices (10**4 for a file of prices with
 at most four decimals), so loading and lookups make no `Fraction` per
-point.  Prices and values are still exact `Fraction`s at the API.
+point.  Prices are exact `Fraction`s at the API.  `value_usd` takes a
+token amount and returns a USD value, both as fixed-point `int` counts
+of 1/`util.SCALE` units, floored to a whole unit (the rounding rule of
+`dfcflow.ledger`).
 
 Series are immutable after load and safe for concurrent readers.
 """
@@ -104,15 +107,14 @@ class PriceSeries:
         """Latest price at or before `timestamp`, within the staleness bound."""
         return Fraction(self.units_at(key, timestamp), self._scales[key])
 
-    def value_usd(self, amount: Fraction, currency: Currency, timestamp: int) -> Fraction:
-        """amount x carry-forward price, exact."""
-        if amount.numerator < 0:
+    def value_usd(self, amount: int, currency: Currency, timestamp: int) -> int:
+        """amount x carry-forward price, in fixed-point units, floored."""
+        if amount < 0:
             raise ValueError("cannot value a negative amount")
-        if amount.numerator == 0:
-            return Fraction(0)
+        if amount == 0:
+            return 0
         key = currency.price_key
-        units = self.units_at(key, timestamp)
-        return Fraction(amount.numerator * units, amount.denominator * self._scales[key])
+        return amount * self.units_at(key, timestamp) // self._scales[key]
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PriceSeries":
@@ -228,9 +230,9 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
 
 
 def make_valuer(series: PriceSeries, currencies: dict[str, Currency]):
-    """Close over a price series: (symbol, amount, ts) -> USD Fraction."""
+    """Close over a price series: (symbol, amount, ts) -> USD, fixed point."""
 
-    def value(symbol: str, amount: Fraction, timestamp: int) -> Fraction:
+    def value(symbol: str, amount: int, timestamp: int) -> int:
         return series.value_usd(amount, currencies[symbol], timestamp)
 
     return value

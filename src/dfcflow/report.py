@@ -1,8 +1,11 @@
 """Aggregate flow logs into report tables and correlation statistics.
 
-The monthly table and protocol breakdown stay on exact arithmetic and are
-rounded only for display (USD in whole millions, percentages to one
-decimal).  The correlation layer is statistical and works in floats: it
+The monthly table, protocol breakdown and summary sum the ledger's
+fixed-point USD values (`int` counts of 1/`util.SCALE` dollars) as plain
+ints; a cell becomes an exact `Fraction` only to be rounded for display
+(USD in whole millions or cents, percentages to one decimal).  The
+correlation layer is statistical and works in floats, each one an int
+true division, which rounds correctly: it
 builds per-hour and per-day series of collateral change, price change and
 debt percentage, then correlates each variable with the debt percentage
 of the following period.
@@ -31,7 +34,7 @@ from .market import DAY, HOUR, PriceSeries
 from .registry import PROTOCOLS, Currency
 from .tables import Table
 from .util import (
-    ZERO, exact_sums, format_places, format_usd_millions, month_key, month_range,
+    SCALE, format_places, format_usd, format_usd_millions, month_key, month_range,
 )
 
 MIN_CORRELATION_SAMPLES = 3
@@ -42,18 +45,18 @@ STAR_THRESHOLDS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))
 @dataclass(frozen=True)
 class MonthlyDfcRow:
     month: str
-    debt_usd: Fraction
-    nondebt_usd: Fraction
+    debt_usd: int
+    nondebt_usd: int
 
     @property
-    def total_usd(self) -> Fraction:
+    def total_usd(self) -> int:
         return self.debt_usd + self.nondebt_usd
 
     @property
     def debt_pct(self) -> Fraction | None:
         if self.total_usd == 0:
             return None
-        return 100 * self.debt_usd / self.total_usd
+        return Fraction(100 * self.debt_usd, self.total_usd)
 
 
 @dataclass(frozen=True)
@@ -86,27 +89,29 @@ def _span_months(records: Sequence[FlowRecord]) -> list[str]:
     return month_range(month_key(min(timestamps)), month_key(max(timestamps)))
 
 
-def _deposit_months(records: Sequence[FlowRecord]) -> list[tuple[str, FlowRecord]]:
-    """(month, record) for each deposit; a month is named once per UTC day."""
+def _deposit_sums(records: Sequence[FlowRecord], by_protocol: bool):
+    """Debt and non-debt USD of the deposits per month, or per (month,
+    protocol); a month is named once per UTC day."""
     months: dict[int, str] = {}
-    deposits = []
+    debt: dict = defaultdict(int)
+    nondebt: dict = defaultdict(int)
     for r in records:
         if r.kind == COLLATERAL_DEPOSIT:
             day = r.timestamp // DAY
             month = months.get(day)
             if month is None:
                 month = months[day] = month_key(r.timestamp)
-            deposits.append((month, r))
-    return deposits
+            key = (month, r.protocol) if by_protocol else month
+            debt[key] += r.debt_usd
+            nondebt[key] += r.nondebt_usd
+    return debt, nondebt
 
 
 def monthly_dfc_rows(records: Sequence[FlowRecord]) -> list[MonthlyDfcRow]:
     """One row per calendar month spanned by the flow log, deposits only."""
-    deposits = _deposit_months(records)
-    debt = exact_sums((month, r.debt_usd) for month, r in deposits)
-    nondebt = exact_sums((month, r.nondebt_usd) for month, r in deposits)
+    debt, nondebt = _deposit_sums(records, by_protocol=False)
     return [
-        MonthlyDfcRow(month, debt.get(month, ZERO), nondebt.get(month, ZERO))
+        MonthlyDfcRow(month, debt.get(month, 0), nondebt.get(month, 0))
         for month in _span_months(records)
     ]
 
@@ -115,9 +120,7 @@ def protocol_breakdown(records: Sequence[FlowRecord]) -> list[tuple[str, str, Fr
     """(month, protocol, debt_pct) cells; None where a protocol took no
     deposits that month."""
     protocols = sorted({r.protocol for r in records})
-    deposits = [((month, r.protocol), r) for month, r in _deposit_months(records)]
-    debt = exact_sums((key, r.debt_usd) for key, r in deposits)
-    nondebt = exact_sums((key, r.nondebt_usd) for key, r in deposits)
+    debt, nondebt = _deposit_sums(records, by_protocol=True)
     cells = []
     for month in _span_months(records):
         for protocol in protocols:
@@ -126,7 +129,7 @@ def protocol_breakdown(records: Sequence[FlowRecord]) -> list[tuple[str, str, Fr
             if key in debt:
                 total = debt[key] + nondebt[key]
                 if total > 0:
-                    pct = 100 * debt[key] / total
+                    pct = Fraction(100 * debt[key], total)
             cells.append((month, protocol, pct))
     return cells
 
@@ -223,21 +226,16 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
 
 
 def _period_series(records: Sequence[FlowRecord], period: int):
-    # most hourly periods hold one record, so a period's first value is
-    # stored as it is rather than added to zero
-    dep_total: dict[int, Fraction] = {}
-    dep_debt: dict[int, Fraction] = {}
-    wd_total: dict[int, Fraction] = {}
+    dep_total: dict[int, int] = defaultdict(int)
+    dep_debt: dict[int, int] = defaultdict(int)
+    wd_total: dict[int, int] = defaultdict(int)
     for r in records:
         bucket = r.timestamp // period
         if r.kind == COLLATERAL_DEPOSIT:
-            total = r.debt_usd + r.nondebt_usd
-            dep_total[bucket] = dep_total[bucket] + total if bucket in dep_total else total
-            debt = r.debt_usd
-            dep_debt[bucket] = dep_debt[bucket] + debt if bucket in dep_debt else debt
+            dep_total[bucket] += r.debt_usd + r.nondebt_usd
+            dep_debt[bucket] += r.debt_usd
         elif r.kind == COLLATERAL_WITHDRAW:
-            total = r.debt_usd + r.nondebt_usd
-            wd_total[bucket] = wd_total[bucket] + total if bucket in wd_total else total
+            wd_total[bucket] += r.debt_usd + r.nondebt_usd
     return dep_total, dep_debt, wd_total
 
 
@@ -254,7 +252,7 @@ def lagged_correlations(
     series = {period: _period_series(records, period) for period in (HOUR, DAY)}
     # the debt percentage of each period with deposits; others are dropped pairwise
     debt_pcts = {
-        period: {b: float(dep_debt[b] / total) for b, total in dep_total.items() if total != 0}
+        period: {b: dep_debt[b] / total for b, total in dep_total.items() if total != 0}
         for period, (dep_total, dep_debt, _) in series.items()
     }
     results = []
@@ -271,7 +269,7 @@ def lagged_correlations(
                 if y is None:
                     continue
                 if var1 == "collateral_change":
-                    x = float(dep_total.get(bucket, ZERO) - wd_total.get(bucket, ZERO))
+                    x = (dep_total.get(bucket, 0) - wd_total.get(bucket, 0)) / SCALE
                 else:
                     try:
                         open_units = prices.units_at(price_key, bucket * period)
@@ -298,7 +296,7 @@ def summary_stats(
     events: Sequence[CanonicalEvent],
     prices: PriceSeries,
     currencies: dict[str, Currency],
-) -> list[tuple[str, dict[str, object]]]:
+) -> list[tuple[str, dict[str, int]]]:
     """Dataset summary rows: unique addresses, transaction counts and USD
     totals per protocol, over everything decoded (not only eligible
     groups).  Swaps are valued on the sent leg at event time."""
@@ -311,7 +309,7 @@ def summary_stats(
         "debt_repay": "debt_repaid_usd",
         SWAP: "currency_swapped_usd",
     }
-    values = []
+    usd: dict[tuple[str, str], int] = defaultdict(int)
     for e in events:
         actors[e.protocol].add(e.actor)
         counts[e.protocol] += 1
@@ -319,15 +317,14 @@ def summary_stats(
             value = prices.value_usd(e.amount_sent, currencies[e.currency_sent], e.timestamp)
         else:
             value = prices.value_usd(e.amount, currencies[e.currency], e.timestamp)
-        values.append(((kind_to_stat[e.kind], e.protocol), value))
-    usd = exact_sums(values)
+        usd[kind_to_stat[e.kind], e.protocol] += value
 
-    rows: list[tuple[str, dict[str, object]]] = [
+    rows: list[tuple[str, dict[str, int]]] = [
         ("unique_addresses", {p: len(actors[p]) for p in PROTOCOLS}),
         ("transactions", {p: counts[p] for p in PROTOCOLS}),
     ]
     for stat in kind_to_stat.values():
-        rows.append((stat, {p: usd.get((stat, p), ZERO) for p in PROTOCOLS}))
+        rows.append((stat, {p: usd.get((stat, p), 0) for p in PROTOCOLS}))
     return rows
 
 
@@ -337,12 +334,12 @@ def _pct(pct: Fraction | None) -> str:
     return format_places(pct, 1) if pct is not None else ""
 
 
-def _summary_row(item: tuple[str, dict[str, object]]) -> tuple:
+def _summary_row(item: tuple[str, dict[str, int]]) -> tuple:
     stat, per_protocol = item
-    return (stat,) + tuple(
-        format_places(value, 2) if isinstance(value, Fraction) else value
-        for value in (per_protocol[protocol] for protocol in PROTOCOLS)
-    )
+    values = (per_protocol[protocol] for protocol in PROTOCOLS)
+    if stat.endswith("_usd"):
+        return (stat, *(format_usd(value, 2) for value in values))
+    return (stat, *values)
 
 
 write_monthly_csv = Table(

@@ -1,26 +1,29 @@
-"""Hex, exact-decimal and calendar helpers used throughout the pipeline.
+"""Hex, fixed-point and calendar helpers used throughout the pipeline.
 
-Amounts and prices are exact rationals (`fractions.Fraction`) end to end;
-binary floating point only appears in the statistics layer.  Inside a
-price series prices are held as integer units over a per-key scale (see
-`dfcflow.market`), and the report sums exact values as integer numerators
-per denominator (:func:`exact_sums`); both hand out `Fraction`s at their
-API.  Rendering to CSV goes through the fixed-point formatters here so
-repeated runs emit byte-identical files.
+Token amounts, debt balances and USD values are `int` counts of
+1/:data:`SCALE` units from decoding through the report.  The scale is
+10**36: 18 digits for the largest token `decimals`, plus 18 guard digits
+for the one division the ledger makes (see `dfcflow.ledger`).  Checkpoint
+files write such a count as a plain decimal (:func:`format_fixed`,
+:func:`parse_fixed`).  Prices stay exact rationals, held as integer units
+over a per-key scale (see `dfcflow.market`), and reports turn fixed-point
+sums into `fractions.Fraction` only to round a rendered cell.  Binary
+floating point only appears in the statistics layer.  Rendering goes
+through the formatters here so repeated runs emit byte-identical files.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Hashable, Iterable
 
-ZERO = Fraction(0)
+# decimal places of a fixed-point count; SCALE units make one token or dollar
+PLACES = 36
+SCALE = 10**PLACES
 
-# the two forms format_exact writes: [-]digits[.digits] and [-]digits/digits
-_EXACT = re.compile(r"(-?[0-9]+)(?:\.([0-9]+)|/([0-9]+))?")
+# the integer and fraction forms of parse_ratio: [-]digits[/digits]
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_hex(value: str, expected_bytes: int | None = None) -> bytes:
@@ -54,39 +57,46 @@ def parse_ratio(text: str) -> tuple[int, int]:
     are rejected with the message `Fraction(str)` gives; a zero denominator
     raises the `ZeroDivisionError` that `Fraction(n, 0)` raises.
     """
-    match = _EXACT.fullmatch(text)
-    if match is None:
-        raise ValueError(f"Invalid literal for Fraction: {text!r}")
-    whole, frac, den = match.groups()
-    if frac is not None:
-        return int(whole + frac), 10 ** len(frac)
-    num, den = int(whole), int(den) if den else 1
-    if den == 0:
-        raise ZeroDivisionError(f"Fraction({num}, 0)")
-    return num, den
+    whole, dot, frac = text.partition(".")
+    if dot:
+        digits = whole[1:] if whole[:1] == "-" else whole
+        if digits.isdigit() and frac.isdigit() and text.isascii():
+            return int(whole + frac), 10 ** len(frac)
+    else:
+        match = _RATIO.fullmatch(text)
+        if match is not None:
+            num, den = int(match[1]), int(match[2] or 1)
+            if den == 0:
+                raise ZeroDivisionError(f"Fraction({num}, 0)")
+            return num, den
+    raise ValueError(f"Invalid literal for Fraction: {text!r}")
 
 
-def parse_amount(text: str) -> Fraction:
-    """Exact decimal or 'n/d' string -> Fraction; see :func:`parse_ratio`."""
-    return Fraction(*parse_ratio(text))
+def parse_fixed(text: str) -> int:
+    """A '[-]digits[.digits]' cell with at most 36 decimals -> its count of
+    1/SCALE units; the inverse of :func:`format_fixed`.
 
-
-def exact_sums(items: Iterable[tuple[Hashable, Fraction]]) -> dict[Hashable, Fraction]:
-    """Exact sum of the values per key, for (key, value) pairs.
-
-    Numerators are added as ints per (key, denominator), and each key's few
-    distinct denominators are combined once at the end, so a sum of many
-    values costs one int addition each instead of one `Fraction` addition.
-    Keys that never occur are absent from the result.
+    Any other text, an 'n/d' fraction included, raises ValueError.
     """
-    numerators: dict[tuple, int] = defaultdict(int)
-    for key, value in items:
-        numerators[key, value.denominator] += value.numerator
-    sums: dict[Hashable, Fraction] = {}
-    for (key, den), num in numerators.items():
-        part = Fraction(num, den)
-        sums[key] = sums[key] + part if key in sums else part
-    return sums
+    whole, dot, frac = text.partition(".")
+    digits = whole[1:] if whole[:1] == "-" else whole
+    if (digits.isdigit() and text.isascii() and len(frac) <= PLACES
+            and (frac.isdigit() or not dot)):
+        return int(whole + frac) * 10 ** (PLACES - len(frac))
+    raise ValueError(
+        f"invalid amount {text!r}: expected [-]digits[.digits], at most {PLACES} decimals"
+    )
+
+
+def format_fixed(units: int) -> str:
+    """A count of 1/SCALE units as a plain decimal with no trailing zeros
+    (`4914698.71`, `0`), the same text :func:`format_exact` gives for the
+    value."""
+    whole, frac = divmod(abs(units), SCALE)
+    sign = "-" if units < 0 else ""
+    if not frac:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}.{str(frac).rjust(PLACES, '0').rstrip('0')}"
 
 
 def round_half_even(x: Fraction, places: int = 0) -> Fraction:
@@ -102,12 +112,11 @@ def round_half_even(x: Fraction, places: int = 0) -> Fraction:
 
 
 def format_exact(x: Fraction) -> str:
-    """Lossless rendering for checkpoint files.
+    """Lossless rendering of a price for the price file.
 
     Values with a terminating decimal expansion render as plain decimals;
-    anything else (swap-tainted balances can carry factors like 1/3) falls
-    back to 'numerator/denominator'.  Both forms parse back with
-    :func:`parse_amount`.
+    anything else (a price such as 1/3) falls back to
+    'numerator/denominator'.  Both forms parse back with :func:`parse_ratio`.
     """
     den = x.denominator
     twos = fives = 0
@@ -141,9 +150,14 @@ def format_places(x: Fraction, places: int) -> str:
     return sign + f"{digits[:-places]}.{digits[-places:]}"
 
 
-def format_usd_millions(x: Fraction) -> str:
+def format_usd(units: int, places: int) -> str:
+    """A fixed-point USD count at `places` fractional digits, ties to even."""
+    return format_places(Fraction(units, SCALE), places)
+
+
+def format_usd_millions(units: int) -> str:
     """Whole-number USD millions, matching the monthly report presentation."""
-    return format_places(x / 1_000_000, 0)
+    return format_places(Fraction(units, SCALE * 1_000_000), 0)
 
 
 def month_key(timestamp: int) -> str:

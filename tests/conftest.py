@@ -1,8 +1,11 @@
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from dfcflow.registry import ContractRegistry
+from dfcflow.util import SCALE
 
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
@@ -31,6 +34,12 @@ REGISTRY_PATH = REPO_ROOT / "config" / "registry.json"
 FIXTURE_CONFIG = REPO_ROOT / "config" / "pipeline.fixture.json"
 DATA_DIR = REPO_ROOT / "data"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def units(value) -> int:
+    """A token or dollar amount (int, decimal string or Fraction) as whole
+    1/SCALE units, floored: the ledger's fixed-point representation."""
+    return math.floor(Fraction(value) * SCALE)
 
 
 @pytest.fixture(scope="session")

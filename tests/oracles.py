@@ -14,6 +14,7 @@ synthetic scenarios where the non-debt side is known.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -31,13 +32,18 @@ def _month(ts: int) -> str:
     return datetime.fromtimestamp(ts, tz=timezone.utc).strftime("%Y-%m")
 
 
-def taint_interpreter(events, group_of, price_of):
+def taint_interpreter(events, group_of, price_of, *, exact=False):
     """Straight-line first-out interpreter.
 
     events: objects with kind/protocol/actor/currency/amount/... fields
-    (sorted internally by (block_number, log_index)).
+    (sorted internally by (block_number, log_index)), amounts in units of
+    1/SCALE tokens.
     group_of: address -> group id or None (None = skip event).
     price_of: (currency symbol, timestamp) -> Fraction USD per token.
+
+    Every quotient is floored to a whole unit, the rounding rule of
+    `dfcflow.ledger`; with `exact=True` nothing is rounded, which gives
+    the exact rational run that rule is measured against.
 
     Returns (sum_debt_usd, buckets, rows) where buckets maps
     (month, protocol, currency) -> (debt_usd, nondebt_usd) over deposits
@@ -45,9 +51,10 @@ def taint_interpreter(events, group_of, price_of):
     (group, ts, block, protocol, currency, kind, debt_tok, nondebt_tok,
     debt_usd, nondebt_usd).
     """
+    rnd = (lambda x: x) if exact else math.floor
     wallet: dict = {}
     platform: dict = {}
-    sum_debt = ZERO
+    sum_debt = 0
     buckets: dict = {}
     rows: list = []
 
@@ -57,50 +64,73 @@ def taint_interpreter(events, group_of, price_of):
             continue
         if e.kind == "debt_create":
             key = (g, e.currency)
-            wallet[key] = wallet.get(key, ZERO) + e.amount
+            wallet[key] = wallet.get(key, 0) + e.amount
         elif e.kind == "debt_repay":
             key = (g, e.currency)
-            have = wallet.get(key, ZERO)
+            have = wallet.get(key, 0)
             wallet[key] = have - min(e.amount, have)
         elif e.kind == "collateral_deposit":
             key = (g, e.currency)
-            have = wallet.get(key, ZERO)
+            have = wallet.get(key, 0)
             debt_amt = min(e.amount, have)
             nondebt_amt = e.amount - debt_amt
             wallet[key] = have - debt_amt
             pkey = (g, e.protocol, e.currency)
-            platform[pkey] = platform.get(pkey, ZERO) + debt_amt
+            platform[pkey] = platform.get(pkey, 0) + debt_amt
             price = price_of(e.currency, e.timestamp)
-            debt_usd = debt_amt * price
-            nondebt_usd = nondebt_amt * price
+            debt_usd = rnd(debt_amt * price)
+            nondebt_usd = rnd(nondebt_amt * price)
             sum_debt += debt_usd
             bkey = (_month(e.timestamp), e.protocol, e.currency)
-            old = buckets.get(bkey, (ZERO, ZERO))
+            old = buckets.get(bkey, (0, 0))
             buckets[bkey] = (old[0] + debt_usd, old[1] + nondebt_usd)
             rows.append((g, e.timestamp, e.block_number, e.protocol, e.currency,
                          "collateral_deposit", debt_amt, nondebt_amt, debt_usd, nondebt_usd))
         elif e.kind == "collateral_withdraw":
             pkey = (g, e.protocol, e.currency)
-            held = platform.get(pkey, ZERO)
+            held = platform.get(pkey, 0)
             moved = min(e.amount, held)
             platform[pkey] = held - moved
             key = (g, e.currency)
-            wallet[key] = wallet.get(key, ZERO) + moved
+            wallet[key] = wallet.get(key, 0) + moved
             price = price_of(e.currency, e.timestamp)
             rows.append((g, e.timestamp, e.block_number, e.protocol, e.currency,
                          "collateral_withdraw", moved, e.amount - moved,
-                         moved * price, (e.amount - moved) * price))
+                         rnd(moved * price), rnd((e.amount - moved) * price)))
         elif e.kind == "swap":
             skey = (g, e.currency_sent)
             rkey = (g, e.currency_received)
             if e.amount_sent != 0:
-                have = wallet.get(skey, ZERO)
-                pct = min(Fraction(1), have / e.amount_sent)
-                wallet[skey] = have - e.amount_sent * pct
-                wallet[rkey] = wallet.get(rkey, ZERO) + e.amount_received * pct
+                have = wallet.get(skey, 0)
+                pct = min(Fraction(1), Fraction(have) / e.amount_sent)
+                wallet[skey] = rnd(have - e.amount_sent * pct)
+                wallet[rkey] = wallet.get(rkey, 0) + rnd(e.amount_received * pct)
         else:
             raise AssertionError(f"unexpected kind {e.kind}")
     return sum_debt, buckets, rows
+
+
+def shortfall_bounds(events, group_of):
+    """For each row `taint_interpreter` returns, the bound b_c that the
+    `dfcflow.ledger` docstring derives on how far its floored debt amount
+    may fall below the exact one: b_c starts at 0 per (group, currency),
+    and each swap adds (amount_received / amount_sent) * b_sent + 1 to
+    the received currency's."""
+    bound: dict = {}
+    out = []
+    for e in sorted(events, key=lambda e: (e.block_number, e.log_index)):
+        g = group_of(e.actor)
+        if g is None:
+            continue
+        if e.kind == "swap":
+            if e.amount_sent != 0:
+                rate = Fraction(e.amount_received, e.amount_sent)
+                carried = rate * bound.get((g, e.currency_sent), 0)
+                rkey = (g, e.currency_received)
+                bound[rkey] = bound.get(rkey, 0) + carried + 1
+        elif e.kind in ("collateral_deposit", "collateral_withdraw"):
+            out.append(bound.get((g, e.currency), 0))
+    return out
 
 
 def brute_force_grouping(triples, events, pairs):

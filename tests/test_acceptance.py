@@ -5,6 +5,7 @@ conftest).  Budgets are wall-clock upper bounds asserted inside the tests.
 """
 
 import json
+import math
 import os
 import random
 import time
@@ -19,8 +20,9 @@ from dfcflow.cluster import HeuristicPair
 from dfcflow.ledger import GroupLedger, run_ledger
 from dfcflow.registry import ContractRegistry
 from dfcflow.rpc import fetch_logs
+from dfcflow.util import SCALE as U
 
-from tests.conftest import DATA_DIR, FIXTURE_CONFIG, GOLDEN_DIR, REGISTRY_PATH
+from tests.conftest import DATA_DIR, FIXTURE_CONFIG, GOLDEN_DIR, REGISTRY_PATH, units
 from tests.oracles import (
     attribute_first_out,
     attribute_last_out,
@@ -49,7 +51,7 @@ def flat_price(symbol, ts):
 
 
 def flat_valuer(symbol, amount, ts):
-    return amount * flat_price(symbol, ts)
+    return math.floor(amount * flat_price(symbol, ts))
 
 
 def make_event(kind, position, actor, currency="DAI", amount=0, protocol="Aave",
@@ -60,13 +62,13 @@ def make_event(kind, position, actor, currency="DAI", amount=0, protocol="Aave",
             block_number=10_000_000 + position, log_index=0,
             timestamp=T0 + position * 1800,
             currency_sent=sent, currency_received=received,
-            amount_sent=F(amount_sent), amount_received=F(amount_received),
+            amount_sent=units(amount_sent), amount_received=units(amount_received),
         )
     return CanonicalEvent(
         kind=kind, protocol=protocol, actor=actor,
         block_number=10_000_000 + position, log_index=0,
         timestamp=T0 + position * 1800,
-        currency=currency, amount=F(amount),
+        currency=currency, amount=units(amount),
     )
 
 
@@ -93,11 +95,11 @@ def test_criterion_1_heuristic_outcomes_scenario():
     gl.apply(make_event("swap", 1, group, sent="DAI", received="USDC",
                         amount_sent=100, amount_received=100))
     assert gl.wallet_debt["DAI"] == 0
-    assert gl.wallet_debt["USDC"] == 100          # S1: wallet beta debt 100
+    assert gl.wallet_debt["USDC"] == 100 * U      # S1: wallet beta debt 100
     gl.apply(make_event("collateral_deposit", 2, group, currency="USDC",
                         amount=50, protocol="Compound"))
-    assert gl.wallet_debt["USDC"] == 50            # S2: wallet beta debt 50
-    assert gl.platform_debt[("Compound", "USDC")] == 50  # S2: platform beta debt 50
+    assert gl.wallet_debt["USDC"] == 50 * U        # S2: wallet beta debt 50
+    assert gl.platform_debt[("Compound", "USDC")] == 50 * U  # S2: platform beta debt 50
 
     # full-balance oracles: proportional 25/25 split, last-out moves no debt
     initial = {"alpha": (F(100), F(0)), "beta": (F(0), F(100))}
@@ -152,7 +154,7 @@ def random_sequence(rng, actors):
 
 def run_both(events, partition, price_of):
     def valuer(symbol, amount, ts):
-        return amount * price_of(symbol, ts)
+        return math.floor(amount * price_of(symbol, ts))
 
     production = run_ledger(events, partition, valuer)
     _, _, oracle_rows = taint_interpreter(events, partition.eligible_rep_of, price_of)

@@ -304,7 +304,7 @@ def candle_url(reply):
         yield f"http://127.0.0.1:{port}/candles"
         return
     server = ThreadingHTTPServer(("127.0.0.1", 0), _FailingCandles)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
     try:
         yield f"http://127.0.0.1:{server.server_port}/candles"
     finally:
@@ -345,7 +345,7 @@ def rename_kind(row):
 @pytest.mark.parametrize("name, line, edit, stage, code, message", [
     ("events.csv", 1, rename_kind, "cluster", 5, "missing columns ['kind']"),
     ("flows.csv", 3, set_cell(-1, lambda _: "abc"), "report", 7,
-     "Invalid literal for Fraction: 'abc'"),
+     "invalid amount 'abc': expected [-]digits[.digits], at most 36 decimals"),
     ("prices.csv", 5, set_cell(-1, lambda _: "abc"), "track", 6,
      "Invalid literal for Fraction: 'abc'"),
     ("prices.csv", None, None, "track", 6, "cannot read"),

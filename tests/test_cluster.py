@@ -14,6 +14,7 @@ from dfcflow.cluster import (
 )
 from dfcflow.decode import ApprovalEvent, CanonicalEvent, VaultTriple
 
+from tests.conftest import units
 from tests.oracles import brute_force_grouping
 
 
@@ -23,20 +24,18 @@ def addr(n: int) -> str:
 
 def event(actor, protocol, kind="collateral_deposit", position=0, on_behalf_of=None,
           currency="DAI", amount=1):
-    from fractions import Fraction
-
     if kind == "swap":
         return CanonicalEvent(
             kind=kind, protocol=protocol, actor=actor,
             block_number=10_000_000 + position, log_index=0, timestamp=1_588_598_520,
             currency_sent="DAI", currency_received="WETH",
-            amount_sent=Fraction(amount), amount_received=Fraction(amount),
+            amount_sent=units(amount), amount_received=units(amount),
             on_behalf_of=on_behalf_of,
         )
     return CanonicalEvent(
         kind=kind, protocol=protocol, actor=actor,
         block_number=10_000_000 + position, log_index=0, timestamp=1_588_598_520,
-        currency=currency, amount=Fraction(amount), on_behalf_of=on_behalf_of,
+        currency=currency, amount=units(amount), on_behalf_of=on_behalf_of,
     )
 
 

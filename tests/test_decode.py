@@ -14,7 +14,7 @@ from dfcflow.errors import DecodeError
 from dfcflow.ingest import RawLog
 from dfcflow.registry import ContractRegistry, Locator
 from dfcflow.synth import encode_event_log, token_address_for
-from dfcflow.util import to_hex
+from dfcflow.util import SCALE, to_hex
 
 ACTOR = "0x" + "aa" * 20
 OTHER = "0x" + "bb" * 20
@@ -29,7 +29,7 @@ def canonical_rules(registry):
 
 
 def test_normalize_amount_usdc_base_units():
-    assert normalize_amount(1_000_000, 6) == 1
+    assert normalize_amount(1_000_000, 6) == SCALE
 
 
 def test_normalize_amount_zero():
@@ -37,12 +37,12 @@ def test_normalize_amount_zero():
 
 
 def test_normalize_amount_wei():
-    assert normalize_amount(1_500_000_000_000_000_000, 18) == Fraction(3, 2)
+    assert normalize_amount(1_500_000_000_000_000_000, 18) == 15 * SCALE // 10
 
 
 def test_normalize_amount_is_exact_inverse():
     for raw, decimals in [(1, 18), (123456789, 8), (10**27 + 7, 18)]:
-        assert normalize_amount(raw, decimals) * 10**decimals == raw
+        assert Fraction(normalize_amount(raw, decimals), SCALE) * 10**decimals == raw
 
 
 def test_normalize_amount_rejects_bad_decimals():
@@ -120,7 +120,7 @@ def test_maker_debt_draw_decodes_to_dai_debt_create(registry):
     assert event.kind == "debt_create"
     assert event.protocol == "Maker"
     assert event.currency == "DAI"
-    assert event.amount == 2_500
+    assert event.amount == 2_500 * SCALE
     assert event.actor == ACTOR
 
 
@@ -211,7 +211,7 @@ def test_encode_decode_round_trip_every_lending_rule(registry):
         assert event.protocol == rule.protocol
         assert event.actor == ACTOR
         assert event.currency == currency
-        assert event.amount == amount
+        assert event.amount == amount * SCALE
         assert event.order_key == (10_001_000, 7)
         if rule.on_behalf_of is not None:
             assert event.on_behalf_of == OTHER
@@ -233,8 +233,8 @@ def test_encode_decode_round_trip_every_swap_rule(registry):
             assert event.kind == SWAP
             assert event.currency_sent == sent_sym
             assert event.currency_received == recv_sym
-            assert event.amount_sent == Fraction(41, 2)
-            assert event.amount_received == Fraction(1999, 100)
+            assert event.amount_sent == 41 * SCALE // 2
+            assert event.amount_received == 1999 * SCALE // 100
             assert event.actor == ACTOR
             assert event.on_behalf_of == OTHER
 

@@ -201,3 +201,34 @@ def test_filter_is_idempotent_sorted_subset(registry, logs):
     for log in once:
         assert log.block_number in block_range
         assert to_hex(log.contract_address) == AAVE_POOL
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    block=st.integers(min_value=0, max_value=2**64),
+    timestamp=st.integers(min_value=0, max_value=2**40),
+    log_index=st.integers(min_value=0, max_value=2**16),
+    tx_hash=st.binary(min_size=32, max_size=32),
+    address=st.binary(min_size=20, max_size=20),
+    topics=st.lists(st.binary(min_size=32, max_size=32), max_size=4),
+    # empty, odd-sized and word-sized payloads
+    data=st.one_of(st.just(b""), st.binary(max_size=33), st.binary(min_size=64, max_size=64)),
+)
+def test_json_line_is_compact_json_dumps(block, timestamp, log_index, tx_hash, address,
+                                         topics, data):
+    log = RawLog(block_number=block, tx_hash=tx_hash, log_index=log_index,
+                 contract_address=address, topics=tuple(topics), data=data,
+                 timestamp=timestamp)
+    obj = {
+        "block_number": block,
+        "timestamp": timestamp,
+        "tx_hash": to_hex(tx_hash),
+        "address": to_hex(address),
+        "topics": [to_hex(t) for t in topics],
+        "data": to_hex(data),
+        "log_index": log_index,
+    }
+    line = log.to_json_line()
+    assert line == json.dumps(obj, separators=(",", ":"))
+    assert RawLog.from_json_obj(json.loads(line)) == log
+    assert serialize_fixture([log, log]) == line + "\n" + line + "\n"

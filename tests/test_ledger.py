@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,18 +6,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfcflow.cluster import group_addresses
-from dfcflow.decode import CanonicalEvent
+from dfcflow.decode import CanonicalEvent, normalize_amount
 from dfcflow.errors import LedgerError, SequencingError
 from dfcflow.ledger import FlowRecord, GroupLedger, first_out_split, run_ledger
+from dfcflow.util import SCALE as U
 
+from tests.conftest import units
 from tests.oracles import (
     attribute_first_out,
     attribute_last_out,
     attribute_proportional,
     heuristic_oracles,
     run_full_balance_scenario,
+    shortfall_bounds,
     taint_interpreter,
 )
+from tests.test_acceptance import load_fixture_pipeline
 
 F = Fraction
 GROUP = "0x" + "01" * 20
@@ -28,7 +33,7 @@ def flat_price(symbol, ts):
 
 
 def flat_valuer(symbol, amount, ts):
-    return amount * flat_price(symbol, ts)
+    return math.floor(amount * flat_price(symbol, ts))
 
 
 def ev(kind, position, currency="DAI", amount=0, protocol="Aave", actor=GROUP,
@@ -40,33 +45,33 @@ def ev(kind, position, currency="DAI", amount=0, protocol="Aave", actor=GROUP,
             block_number=10_000_000 + position, log_index=0,
             timestamp=timestamp if timestamp is not None else T0 + position * 3600,
             currency_sent=sent, currency_received=received,
-            amount_sent=F(amount_sent), amount_received=F(amount_received),
+            amount_sent=units(amount_sent), amount_received=units(amount_received),
         )
     return CanonicalEvent(
         kind=kind, protocol=protocol, actor=actor,
         block_number=10_000_000 + position, log_index=0,
         timestamp=timestamp if timestamp is not None else T0 + position * 3600,
-        currency=currency, amount=F(amount), on_behalf_of=on_behalf_of,
+        currency=currency, amount=units(amount), on_behalf_of=on_behalf_of,
     )
 
 
 # --- first-out split ----------------------------------------------------------
 
 def test_first_out_split_full_debt():
-    assert first_out_split(F(50), F(100)) == (F(50), F(0))
+    assert first_out_split(50 * U, 100 * U) == (50 * U, 0)
 
 
 def test_first_out_split_no_debt():
-    assert first_out_split(F(50), F(0)) == (F(0), F(50))
+    assert first_out_split(50 * U, 0) == (0, 50 * U)
 
 
 def test_first_out_split_partial_debt():
-    assert first_out_split(F(50), F(30)) == (F(30), F(20))
+    assert first_out_split(50 * U, 30 * U) == (30 * U, 20 * U)
 
 
 def test_first_out_split_rejects_negative():
     with pytest.raises(ValueError):
-        first_out_split(F(-1), F(0))
+        first_out_split(-U, 0)
 
 
 # --- single-ledger event application -------------------------------------------
@@ -80,7 +85,7 @@ def apply_all(events):
 
 def test_debt_create_raises_wallet_debt():
     ledger = apply_all([ev("debt_create", 0, amount=100)])
-    assert ledger.wallet_debt["DAI"] == 100
+    assert ledger.wallet_debt["DAI"] == 100 * U
 
 
 def test_debt_repay_clamps_at_zero():
@@ -98,14 +103,14 @@ def test_three_state_scenario_matches_first_out_table():
     ledger.apply(ev("swap", 1, sent="DAI", received="USDC",
                     amount_sent=100, amount_received=100))
     assert ledger.wallet_debt["DAI"] == 0
-    assert ledger.wallet_debt["USDC"] == 100  # S1: all taint moved to beta
+    assert ledger.wallet_debt["USDC"] == 100 * U  # S1: all taint moved to beta
     ledger.apply(ev("collateral_deposit", 2, currency="USDC", amount=50,
                     protocol="Compound"))
-    assert ledger.wallet_debt["USDC"] == 50
-    assert ledger.platform_debt[("Compound", "USDC")] == 50
+    assert ledger.wallet_debt["USDC"] == 50 * U
+    assert ledger.platform_debt[("Compound", "USDC")] == 50 * U
     record = ledger.flow_log[0]
-    assert (record.debt_token, record.nondebt_token) == (F(50), F(0))
-    assert record.debt_usd == 50
+    assert (record.debt_token, record.nondebt_token) == (50 * U, 0)
+    assert record.debt_usd == 50 * U
 
 
 def test_swap_taint_follows_received_amount():
@@ -116,7 +121,7 @@ def test_swap_taint_follows_received_amount():
         ev("swap", 1, sent="DAI", received="USDC", amount_sent=100, amount_received=200),
     ])
     assert ledger.wallet_debt["DAI"] == 0
-    assert ledger.wallet_debt["USDC"] == 80
+    assert ledger.wallet_debt["USDC"] == 80 * U
 
 
 def test_swap_with_zero_sent_amount_is_inert():
@@ -124,7 +129,7 @@ def test_swap_with_zero_sent_amount_is_inert():
         ev("debt_create", 0, currency="DAI", amount=40),
         ev("swap", 1, sent="DAI", received="USDC", amount_sent=0, amount_received=5),
     ])
-    assert ledger.wallet_debt["DAI"] == 40
+    assert ledger.wallet_debt["DAI"] == 40 * U
     assert ledger.wallet_debt["USDC"] == 0
 
 
@@ -136,9 +141,9 @@ def test_withdraw_reverses_deposit_direction():
     ])
     # 60 tainted units went in; withdrawing 80 brings back at most 60
     assert ledger.platform_debt[("Aave", "DAI")] == 0
-    assert ledger.wallet_debt["DAI"] == 100
+    assert ledger.wallet_debt["DAI"] == 100 * U
     withdraw = ledger.flow_log[1]
-    assert (withdraw.debt_token, withdraw.nondebt_token) == (F(60), F(20))
+    assert (withdraw.debt_token, withdraw.nondebt_token) == (60 * U, 20 * U)
 
 
 def test_deposit_split_conserves_amount_exactly():
@@ -147,7 +152,7 @@ def test_deposit_split_conserves_amount_exactly():
         ev("collateral_deposit", 1, amount=F(50, 7)),
     ])
     record = ledger.flow_log[0]
-    assert record.debt_token + record.nondebt_token == F(50, 7)
+    assert record.debt_token + record.nondebt_token == units(F(50, 7))
 
 
 def test_out_of_order_event_raises():
@@ -249,7 +254,7 @@ def test_full_taint_deposit_equals_its_usd_value():
     run = run_ledger(events, partition, flat_valuer)
     (record,) = run.flow_records
     assert (record.protocol, record.currency) == ("Compound", "WETH")
-    assert (record.debt_usd, record.nondebt_usd) == (F(600), F(0))  # 3 WETH x 200 USD
+    assert (record.debt_usd, record.nondebt_usd) == (600 * U, 0)  # 3 WETH x 200 USD
 
 
 def test_no_debt_group_reports_zero_debt_flow():
@@ -301,7 +306,7 @@ def test_cross_group_repay_is_flagged():
     run = run_ledger(events, partition, flat_valuer)
     assert run.stats["cross_group_repays"] == 1
     # the repay still applies to the actor's group
-    assert run.group_ledgers[GROUP].wallet_debt["DAI"] == 5
+    assert run.group_ledgers[GROUP].wallet_debt["DAI"] == 5 * U
 
 
 # --- invariants under random streams -------------------------------------------
@@ -336,8 +341,8 @@ def event_stream(draw):
 @given(events=event_stream())
 def test_stream_invariants(events):
     ledger = GroupLedger(GROUP, flat_valuer)
-    created = {c: F(0) for c in CURRENCIES}
-    repaid_effective = {c: F(0) for c in CURRENCIES}
+    created = {c: 0 for c in CURRENCIES}
+    repaid_effective = {c: 0 for c in CURRENCIES}
     saw_swap = False
     for e in events:
         if e.kind == "debt_repay":
@@ -361,7 +366,7 @@ def test_stream_invariants(events):
     if not saw_swap:
         for c in CURRENCIES:
             platform_total = sum(
-                (v for (_, cur), v in ledger.platform_debt.items() if cur == c), F(0)
+                v for (_, cur), v in ledger.platform_debt.items() if cur == c
             )
             assert ledger.wallet_debt[c] + platform_total == created[c] - repaid_effective[c]
             assert ledger.wallet_debt[c] + platform_total <= created[c]
@@ -378,3 +383,88 @@ def test_production_matches_interpreter(events):
         flat_price,
     )
     assert run.flow_records == [FlowRecord(*row) for row in rows]
+
+
+# --- the floor rule against exact arithmetic ------------------------------------
+
+DECIMALS = {"DAI": 18, "USDC": 6, "USDT": 6, "WETH": 18, "WBTC": 8}
+# each pair crosses a 6-decimal and an 18-decimal currency
+CROSS_LEGS = [("USDC", "WETH"), ("WETH", "USDC"), ("DAI", "USDT"), ("USDT", "DAI"),
+              ("USDC", "DAI"), ("WETH", "USDT")]
+
+
+def decoded_amount(draw, currency):
+    """An amount as decode builds it: up to 10**4 tokens of raw base units."""
+    decimals = DECIMALS[currency]
+    return normalize_amount(draw(st.integers(0, 10 ** (decimals + 4))), decimals)
+
+
+@st.composite
+def cross_decimal_stream(draw):
+    """Single events mixed with borrow -> swap -> deposit loops, the chain
+    that carries taint across currencies."""
+    specs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=15))):
+        step = draw(st.sampled_from(KINDS + ["loop"]))
+        if step == "loop":
+            sent, received = draw(st.sampled_from(CROSS_LEGS))
+            specs += [("debt_create", sent), ("swap", (sent, received)),
+                      ("collateral_deposit", received)]
+        elif step == "swap":
+            specs.append((step, draw(st.sampled_from(CROSS_LEGS))))
+        else:
+            specs.append((step, draw(st.sampled_from(sorted(DECIMALS)))))
+    events = []
+    for i, (kind, currency) in enumerate(specs):
+        position = dict(actor=GROUP, block_number=10_000_000 + i, log_index=0,
+                        timestamp=T0 + i * 3600)
+        if kind == "swap":
+            sent, received = currency
+            events.append(CanonicalEvent(
+                kind=kind, protocol="Uniswap", currency_sent=sent, currency_received=received,
+                amount_sent=decoded_amount(draw, sent),
+                amount_received=decoded_amount(draw, received), **position,
+            ))
+        else:
+            events.append(CanonicalEvent(
+                kind=kind, protocol=draw(st.sampled_from(["Aave", "Compound"])),
+                currency=currency, amount=decoded_amount(draw, currency), **position,
+            ))
+    return events
+
+
+def assert_floor_rule(events, partition, valuer, price_of):
+    """The production ledger against the exact rational run of the same
+    events: no created taint, an exact split, and every shortfall within
+    the bound the ledger docstring derives.  Returns the debt shortfalls."""
+    production = run_ledger(events, partition, valuer)
+    group_of = partition.eligible_rep_of
+    _, _, exact_rows = taint_interpreter(events, group_of, price_of, exact=True)
+    bounds = shortfall_bounds(events, group_of)
+    assert len(production.flow_records) == len(exact_rows) == len(bounds)
+    shortfalls = []
+    for record, exact, bound in zip(production.flow_records, exact_rows, bounds):
+        exact_debt, exact_nondebt, exact_debt_usd = exact[6], exact[7], exact[8]
+        assert record.debt_token + record.nondebt_token == exact_debt + exact_nondebt
+        assert 0 <= exact_debt - record.debt_token <= bound
+        price = price_of(record.currency, record.timestamp)
+        assert 0 <= exact_debt_usd - record.debt_usd <= price * bound + 1
+        shortfalls.append(exact_debt - record.debt_token)
+    return shortfalls
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=cross_decimal_stream())
+def test_floor_rule_stays_within_its_bound_of_exact_arithmetic(events):
+    assert_floor_rule(events, eligible_partition(GROUP), flat_valuer, flat_price)
+
+
+def test_floor_rule_on_the_bundled_fixture():
+    decoded, partition, price_of = load_fixture_pipeline()
+
+    def valuer(symbol, amount, ts):
+        return math.floor(amount * price_of(symbol, ts))
+
+    shortfalls = assert_floor_rule(decoded.events, partition, valuer, price_of)
+    # swaps there leave remainders, so the rule is exercised, not vacuous
+    assert any(shortfalls)

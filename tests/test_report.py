@@ -18,7 +18,9 @@ from dfcflow.report import (
     protocol_breakdown,
     write_monthly_csv,
 )
+from dfcflow.util import SCALE
 
+from tests.conftest import units
 from tests.oracles import pearson_reference
 
 F = Fraction
@@ -28,11 +30,11 @@ M = 1_000_000
 
 def flow(ts, debt_usd, nondebt_usd, protocol="Compound", currency="DAI",
          kind="collateral_deposit"):
+    debt, nondebt = units(debt_usd), units(nondebt_usd)
     return FlowRecord(
         group="0x" + "01" * 20, timestamp=ts, block_number=10_000_000,
         protocol=protocol, currency=currency, kind=kind,
-        debt_token=F(debt_usd), nondebt_token=F(nondebt_usd),
-        debt_usd=F(debt_usd), nondebt_usd=F(nondebt_usd),
+        debt_token=debt, nondebt_token=nondebt, debt_usd=debt, nondebt_usd=nondebt,
     )
 
 
@@ -48,7 +50,7 @@ def test_monthly_row_basic_percentage():
     rows = monthly_dfc_rows([flow(month_ts(2020, 5), 3 * M, 243 * M)])
     (row,) = rows
     assert row.month == "2020-05"
-    assert row.total_usd == 246 * M
+    assert row.total_usd == 246 * M * SCALE
     assert row.debt_pct == F(100 * 3, 246)  # prints as 1.2
 
 
@@ -95,7 +97,7 @@ def test_row_sums_equal_ledger_total_exactly():
         flow(month_ts(2020, 6), F(1, 9), F(2), kind="collateral_withdraw"),
     ]
     rows = monthly_dfc_rows(records)
-    deposits_debt = F(100, 3) + F(55, 7)
+    deposits_debt = units(F(100, 3)) + units(F(55, 7))
     assert sum(r.debt_usd for r in rows) == deposits_debt
 
 
@@ -131,7 +133,8 @@ def test_deposits_either_side_of_a_month_boundary_keep_their_months():
     aug_1 = 1_596_240_000  # 2020-08-01 00:00 UTC
     records = [flow(aug_1 - 1, 1, 2), flow(aug_1, 3, 4), flow(aug_1 + 1, 5, 6)]
     assert monthly_dfc_rows(records) == [
-        MonthlyDfcRow("2020-07", F(1), F(2)), MonthlyDfcRow("2020-08", F(8), F(10)),
+        MonthlyDfcRow("2020-07", 1 * SCALE, 2 * SCALE),
+        MonthlyDfcRow("2020-08", 8 * SCALE, 10 * SCALE),
     ]
     assert protocol_breakdown(records) == [
         ("2020-07", "Compound", F(100, 3)), ("2020-08", "Compound", F(800, 18)),

@@ -2,7 +2,12 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import re
+import subprocess
+import sys
+
+import pytest
 
 from tests.conftest import REPO_ROOT
 
@@ -80,3 +85,12 @@ def test_perfbench_imports_resolve_in_dfcflow():
                   and not _resolves(f"dfcflow.{node.value.id}", node.attr)):
                 missing.append(f"dfcflow.{node.value.id}.{node.attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("demo", sorted(p.name for p in (REPO_ROOT / "demos").glob("*.py")))
+def test_demo_runs_from_a_checkout(tmp_path, demo):
+    # no PYTHONPATH and a foreign working directory: the demo finds src/ itself
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(REPO_ROOT / "demos" / demo)], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -389,7 +389,7 @@ def _forward_proxy():
             pass
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Proxy)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
     try:
         yield server.server_port, seen
     finally:

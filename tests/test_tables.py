@@ -8,6 +8,7 @@ from dfcflow.decode import ApprovalEvent, CanonicalEvent, VaultTriple
 from dfcflow.errors import TableError
 from dfcflow.ledger import FlowRecord
 from dfcflow.market import DAY, HOUR, PriceSeries
+from dfcflow.util import SCALE as U
 
 T0 = 1_588_598_520
 
@@ -23,20 +24,20 @@ def events():
                               timestamp=T0 + position, **fields)
 
     return [
-        at(0, "debt_create", "Aave", addr(1), currency="DAI", amount=F(55, 8)),
-        at(1, "debt_repay", "Compound", addr(1), currency="USDC", amount=F(1, 3),
+        at(0, "debt_create", "Aave", addr(1), currency="DAI", amount=55 * U // 8),
+        at(1, "debt_repay", "Compound", addr(1), currency="USDC", amount=U // 3,
            on_behalf_of=addr(2)),
         at(2, "swap", "Uniswap", addr(1), currency_sent="DAI", currency_received="WETH",
-           amount_sent=F(7, 4), amount_received=F(3), on_behalf_of=addr(2)),
+           amount_sent=7 * U // 4, amount_received=3 * U, on_behalf_of=addr(2)),
         at(3, "swap", "Uniswap", addr(2), currency_sent="WETH", currency_received="USDT",
-           amount_sent=F(2, 7), amount_received=F(0)),
-        at(4, "collateral_deposit", "Maker", addr(3), currency="WBTC", amount=F(0)),
+           amount_sent=2 * U // 7, amount_received=0),
+        at(4, "collateral_deposit", "Maker", addr(3), currency="WBTC", amount=0),
     ]
 
 
 def partition():
     evs = [CanonicalEvent(kind="collateral_deposit", protocol=p, actor=a, block_number=i,
-                          log_index=0, timestamp=T0, currency="DAI", amount=F(1))
+                          log_index=0, timestamp=T0, currency="DAI", amount=U)
            for i, (a, p) in enumerate([(addr(1), "Aave"), (addr(1), "Compound"),
                                        (addr(7), "Maker"), (addr(5), "Aave")])]
     return group_addresses([VaultTriple(addr(1), addr(2), addr(3))], evs)
@@ -67,9 +68,9 @@ TABLES = {
     "partition": (cluster.write_partition_csv, cluster.read_partition_csv, partition, same),
     "flows": (ledger.write_flows_csv, ledger.read_flows_csv,
               lambda: [FlowRecord(addr(1), T0, 10_000_003, "Aave", "DAI",
-                                  "collateral_deposit", F(25, 2), F(0), F(100, 3), F(7)),
+                                  "collateral_deposit", 25 * U // 2, 0, 100 * U // 3, 7 * U),
                        FlowRecord(addr(1), T0 + 1, 10_000_004, "Maker", "WETH",
-                                  "collateral_withdraw", F(0), F(1, 7), F(0), F(200, 7))],
+                                  "collateral_withdraw", 0, U // 7, 0, 200 * U // 7)],
               same),
     "prices": (lambda path, series: series.to_csv(path), PriceSeries.from_csv, prices, same),
     "denylist": (synth.write_denylist_csv, cluster.load_denylist,
@@ -109,7 +110,15 @@ VAULT_ROW = f"{addr(1)},{addr(2)},{addr(3)}"
      "line 4: 2 cells, the header has 3"),
     (decode.read_events_csv, ",".join(decode.EVENT_CSV_COLUMNS)
      + f"\n1,0,{T0},Aave,debt_crate,{addr(1)},,DAI,,5,\n", "line 2: unknown event kind 'debt_crate'"),
-], ids=["short-row", "unknown-kind"])
+    (decode.read_events_csv, ",".join(decode.EVENT_CSV_COLUMNS)
+     + f"\n1,0,{T0},Aave,debt_create,{addr(1)},,DAI,,5,\n2,0,{T0},Aave,debt_create,"
+     + f"{addr(1)},,DAI,,1/3,\n",
+     "line 3: invalid amount '1/3': expected [-]digits[.digits], at most 36 decimals"),
+    (ledger.read_flows_csv, ",".join(ledger.FLOW_CSV_COLUMNS)
+     + f"\n{addr(1)},{T0},1,Aave,DAI,collateral_deposit,1,0,1,0.{'0' * 36}1\n",
+     "line 2: invalid amount '0." + "0" * 36 + "1': expected [-]digits[.digits], "
+     "at most 36 decimals"),
+], ids=["short-row", "unknown-kind", "fraction-amount", "amount-too-fine"])
 def test_bad_row_names_the_file_and_line(tmp_path, read, text, error):
     path = tmp_path / "table.csv"
     path.write_text(text)

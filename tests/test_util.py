@@ -3,7 +3,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dfcflow.util import exact_sums, format_exact, parse_amount, parse_ratio
+from dfcflow.util import SCALE, format_exact, format_fixed, parse_fixed, parse_ratio
+
+
+def parse_amount(text):
+    """A price cell as the price reader takes it, as one Fraction."""
+    return F(*parse_ratio(text))
 
 
 @given(st.fractions())
@@ -43,20 +48,35 @@ def test_parse_ratio_keeps_the_written_denominator():
         parse_ratio("3/0")
 
 
-# n/d values of either sign, and decimals over a few powers of ten
-exact_values = st.one_of(
-    st.fractions(),
-    st.builds(F, st.integers(-10**20, 10**20), st.sampled_from([1, 10, 100, 10**4, 10**18])),
-)
+@given(st.integers(-10**60, 10**60))
+@example(0)
+@example(-1)
+@example(SCALE)
+@example(-15 * SCALE // 10)
+def test_parse_fixed_reads_back_format_fixed(units):
+    text = format_fixed(units)
+    assert parse_fixed(text) == units
+    # the same text the exact-rational formatter gives for the value
+    assert text == format_exact(F(units, SCALE))
 
 
-@given(st.lists(st.tuples(st.integers(0, 40), exact_values), max_size=80))
-@example([(0, F(1, 3)), (0, F(-1, 3)), (1, F(5, 2))])
-@example([(0, F(1, d)) for d in range(1, 40)] + [(1, F(-7, 10**18))])
-def test_exact_sums_equal_plain_sums(items):
-    expected: dict = {}
-    for key, value in items:
-        expected.setdefault(key, []).append(value)
-    sums = exact_sums(items)
-    assert sums == {key: sum(values) for key, values in expected.items()}
-    assert all(type(value) is F for value in sums.values())
+@pytest.mark.parametrize("text, units", [
+    ("12.3400", 1234 * SCALE // 100),
+    ("-0.5", -SCALE // 2),
+    ("007", 7 * SCALE),
+    ("0." + "0" * 35 + "1", 1),
+])
+def test_parse_fixed_accepts_decimals(text, units):
+    assert parse_fixed(text) == units
+
+
+@pytest.mark.parametrize("text", [
+    "-4/6", "1/3", "0." + "0" * 36 + "1",
+    "abc", "1.2.3", "1.-5", "1e5", "", "-", "+1", " 1.5", "1_000", ".5", "5.", "\u0661",
+])
+def test_parse_fixed_rejects_fractions_and_other_text(text):
+    with pytest.raises(ValueError) as info:
+        parse_fixed(text)
+    assert str(info.value) == (
+        f"invalid amount {text!r}: expected [-]digits[.digits], at most 36 decimals"
+    )

@@ -34,7 +34,8 @@ def main() -> None:
 
     partition = cluster.group_addresses(decoded.vault_triples, decoded.events)
     pairs = cluster.extract_heuristic_pairs(decoded.events, denylist)
-    final = cluster.apply_heuristic_pairs(partition, pairs)
+    final = cluster.apply_heuristic_pairs(partition, pairs,
+                                          cluster.address_protocol_map(decoded.events))
 
     prices = market.PriceSeries.from_csv(ROOT / "data" / "prices.csv")
 
