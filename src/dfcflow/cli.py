@@ -14,20 +14,31 @@ then `compare-clusters`.  Stage failures exit with distinct codes
 (config 2, ingest 3, decode 4, cluster 5, ledger 6, report 7); a config
 key that is neither a `PipelineConfig` field nor `comment` is a config
 error.  Test data comes from tools/gen_fixture.py, not a subcommand.
+
+At import this module loads only what config parsing and `ingest` need
+(`ingest`, `rpc`, `registry`, `errors`, `util`); each stage function and
+`PipelineRun` accessor imports the stage modules it uses, so `dfcflow
+ingest` and a config check never compile decode, cluster, ledger,
+market or report.
 """
 
 from __future__ import annotations
 
 import argparse
+import filecmp
 import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import cluster, decode, ingest, ledger, market, report, rpc
+from . import ingest, rpc
 from .errors import ConfigError, DfcError, MissingCheckpointError
 from .registry import ContractRegistry
 from .util import to_hex
+
+if TYPE_CHECKING:
+    from . import cluster, decode, ledger, market
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,6 +153,8 @@ class PipelineConfig:
         return ContractRegistry.from_json_file(self.registry)
 
     def load_prices(self) -> market.PriceSeries:
+        from . import market
+
         if self.prices is None:
             raise ConfigError("no price file configured; run fetch-prices first")
         return market.PriceSeries.from_csv(self.prices)
@@ -149,6 +162,8 @@ class PipelineConfig:
     def load_denylist(self) -> frozenset[str]:
         if self.denylist is None:
             return frozenset()
+        from . import cluster
+
         return cluster.load_denylist(self.denylist)
 
 
@@ -197,18 +212,28 @@ class PipelineRun:
         return self._read("logs", ingest.load_fixture, "ingest")
 
     def events(self) -> list[decode.CanonicalEvent]:
+        from . import decode
+
         return self._read("events", decode.read_events_csv, "decode")
 
     def vault_triples(self) -> list[decode.VaultTriple]:
+        from . import decode
+
         return self._read("vaults", decode.read_vaults_csv, "decode")
 
     def approvals(self) -> list[decode.ApprovalEvent]:
+        from . import decode
+
         return self._read("approvals", decode.read_approvals_csv, "decode")
 
     def partition(self) -> cluster.Partition:
+        from . import cluster
+
         return self._read("partition", cluster.read_partition_csv, "cluster")
 
     def flow_records(self) -> list[ledger.FlowRecord]:
+        from . import ledger
+
         return self._read("flows", ledger.read_flows_csv, "track")
 
     def write(self, path: Path, writer, *args) -> None:
@@ -222,7 +247,8 @@ class PipelineRun:
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
-        if path.exists() and path.read_bytes() == tmp.read_bytes():
+        filecmp.clear_cache()  # its cache keys on size and mtime, not content
+        if path.exists() and filecmp.cmp(path, tmp, shallow=False):
             tmp.unlink()
             self.say(f"{path.name}: cache hit (unchanged)")
         else:
@@ -260,6 +286,8 @@ def stage_ingest(run: PipelineRun) -> list[ingest.RawLog]:
 
 
 def stage_decode(run: PipelineRun) -> decode.DecodeResult:
+    from . import decode
+
     cfg = run.cfg
     registry = run.registry()
     result = decode.decode_stream(run.logs(), registry)
@@ -273,6 +301,8 @@ def stage_decode(run: PipelineRun) -> decode.DecodeResult:
 
 
 def stage_cluster(run: PipelineRun) -> cluster.Partition:
+    from . import cluster
+
     events = run.events()
     triples = run.vault_triples()
     denylist = run.denylist()
@@ -291,6 +321,8 @@ def stage_cluster(run: PipelineRun) -> cluster.Partition:
 
 
 def stage_track(run: PipelineRun) -> ledger.LedgerRun:
+    from . import ledger, market
+
     events = run.events()
     partition = run.partition()
     registry = run.registry()
@@ -304,6 +336,8 @@ def stage_track(run: PipelineRun) -> ledger.LedgerRun:
 
 
 def stage_report(run: PipelineRun) -> None:
+    from . import report
+
     records = run.flow_records()
     events = run.events()
     registry = run.registry()
@@ -321,6 +355,8 @@ def stage_report(run: PipelineRun) -> None:
 
 
 def stage_compare_clusters(run: PipelineRun) -> None:
+    from . import cluster
+
     approvals = run.approvals()
     events = run.events()
     registry = run.registry()
@@ -344,6 +380,8 @@ def stage_compare_clusters(run: PipelineRun) -> None:
 
 
 def cmd_fetch_prices(run: PipelineRun) -> None:
+    from . import market
+
     cfg = run.cfg
     if not cfg.price_fetch:
         raise ConfigError("config has no price_fetch section")

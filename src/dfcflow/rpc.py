@@ -1,15 +1,30 @@
-"""Ethereum JSON-RPC log collection over bounded block windows.
+"""Ethereum JSON-RPC log collection over adaptive block windows.
 
-Archive nodes commonly cap eth_getLogs result sizes, so the range is
-walked in fixed-size windows (default 2,000 blocks).  Calls travel as
-JSON-RPC 2.0 batches, a list of calls in one HTTP request answered with a
-list of replies: up to `BATCH_CALLS` (100) consecutive eth_getLogs
-windows per request, then the timestamps of that batch's blocks not yet
-seen, up to 100 eth_getBlockByNumber calls per request.  Most windows
-are empty, so one round trip per window or per block would dominate the
-fetch; 100 calls sits well under geth's default limit of 1,000 calls per
-batch.  A node may answer a batch's calls in any order, so replies are
-matched by id.
+A fetch walks the range in windows of `window_size` blocks (default
+100,000, so the 2020–21 range is 41 windows).  The default assumes a
+node that takes a window of any length and answers a result over its cap
+with JSON-RPC error -32005 ("limit exceeded", EIP-1474), such as "query
+returned more than 10000 results".  On that error the fetch halves the
+window size and restarts at the window that failed; the windows before
+it in the same batch are kept.  After a
+batch in which every window fit, the size doubles again, up to
+`window_size`, so one dense stretch does not set it for the rest of the
+range.  A -32005 on a one-block window is terminal, so a node that
+answers every call with -32005 fails after at most
+ceil(log2(window_size)) + 1 eth_getLogs batches.  A -32005 whose message
+speaks of a rate ("request rate limited") is a rate limit, not a result
+limit, and is terminal at once.  A node that caps the block range
+answers an over-long window with some other code (such as -32602); any
+other error object is terminal, and on a window wider than one block its
+message says to set `rpc_window` to the node's range cap.
+
+Calls travel as JSON-RPC 2.0 batches, a list of calls in one HTTP
+request answered with a list of replies: up to `BATCH_CALLS` (100)
+consecutive eth_getLogs windows per request, then the timestamps of that
+batch's blocks not yet seen, up to 100 eth_getBlockByNumber calls per
+request.  100 calls sits well under geth's default limit of 1,000 calls
+per batch.  A node may answer a batch's calls in any order, so replies
+are matched by id.
 
 The transport is the standard library's `http.client`, imported only
 when a fetch starts.  A fetch keeps one HTTP/1.1 connection to the
@@ -37,11 +52,12 @@ any status line arrives is sent once more on a fresh connection, since
 a node may close a kept-alive connection just as the next request goes
 out, and every call sent is a read.
 
-A missing reply or a reply carrying a JSON-RPC error object is terminal
-(`RpcServerError`), and so is a log or block object with a missing or
-malformed field, named with its block and log index where known.  A node
-that rejects batches answers with a single error object instead of a
-list; that is terminal too, as there is no single-call fallback.
+A missing reply or a reply carrying any other JSON-RPC error object is
+terminal (`RpcServerError`), and so is a log or block object with a
+missing or malformed field, named with its block and log index where
+known.  A node that rejects batches answers with a single error object
+instead of a list; that is terminal too, as there is no single-call
+fallback.
 
 Results pass through the same filter/sort as fixture loading, so an RPC
 fetch and a fixture export of the same data are identical.
@@ -50,6 +66,7 @@ fetch and a fixture export of the same data are identical.
 from __future__ import annotations
 
 import json
+import re
 from contextlib import closing
 from typing import Sequence
 
@@ -58,8 +75,9 @@ from .ingest import BlockRange, RawLog, filter_logs
 from .registry import ContractRegistry
 from .util import parse_hex, to_hex
 
-DEFAULT_WINDOW_SIZE = 2000
+DEFAULT_WINDOW_SIZE = 100_000
 BATCH_CALLS = 100
+LIMIT_EXCEEDED = -32005
 
 
 def _basic_auth(url) -> str:
@@ -115,6 +133,11 @@ class RpcClient:
 
     def batch(self, calls: Sequence[tuple[str, list]], *, resume_block: int) -> list:
         """Send (method, params) calls as one batch; results in call order."""
+        return [_result(reply) for reply in self.replies(calls, resume_block=resume_block)]
+
+    def replies(self, calls: Sequence[tuple[str, list]], *, resume_block: int) -> list[dict]:
+        """Send (method, params) calls as one batch; the reply objects, error
+        replies included, in call order."""
         import gzip
         import http.client
         import select
@@ -165,17 +188,27 @@ class RpcClient:
             raise RpcServerError(
                 error.get("code", -1), error.get("message", "batch reply is not a list")
             )
-        replies = {reply.get("id"): reply for reply in body if isinstance(reply, dict)}
-        results = []
+        by_id = {reply.get("id"): reply for reply in body if isinstance(reply, dict)}
         for call in payload:
-            reply = replies.get(call["id"])
-            if reply is None:
+            if call["id"] not in by_id:
                 raise RpcServerError(-1, f"no reply to {call['method']} call {call['id']}")
-            error = reply.get("error")
-            if error:
-                raise RpcServerError(error.get("code", -1), error.get("message", "unknown"))
-            results.append(reply.get("result"))
-        return results
+        return [by_id[call["id"]] for call in payload]
+
+
+def _over_result_limit(error: dict) -> bool:
+    """Whether an error object reports a result over the node's cap: code
+    -32005 without the word "rate", which rate limits sent under the same
+    code carry."""
+    return (error.get("code") == LIMIT_EXCEEDED
+            and re.search(r"\brate\b", str(error.get("message")), re.IGNORECASE) is None)
+
+
+def _result(reply: dict):
+    """The result of one reply object; an error object is terminal."""
+    error = reply.get("error")
+    if error:
+        raise RpcServerError(error.get("code", -1), error.get("message", "unknown"))
+    return reply.get("result")
 
 
 def _quantity(obj: dict, name: str, where: str) -> int:
@@ -228,45 +261,70 @@ def fetch_logs(
 ) -> list[RawLog]:
     """Fetch all registry-relevant logs in the range, in global order.
 
+    `window_size` is the first and largest window size: a -32005 reply
+    halves the size, and a batch in which every window fit doubles it
+    again, up to `window_size`.
     `resume_from` restarts a failed fetch at the window a previous
     RpcTransportError reported; no partial output is ever returned.
     """
     if window_size < 1:
         raise ValueError("window_size must be positive")
+    start = block_range.start if resume_from is None else resume_from
+    if start not in block_range:
+        raise ValueError(
+            f"resume_from {resume_from} lies outside the block range "
+            f"{block_range.start}..{block_range.end}"
+        )
     log_filter = {
         "address": sorted(to_hex(a) for a in registry.addresses),
         "topics": [sorted(to_hex(t) for t in registry.all_topic0)],
     }
+    size = window_size
     timestamps: dict[int, int] = {}
     collected: list[RawLog] = []
-    first = resume_from if resume_from is not None else block_range.start
-    starts = range(first, block_range.end + 1, window_size)
     with closing(RpcClient(endpoint)) as client:
-        for i in range(0, len(starts), BATCH_CALLS):
-            batch_starts = starts[i:i + BATCH_CALLS]
-            resume_block = batch_starts[0]
+        while start <= block_range.end:
+            windows = [
+                (first, min(first + size - 1, block_range.end))
+                for first in range(start, block_range.end + 1, size)[:BATCH_CALLS]
+            ]
             calls = [
-                ("eth_getLogs", [{
-                    "fromBlock": hex(start),
-                    "toBlock": hex(min(start + window_size - 1, block_range.end)),
-                    **log_filter,
-                }])
-                for start in batch_starts
+                ("eth_getLogs", [{"fromBlock": hex(first), "toBlock": hex(last), **log_filter}])
+                for first, last in windows
             ]
             fields = []
-            for result in client.batch(calls, resume_block=resume_block):
+            next_start = windows[-1][1] + 1
+            for (first, last), reply in zip(windows, client.replies(calls, resume_block=start)):
+                error = reply.get("error")
+                if error and _over_result_limit(error) and last > first:
+                    # too many logs in this window: it and the windows
+                    # after it go again at half its size
+                    size = (last - first + 1) // 2
+                    next_start = first
+                    break
+                if error and last > first:
+                    raise RpcServerError(
+                        error.get("code", -1),
+                        f"eth_getLogs of blocks {first}..{last}: {error.get('message')} "
+                        "(if the node caps the block range, set rpc_window to that cap)",
+                    )
+                result = _result(reply)
                 if not isinstance(result, list):
                     raise RpcServerError(-1, "eth_getLogs did not return a list")
                 fields.extend(_log_fields(obj) for obj in result)
+            else:
+                # every window fit: a dense stretch may be over
+                size = min(2 * size, window_size)
 
             blocks = sorted({f[0] for f in fields} - timestamps.keys())
             for j in range(0, len(blocks), BATCH_CALLS):
                 chunk = blocks[j:j + BATCH_CALLS]
                 calls = [("eth_getBlockByNumber", [hex(number), False]) for number in chunk]
-                for number, block in zip(chunk, client.batch(calls, resume_block=resume_block)):
+                for number, block in zip(chunk, client.batch(calls, resume_block=start)):
                     if not isinstance(block, dict):
                         raise RpcServerError(-1, f"no block data for {number}")
                     timestamps[number] = _quantity(block, "timestamp", f"block {number}")
 
             collected.extend(RawLog(*f, timestamps[f[0]]) for f in fields)
+            start = next_start
     return filter_logs(collected, registry, block_range)

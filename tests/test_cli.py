@@ -9,10 +9,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from dfcflow import ingest, synth
-from dfcflow.cli import main
+from dfcflow.cli import PipelineConfig, PipelineRun, main
 from dfcflow.registry import ContractRegistry
 
-from tests.conftest import DATA_DIR, REGISTRY_PATH
+from tests.conftest import DATA_DIR, GOLDEN_DIR, REGISTRY_PATH, REPO_ROOT
 from tools.gen_fixture import generate_fixture, main as gen_fixture_main
 
 REPORT_FILES = (
@@ -121,16 +121,28 @@ def test_conflicting_fixture_lines_fail_ingest_with_line_number(tmp_path, capsys
     assert not (tmp_path / "out" / "logs.jsonl").exists()
 
 
-def test_cli_import_loads_no_scipy_numpy_or_requests():
-    code = (
-        "import sys, dfcflow.cli\n"
-        "print(sorted(m for m in ('scipy', 'numpy', 'requests', 'http.client', 'ssl', 'gzip')\n"
-        "             if m in sys.modules))"
+def test_cli_import_loads_no_scipy_numpy_or_requests(tmp_path):
+    probe = (
+        "import json, sys\n"
+        "import dfcflow.cli\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "code = dfcflow.cli.main(sys.argv[1:])\n"
+        "print(json.dumps(sorted(sys.modules)))\n"
+        "sys.exit(code)\n"
     )
+    config = write_config(tmp_path, tmp_path / "out")
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe, "ingest", "--config", str(config), "--quiet"],
+        capture_output=True, text=True, check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    after_import, after_ingest = map(json.loads, proc.stdout.splitlines())
+    unwanted = {"scipy", "numpy", "requests", "http.client", "ssl", "gzip"} | {
+        f"dfcflow.{stage}" for stage in ("decode", "cluster", "ledger", "market", "report", "tables")
+    }
+    # neither the import nor `dfcflow ingest` on a fixture loads a later stage
+    assert unwanted.isdisjoint(after_import)
+    assert unwanted.isdisjoint(after_ingest)
+    assert "dfcflow.ingest" in after_import and (tmp_path / "out" / "logs.jsonl").exists()
 
 
 def test_rerun_reports_cache_hit(tmp_path, capsys):
@@ -142,6 +154,37 @@ def test_rerun_reports_cache_hit(tmp_path, capsys):
     assert run("ingest", "--config", config) == 0
     assert "cache hit" in capsys.readouterr().out
     assert (out / "logs.jsonl").read_bytes() == first
+
+
+def test_write_compares_checkpoints_by_content(tmp_path, capsys):
+    run = PipelineRun(PipelineConfig.from_file(write_config(tmp_path, tmp_path / "out")))
+    path = tmp_path / "out" / "big.bin"
+    # more than one 1 MiB comparison chunk, the two versions differing in the last byte
+    old, new = b"x" * (3 << 19) + b"a", b"x" * (3 << 19) + b"b"
+
+    def writer(target, data):
+        target.write_bytes(data)
+
+    run.write(path, writer, old)
+    run.write(path, writer, old)
+    assert capsys.readouterr().out.splitlines() == [
+        "big.bin: written", "big.bin: cache hit (unchanged)"]
+    run.write(path, writer, new)
+    assert capsys.readouterr().out.splitlines() == ["big.bin: written"]
+    assert path.read_bytes() == new
+    assert sorted(p.name for p in path.parent.iterdir()) == ["big.bin"]
+
+
+def test_make_goldens_reproduces_the_checked_in_goldens(tmp_path):
+    out = tmp_path / "golden"
+    subprocess.run(
+        [sys.executable, str(REPO_ROOT / "tools" / "make_goldens.py"), str(out)],
+        cwd=REPO_ROOT, capture_output=True, check=True,
+    )
+    names = sorted(p.name for p in GOLDEN_DIR.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name
 
 
 def test_report_without_track_checkpoint_fails(tmp_path, capsys):

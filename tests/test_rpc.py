@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfcflow.errors import ConfigError, RpcServerError, RpcTransportError
 from dfcflow.ingest import BlockRange, filter_logs, load_fixture, save_fixture
@@ -25,6 +26,7 @@ class _NodeState:
         self.fail_after = None     # drop connections after N getLogs calls
         self.fail_blocks = False   # drop connections on any getBlockByNumber call
         self.error_object = None   # respond with a JSON-RPC error
+        self.max_results = None    # answer -32005 to a window matching more logs
         self.reject_batches = False  # answer a batch with one error object
         self.reverse_replies = False
         self.drop_last_reply = False
@@ -37,6 +39,8 @@ class _NodeState:
         self.close_after_reply = False  # close each connection after one reply
         self.drop_second_request = False  # read a connection's 2nd request, close unanswered
         self.gzipped = 0
+        self.limit_errors = 0
+        self.window_lengths = []   # blocks in each eth_getLogs window asked for
         self.get_logs_calls = 0
         self.block_calls = 0
         self.requests = 0
@@ -96,6 +100,9 @@ def _node_handler(state: _NodeState):
             method = call["method"]
             if method == "eth_getLogs":
                 state.get_logs_calls += 1
+                params = call["params"][0]
+                state.window_lengths.append(
+                    int(params["toBlock"], 16) - int(params["fromBlock"], 16) + 1)
                 if state.fail_after is not None and state.get_logs_calls > state.fail_after:
                     return None
                 if state.error_object is not None:
@@ -118,6 +125,11 @@ def _node_handler(state: _NodeState):
                     for obj in result:
                         if obj["logIndex"] == hex(log_index):
                             obj[field] = value
+                if state.max_results is not None and len(result) > state.max_results:
+                    state.limit_errors += 1
+                    return {"jsonrpc": "2.0", "id": call["id"], "error": {
+                        "code": -32005,
+                        "message": f"query returned more than {state.max_results} results"}}
                 return {"jsonrpc": "2.0", "id": call["id"], "result": result}
             if method == "eth_getBlockByNumber":
                 state.block_calls += 1
@@ -291,6 +303,134 @@ def test_rpc_error_object_is_terminal(mock_node, registry, narrow_range):
     with pytest.raises(RpcServerError) as err:
         fetch_logs(endpoint, narrow_range, registry, window_size=10)
     assert err.value.code == -32005
+
+
+@pytest.mark.parametrize("code, message", [
+    (-32000, "header not found"),
+    # a node that caps the window length, not the result, under its own code
+    (-32602, "Log response size exceeded: use up to a 2K block range"),
+    (-32614, "eth_getLogs is limited to a 10,000 range"),
+    # a rate limit under the limit-exceeded code does not shrink the window
+    (-32005, "daily request count exceeded, request rate limited"),
+])
+def test_other_error_object_on_a_wide_window_is_terminal(
+    mock_node, registry, narrow_range, code, message
+):
+    endpoint, state = mock_node
+    state.error_object = {"code": code, "message": message}
+    with pytest.raises(RpcServerError) as err:
+        fetch_logs(endpoint, narrow_range, registry, window_size=10)
+    assert err.value.code == code
+    assert message in str(err.value)
+    assert f"{narrow_range.start}..{narrow_range.start + 9}" in str(err.value)
+    assert "rpc_window" in str(err.value)
+    assert state.requests == 1
+
+
+@pytest.mark.parametrize("window_size", [1, 2, 3, 10, 1000, 100_000])
+def test_node_that_always_exceeds_its_limit_fails_within_the_bound(
+    mock_node, registry, window_size
+):
+    endpoint, state = mock_node
+    state.error_object = {"code": -32005, "message": "query returned too many results"}
+    block_range = BlockRange(10_000_000, 10_000_000 + 2 * window_size)
+    with pytest.raises(RpcServerError) as err:
+        fetch_logs(endpoint, block_range, registry, window_size=window_size)
+    assert err.value.code == -32005
+    # one batch per halving of the window, down to one block
+    assert state.requests <= math.ceil(math.log2(window_size)) + 1
+
+
+@pytest.fixture(scope="module")
+def capped_node(registry, tmp_path_factory):
+    """A node over 40 logs in 30 blocks, at most two per block, and the
+    logs as a fixture export would load them."""
+    logs = _synth_logs(registry, [10_000_000 + (i * 7) % 30 for i in range(40)])
+    path = tmp_path_factory.mktemp("capped") / "export.jsonl"
+    save_fixture(path, logs)
+    with _serve(logs) as (endpoint, state):
+        yield endpoint, state, load_fixture(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cap=st.integers(min_value=2, max_value=16),
+    window_size=st.integers(min_value=1, max_value=64),
+    start=st.integers(min_value=9_999_990, max_value=10_000_029),
+    length=st.integers(min_value=1, max_value=50),
+)
+def test_capped_fetch_equals_uncapped_fetch_and_export(
+    capped_node, registry, cap, window_size, start, length
+):
+    endpoint, state, exported = capped_node
+    block_range = BlockRange(start, start + length - 1)
+    state.max_results = None
+    uncapped = fetch_logs(endpoint, block_range, registry, window_size=window_size)
+    state.max_results = cap
+    capped = fetch_logs(endpoint, block_range, registry, window_size=window_size)
+    assert capped == uncapped == filter_logs(exported, registry, block_range)
+
+
+def test_capped_fetch_shrinks_and_keeps_every_log(capped_node, registry):
+    endpoint, state, exported = capped_node
+    block_range = BlockRange(10_000_000, 10_000_029)
+    state.max_results = 2
+    state.limit_errors = 0
+    fetched = fetch_logs(endpoint, block_range, registry, window_size=1000)
+    assert fetched == filter_logs(exported, registry, block_range)
+    assert state.limit_errors > 0
+
+
+def test_transport_failure_after_a_shrink_resumes_and_stitches(registry):
+    # four one-log blocks in a row overflow a cap of two in one 4-block window
+    offsets = (3, 50, 120, 200, 201, 202, 203, 350)
+    logs = _synth_logs(registry, [10_000_000 + b for b in offsets])
+    block_range = BlockRange(10_000_000, 10_000_399)
+    with _serve(logs) as (endpoint, state):
+        state.max_results = 2
+        full = fetch_logs(endpoint, block_range, registry, window_size=4)
+        assert state.limit_errors == 1
+
+        # the first batch (100 windows) shrinks at block 200; the batch
+        # that restarts there fails in transport
+        state.get_logs_calls = 0
+        state.fail_after = BATCH_CALLS
+        with pytest.raises(RpcTransportError) as err:
+            fetch_logs(endpoint, block_range, registry, window_size=4)
+        resume = err.value.resume_from_block
+        assert resume == 10_000_200
+
+        state.fail_after = None
+        first_part = fetch_logs(
+            endpoint, BlockRange(block_range.start, resume - 1), registry, window_size=4
+        )
+        rest = fetch_logs(endpoint, block_range, registry, window_size=4, resume_from=resume)
+    assert sorted(first_part + rest, key=lambda log: log.order_key) == full
+    assert len(full) == len(logs)
+
+
+def test_window_grows_back_after_a_dense_stretch(registry):
+    # eight logs in the first eight blocks shrink 1000-block windows under
+    # a cap of two down to one block; the sparse rest grows back to 1000
+    blocks = [10_000_000 + b for b in range(8)] + [10_000_000 + 9_973 * k for k in range(1, 21)]
+    logs = _synth_logs(registry, blocks)
+    block_range = BlockRange(10_000_000, 10_199_999)
+    with _serve(logs) as (endpoint, state):
+        state.max_results = 2
+        fetched = fetch_logs(endpoint, block_range, registry, window_size=1000)
+    assert fetched == filter_logs(logs, registry, block_range)
+    assert min(state.window_lengths) == 1
+    assert state.window_lengths[-2] == 1000
+    # one-block windows to the end would be 200,000 calls
+    assert state.get_logs_calls < 5_000
+
+
+@pytest.mark.parametrize("resume_from", [9_999_999, 10_000_030])
+def test_resume_point_outside_the_range_is_rejected(registry, narrow_range, resume_from):
+    with pytest.raises(ValueError) as err:
+        fetch_logs("http://127.0.0.1:9", narrow_range, registry, resume_from=resume_from)
+    assert str(resume_from) in str(err.value)
+    assert f"{narrow_range.start}..{narrow_range.end}" in str(err.value)
 
 
 def test_removed_log_is_rejected(mock_node, registry, narrow_range, node_logs):

@@ -6,7 +6,8 @@ tests/oracles.py, not from the production ledger, so the checked-in
 expected files double as an end-to-end cross-check: the CLI pipeline must
 reproduce them byte for byte.
 
-Run from the repository root:  python3 tools/make_goldens.py
+Run from the repository root:  python3 tools/make_goldens.py [output-dir]
+The output directory defaults to tests/golden/.
 """
 
 import sys
@@ -25,7 +26,10 @@ from dfcflow.registry import ContractRegistry
 from oracles import taint_interpreter
 
 
-def main() -> None:
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def main(golden: Path = GOLDEN) -> None:
     registry = ContractRegistry.from_json_file(ROOT / "config" / "registry.json")
     logs = ingest.load_fixture(ROOT / "data" / "fixture_logs.jsonl")
     kept = ingest.filter_logs(logs, registry, ingest.BlockRange(10_000_000, 10_700_000))
@@ -45,7 +49,6 @@ def main() -> None:
     _, _, rows = taint_interpreter(decoded.events, final.eligible_rep_of, price_of)
     records = [FlowRecord(*row) for row in rows]
 
-    golden = ROOT / "tests" / "golden"
     golden.mkdir(parents=True, exist_ok=True)
     report.write_monthly_csv(golden / "monthly_dfc.csv", report.monthly_dfc_rows(records))
     report.write_breakdown_csv(golden / "protocol_breakdown.csv",
@@ -65,8 +68,8 @@ def main() -> None:
 
     for name in ("monthly_dfc.csv", "protocol_breakdown.csv", "correlations.csv",
                  "summary.csv", "cluster_comparison.csv"):
-        print(f"wrote tests/golden/{name}")
+        print(f"wrote {golden / name}")
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else GOLDEN)
