@@ -11,12 +11,17 @@ first-out min/subtraction chains downstream amplify rounding drift.
 Logs whose currency (or either swap leg) falls outside the five supported
 currencies, and liquidation-signature logs, decode to ``None``
 (not relevant) and are only counted, not reported per event.
+
+The decoded records (`CanonicalEvent`, `VaultTriple`, `ApprovalEvent`)
+are immutable named tuples, built once per log and compared field by
+field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .errors import DecodeError
 from .ingest import RawLog
@@ -53,8 +58,7 @@ EVENT_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class CanonicalEvent:
+class CanonicalEvent(NamedTuple):
     """A decoded, classified protocol action.
 
     Non-swap events use `currency`/`amount`; swaps use the four
@@ -77,13 +81,11 @@ class CanonicalEvent:
     amount_received: int | None = None
     on_behalf_of: str | None = None
 
-    @property
-    def order_key(self) -> tuple[int, int]:
-        return (self.block_number, self.log_index)
+    # (block_number, log_index); `CanonicalEvent.order_key.fget` is a sort key
+    order_key = property(itemgetter(3, 4))
 
 
-@dataclass(frozen=True)
-class VaultTriple:
+class VaultTriple(NamedTuple):
     """Maker vault creation: (user, proxy, urn handler) addresses.
 
     A vault opened directly by an externally-owned address degenerates to
@@ -100,8 +102,7 @@ class VaultTriple:
         return frozenset((self.user, self.proxy, self.urn))
 
 
-@dataclass(frozen=True)
-class ApprovalEvent:
+class ApprovalEvent(NamedTuple):
     token: str
     owner: str
     spender: str
@@ -150,13 +151,16 @@ def _read_data(log: RawLog, offset: int, length: int) -> bytes:
     return log.data[offset:offset + length]
 
 
-def extract_actor(log: RawLog, locator: Locator) -> str:
+def _address_bytes(log: RawLog, locator: Locator) -> bytes:
     """Resolve an address locator: low 20 bytes of a topic, or the 20 bytes
     at a data byte offset."""
     if locator.source == "topic":
-        word = _read_topic(log, locator.index)
-        return to_hex(word[12:])
-    return to_hex(_read_data(log, locator.index, 20))
+        return _read_topic(log, locator.index)[12:]
+    return _read_data(log, locator.index, 20)
+
+
+def extract_actor(log: RawLog, locator: Locator) -> str:
+    return to_hex(_address_bytes(log, locator))
 
 
 def _read_uint(log: RawLog, locator: Locator) -> int:
@@ -172,8 +176,14 @@ def _resolve_currency(log: RawLog, rule: EventRule, registry: ContractRegistry):
     scope."""
     if rule.currency_fixed is not None:
         return registry.currency(rule.currency_fixed)
-    token = bytes.fromhex(extract_actor(log, rule.currency_token)[2:])
-    return registry.token_currency(token)
+    return registry.token_currency(_address_bytes(log, rule.currency_token))
+
+
+# a swap's data words: amount0In, amount1In, amount0Out, amount1Out
+_SWAP_IN0 = Locator("data", 0)
+_SWAP_IN1 = Locator("data", 32)
+_SWAP_OUT0 = Locator("data", 64)
+_SWAP_OUT1 = Locator("data", 96)
 
 
 def _decode_swap(log: RawLog, rule: EventRule, registry: ContractRegistry):
@@ -187,10 +197,10 @@ def _decode_swap(log: RawLog, rule: EventRule, registry: ContractRegistry):
             to_hex(log.tx_hash),
             log.log_index,
         )
-    in0 = _read_uint(log, Locator("data", 0))
-    in1 = _read_uint(log, Locator("data", 32))
-    out0 = _read_uint(log, Locator("data", 64))
-    out1 = _read_uint(log, Locator("data", 96))
+    in0 = _read_uint(log, _SWAP_IN0)
+    in1 = _read_uint(log, _SWAP_IN1)
+    out0 = _read_uint(log, _SWAP_OUT0)
+    out1 = _read_uint(log, _SWAP_OUT1)
     # classify on net pool flows: the user sends the token flowing into
     # the pool and receives the token flowing out
     net0 = in0 - out0
@@ -308,16 +318,15 @@ def decode_stream(logs: Sequence[RawLog], registry: ContractRegistry) -> DecodeR
 
 
 def _event_row(e: CanonicalEvent) -> tuple:
-    head = (
-        e.block_number, e.log_index, e.timestamp, e.protocol, e.kind,
-        e.actor, e.on_behalf_of or "",
-    )
-    if e.kind == SWAP:
+    (kind, protocol, actor, block_number, log_index, timestamp, currency, amount,
+     currency_sent, currency_received, amount_sent, amount_received, on_behalf_of) = e
+    head = (block_number, log_index, timestamp, protocol, kind, actor, on_behalf_of or "")
+    if kind == SWAP:
         return head + (
-            e.currency_sent, e.currency_received,
-            format_fixed(e.amount_sent), format_fixed(e.amount_received),
+            currency_sent, currency_received,
+            format_fixed(amount_sent), format_fixed(amount_received),
         )
-    return head + (e.currency, "", format_fixed(e.amount), "")
+    return head + (currency, "", format_fixed(amount), "")
 
 
 def _amount(name: str, text: str) -> int:
@@ -351,7 +360,7 @@ def _event_from_row(
 
 
 EVENTS = Table(EVENT_CSV_COLUMNS, _event_row, _event_from_row)
-VAULTS = Table(("user", "proxy", "urn"), lambda t: (t.user, t.proxy, t.urn), VaultTriple)
+VAULTS = Table(("user", "proxy", "urn"), from_row=VaultTriple)
 APPROVALS = Table(
     ("block_number", "log_index", "timestamp", "token", "owner", "spender"),
     lambda a: (a.block_number, a.log_index, a.timestamp, a.token, a.owner, a.spender),

@@ -1,18 +1,23 @@
 """Raw log acquisition and filtering.
 
 Logs come either from newline-delimited JSON fixture files (one log per
-line, hex fields 0x-prefixed lowercase) or from an archive node via the
-RPC client in :mod:`dfcflow.rpc`.  Filtering keeps only logs whose contract
-and topic0 appear in the registry and whose block falls inside the
-(inclusive) block range, and fixes the global event order.
+line, hex fields 0x-prefixed, read in either case and written in
+lowercase) or from an archive node via the RPC client in
+:mod:`dfcflow.rpc`.  Filtering keeps only logs whose contract and topic0
+appear in the registry and whose block falls inside the (inclusive)
+block range, and fixes the global event order.
+
+A `RawLog` is an immutable named tuple: cheap to build once per log, and
+two logs compare equal field by field.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ConflictingLogError, FixtureParseError
 from .registry import ContractRegistry
@@ -29,8 +34,36 @@ FIXTURE_FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class RawLog:
+def decode_hex_fields(tx_hash, address, topics, data):
+    """(tx_hash, address, topics, data) of one log as bytes, from one
+    `bytes.fromhex` over the joined hex bodies.
+
+    Gives None unless every field is a 0x-prefixed string of its size (32
+    bytes, 20 bytes, 32 bytes per topic, whole bytes of data) holding only
+    hex digits; the caller then parses field by field with `parse_hex`
+    for the error message.
+    """
+    try:
+        if not (len(tx_hash) == 66 and len(address) == 42 and len(data) % 2 == 0
+                and tx_hash[:2] == address[:2] == data[:2] == "0x"):
+            return None
+        bodies = [tx_hash[2:], address[2:]]
+        for topic in topics:
+            if len(topic) != 66 or topic[:2] != "0x":
+                return None
+            bodies.append(topic[2:])
+        bodies.append(data[2:])
+        joined = "".join(bodies)
+        raw = bytes.fromhex(joined)
+    except (KeyError, TypeError, ValueError):  # a field that is not a string, or not hex
+        return None
+    if 2 * len(raw) != len(joined):  # fromhex skipped whitespace
+        return None
+    end = 52 + 32 * len(topics)
+    return raw[:32], raw[32:52], tuple([raw[i:i + 32] for i in range(52, end, 32)]), raw[end:]
+
+
+class RawLog(NamedTuple):
     """One undecoded Ethereum log record.
 
     `(block_number, log_index)` is the global ordering key: it is the only
@@ -46,9 +79,8 @@ class RawLog:
     data: bytes
     timestamp: int
 
-    @property
-    def order_key(self) -> tuple[int, int]:
-        return (self.block_number, self.log_index)
+    # (block_number, log_index); `RawLog.order_key.fget` is a sort key
+    order_key = property(itemgetter(0, 2))
 
     @property
     def topic0(self) -> bytes | None:
@@ -58,11 +90,12 @@ class RawLog:
         """The compact JSON object of the fixture format, keys in
         FIXTURE_FIELDS order; hex strings need no escaping, so it is
         formatted directly."""
-        topics = ",".join(f'"0x{topic.hex()}"' for topic in self.topics)
+        block_number, tx_hash, log_index, address, topics, data, timestamp = self
+        topics = ",".join([f'"0x{topic.hex()}"' for topic in topics])
         return (
-            f'{{"block_number":{self.block_number},"timestamp":{self.timestamp},'
-            f'"tx_hash":"0x{self.tx_hash.hex()}","address":"0x{self.contract_address.hex()}",'
-            f'"topics":[{topics}],"data":"0x{self.data.hex()}","log_index":{self.log_index}}}'
+            f'{{"block_number":{block_number},"timestamp":{timestamp},'
+            f'"tx_hash":"0x{tx_hash.hex()}","address":"0x{address.hex()}",'
+            f'"topics":[{topics}],"data":"0x{data.hex()}","log_index":{log_index}}}'
         )
 
     @classmethod
@@ -77,15 +110,18 @@ class RawLog:
             # JSON true/false are ints to Python; reject them here
             if type(obj[name]) is not int or obj[name] < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        return cls(
-            block_number=obj["block_number"],
-            tx_hash=parse_hex(obj["tx_hash"], expected_bytes=32),
-            log_index=obj["log_index"],
-            contract_address=parse_hex(obj["address"], expected_bytes=20),
-            topics=tuple(parse_hex(t, expected_bytes=32) for t in topics),
-            data=parse_hex(obj["data"]),
-            timestamp=obj["timestamp"],
-        )
+        tx_hash, address, data = obj["tx_hash"], obj["address"], obj["data"]
+        fields = decode_hex_fields(tx_hash, address, topics, data)
+        if fields is None:  # field by field, for parse_hex's error message
+            fields = (
+                parse_hex(tx_hash, expected_bytes=32),
+                parse_hex(address, expected_bytes=20),
+                tuple(parse_hex(t, expected_bytes=32) for t in topics),
+                parse_hex(data),
+            )
+        tx_hash, address, topics, data = fields
+        return cls(obj["block_number"], tx_hash, obj["log_index"], address, topics, data,
+                   obj["timestamp"])
 
 
 @dataclass(frozen=True)
@@ -112,13 +148,19 @@ def load_fixture(path: str | Path) -> list[RawLog]:
     """
     logs = []
     first_line: dict[tuple[int, int], tuple[int, RawLog]] = {}
+    raw_decode = json.JSONDecoder().raw_decode
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                try:
+                    obj, end = raw_decode(line)
+                except ValueError:
+                    end = None
+                if end != len(line):
+                    obj = json.loads(line)  # raises json's own message
                 log = RawLog.from_json_obj(obj)
             except (ValueError, TypeError, KeyError) as exc:
                 raise FixtureParseError(lineno, str(exc)) from exc
@@ -165,7 +207,7 @@ def filter_logs(
         and log.topics
         and registry.rule_for(log.contract_address, log.topics[0]) is not None
     ]
-    kept.sort(key=lambda log: log.order_key)
+    kept.sort(key=RawLog.order_key.fget)
     unique: list[RawLog] = []
     for log in kept:
         if unique and log.order_key == unique[-1].order_key:

@@ -47,13 +47,16 @@ events run in exact rational arithmetic:
 
 Results are independent of delivery order because events are re-sorted
 on the unique (block_number, log_index) key before application.
+
+A `FlowRecord` is an immutable named tuple, built once per deposit or
+withdrawal and compared field by field.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cluster import Partition
 from .decode import (
@@ -92,8 +95,7 @@ def first_out_split(amount: int, wallet_debt_balance: int) -> tuple[int, int]:
     return debt_amt, amount - debt_amt
 
 
-@dataclass(frozen=True)
-class FlowRecord:
+class FlowRecord(NamedTuple):
     """One collateral movement, split into debt and non-debt components."""
 
     group: str
@@ -213,7 +215,7 @@ def run_ledger(
     Cross-group on-behalf repayments apply to the actor's group (the funds
     leave the actor's wallet) and are counted in stats.
     """
-    ordered = sorted(events, key=lambda e: e.order_key)
+    ordered = sorted(events, key=CanonicalEvent.order_key.fget)
     for earlier, later in zip(ordered, ordered[1:]):
         if earlier.order_key == later.order_key:
             raise SequencingError(f"duplicate event position {earlier.order_key}")
@@ -245,10 +247,12 @@ def run_ledger(
 # --- flow log IO -------------------------------------------------------------
 
 def _flow_row(r: FlowRecord) -> tuple:
+    (group, timestamp, block_number, protocol, currency, kind,
+     debt_token, nondebt_token, debt_usd, nondebt_usd) = r
     return (
-        r.group, r.timestamp, r.block_number, r.protocol, r.currency, r.kind,
-        format_fixed(r.debt_token), format_fixed(r.nondebt_token),
-        format_fixed(r.debt_usd), format_fixed(r.nondebt_usd),
+        group, timestamp, block_number, protocol, currency, kind,
+        format_fixed(debt_token), format_fixed(nondebt_token),
+        format_fixed(debt_usd), format_fixed(nondebt_usd),
     )
 
 

@@ -161,7 +161,12 @@ class PriceSeries:
 
 def _price_row(key: str, timestamp: str, price: str) -> tuple[str, int, int, int]:
     timestamp = int(timestamp)
-    num, den = parse_ratio(price)
+    whole, dot, frac = price.partition(".")
+    if whole.isdigit() and frac.isdigit() and price.isascii():
+        # a plain decimal cell, as format_exact writes most prices
+        num, den = int(whole + frac), 10 ** len(frac)
+    else:
+        num, den = parse_ratio(price)
     # a ValueError, so the table reader names the line
     _check_point(key, timestamp, num, ValueError)
     return key, timestamp, num, den

@@ -71,7 +71,7 @@ from contextlib import closing
 from typing import Sequence
 
 from .errors import ConfigError, RpcServerError, RpcTransportError
-from .ingest import BlockRange, RawLog, filter_logs
+from .ingest import BlockRange, RawLog, decode_hex_fields, filter_logs
 from .registry import ContractRegistry
 from .util import parse_hex, to_hex
 
@@ -241,14 +241,17 @@ def _log_fields(obj) -> tuple:
         except ValueError as exc:
             raise RpcServerError(-1, f"{where}: {name}: {exc}") from None
 
-    return (
-        block_number,
-        hex_field("transactionHash", obj.get("transactionHash"), 32),
-        log_index,
-        hex_field("address", obj.get("address"), 20),
-        tuple(hex_field("topics", topic, 32) for topic in topics),
-        hex_field("data", obj.get("data")),
-    )
+    tx_hash, address, data = obj.get("transactionHash"), obj.get("address"), obj.get("data")
+    fields = decode_hex_fields(tx_hash, address, topics, data)
+    if fields is None:  # field by field, so the error names the field
+        fields = (
+            hex_field("transactionHash", tx_hash, 32),
+            hex_field("address", address, 20),
+            tuple(hex_field("topics", topic, 32) for topic in topics),
+            hex_field("data", data),
+        )
+    tx_hash, address, topics, data = fields
+    return block_number, tx_hash, log_index, address, topics, data
 
 
 def fetch_logs(

@@ -27,7 +27,8 @@ _RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_hex(value: str, expected_bytes: int | None = None) -> bytes:
-    """Decode a 0x-prefixed hex string; empty payloads are '0x'."""
+    """Decode a 0x-prefixed hex string, digits in either case and no
+    whitespace; empty payloads are '0x'."""
     if not isinstance(value, str) or not value.startswith("0x"):
         raise ValueError(f"expected 0x-prefixed hex string, got {value!r}")
     body = value[2:]
@@ -37,6 +38,8 @@ def parse_hex(value: str, expected_bytes: int | None = None) -> bytes:
         raw = bytes.fromhex(body)
     except ValueError as exc:
         raise ValueError(f"invalid hex string {value!r}") from exc
+    if 2 * len(raw) != len(body):  # fromhex skipped whitespace
+        raise ValueError(f"invalid hex string {value!r}")
     if expected_bytes is not None and len(raw) != expected_bytes:
         raise ValueError(
             f"expected {expected_bytes} bytes, got {len(raw)} in {value!r}"

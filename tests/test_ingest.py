@@ -12,7 +12,7 @@ from dfcflow.ingest import (
     save_fixture,
     serialize_fixture,
 )
-from dfcflow.util import to_hex
+from dfcflow.util import parse_hex, to_hex
 
 AAVE_POOL = "0x7d2768de32b0b80b7a3454c06bdac94a69ddc7a9"
 AAVE_DEPOSIT = "0xde6857219544bb5b7746f48ed30be6386fefc61b2f864cacf559893bf50fd951"
@@ -62,6 +62,37 @@ def test_odd_length_hex_is_a_parse_error(tmp_path):
         load_fixture(path)
     assert err.value.line_number == 1
     assert "odd-length" in str(err.value)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("data", "0xab  cd"),
+    ("data", "0x\nab\n"),
+    ("tx_hash", "0x" + "ab" * 31 + "  "),
+    ("topics", ["0x" + "00" * 31 + "\t\t"]),
+])
+def test_whitespace_inside_hex_is_a_parse_error(tmp_path, field, value):
+    obj = json.loads(make_line())
+    obj[field] = value
+    path = tmp_path / "bad.jsonl"
+    path.write_text(make_line(log_index=1) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(FixtureParseError) as err:
+        load_fixture(path)
+    assert err.value.line_number == 2
+    assert "invalid hex string" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("{} {}", "Extra data: line 1 column 4 (char 3)"),
+    ("[1] x", "Extra data: line 1 column 5 (char 4)"),
+    ("nul", "Expecting value: line 1 column 1 (char 0)"),
+])
+def test_invalid_json_keeps_the_json_message(tmp_path, text, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(make_line() + "\n" + text + "\n")
+    with pytest.raises(FixtureParseError) as err:
+        load_fixture(path)
+    assert str(err.value) == f"line 2: {message}"
 
 
 def test_invalid_json_names_the_line(tmp_path):
@@ -170,6 +201,97 @@ def test_conflicting_fixture_record_names_both_lines(tmp_path):
     with pytest.raises(FixtureParseError, match="line 2") as err:
         load_fixture(path)
     assert err.value.line_number == 5
+
+
+@pytest.mark.parametrize("change, conflict", [
+    (dict(data="0x" + "AB" * 32), False),  # the same bytes in upper case: a repeat
+    (dict(data="0x" + "ab" * 31 + "ac"), True),
+    (dict(timestamp=1_588_598_521), True),
+    (dict(address="0x" + "77" * 20), True),
+    (dict(n_topics=2), True),
+])
+def test_a_different_log_at_a_seen_position_is_a_parse_error(tmp_path, change, conflict):
+    path = tmp_path / "f.jsonl"
+    path.write_text("\n".join([
+        make_line(data="0x" + "ab" * 32), make_line(log_index=1), make_line(**change),
+    ]) + "\n")
+    if not conflict:
+        first, _, repeat = load_fixture(path)
+        assert repeat == first
+        return
+    with pytest.raises(FixtureParseError, match="differs from the one on line 1") as err:
+        load_fixture(path)
+    assert err.value.line_number == 3
+
+
+WHITESPACE = " \t\n\r\x0b\x0c"
+
+
+@st.composite
+def hex_values(draw, size=None):
+    """A hex field as a fixture or node may write it: mostly 0x-prefixed
+    hex of `size` bytes (any size when None) in either case, otherwise
+    resized, odd-length, unprefixed, holding whitespace or a non-hex
+    character, or not a string."""
+    n = draw(st.integers(0, 80) if size is None else st.sampled_from(
+        [size] * 6 + [0, 1, size - 1, size + 1]))
+    body = draw(st.binary(min_size=n, max_size=n)).hex()
+    if draw(st.booleans()):  # mixed case
+        body = "".join(c.upper() if draw(st.booleans()) else c for c in body)
+    value = "0x" + body
+    mangle = draw(st.sampled_from(
+        [None] * 6 + ["space", "pad", "odd", "prefix", "nonhex", "type"]))
+    at = 2 + 2 * draw(st.integers(0, n))
+    if mangle == "space":  # same length, so only the hex itself can tell
+        value = value[:at - 2] + draw(st.text(WHITESPACE, min_size=2, max_size=2)) + value[at:]
+    elif mangle == "pad":
+        value = value[:at] + draw(st.text(WHITESPACE, min_size=1, max_size=3)) + value[at:]
+    elif mangle == "odd":
+        value = value[:-1] if n else value + "a"
+    elif mangle == "prefix":
+        value = draw(st.sampled_from(["", "0X", "x0", "00"])) + body
+    elif mangle == "nonhex":
+        value = value[:at - 1] + draw(st.sampled_from("gxX-+ \u0663\uff41\u00e9")) + value[at:]
+    elif mangle == "type":
+        return draw(st.sampled_from([None, 7, -1, 1.5, True, [], ["0x00"], {}, {"0x": 1}]))
+    return value
+
+
+def raw_log_per_field(obj) -> RawLog:
+    """A fixture object read field by field with parse_hex."""
+    return RawLog(
+        obj["block_number"],
+        parse_hex(obj["tx_hash"], expected_bytes=32),
+        obj["log_index"],
+        parse_hex(obj["address"], expected_bytes=20),
+        tuple(parse_hex(t, expected_bytes=32) for t in obj["topics"]),
+        parse_hex(obj["data"]),
+        obj["timestamp"],
+    )
+
+
+def outcome(read, obj):
+    """What `read(obj)` gives: its value, or its error's type and message."""
+    try:
+        return read(obj)
+    except Exception as exc:  # the error itself is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    tx_hash=hex_values(32),
+    address=hex_values(20),
+    topics=st.lists(hex_values(32), max_size=4),
+    data=hex_values(),
+)
+def test_one_hex_decode_per_log_matches_parse_hex_per_field(tx_hash, address, topics, data):
+    obj = json.loads(make_line())
+    obj.update(tx_hash=tx_hash, address=address, topics=topics, data=data)
+    expected = outcome(raw_log_per_field, obj)
+    assert outcome(RawLog.from_json_obj, obj) == expected
+    if isinstance(expected, RawLog):
+        assert type(RawLog.from_json_obj(obj)) is RawLog
 
 
 def test_block_range_rejects_inverted_bounds():

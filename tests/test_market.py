@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dfcflow.errors import ConfigError, PriceFetchError, ValuationError
+from dfcflow.errors import ConfigError, PriceFetchError, TableError, ValuationError
 from dfcflow.market import DAY, HOUR, PriceSeries, fetch_prices, make_valuer
 from dfcflow.registry import Currency
-from dfcflow.util import SCALE
+from dfcflow.util import SCALE, parse_ratio
 
 F = Fraction
 T0 = 1_600_000_000 - (1_600_000_000 % HOUR)  # aligned to an hour
@@ -115,6 +115,38 @@ def test_csv_round_trip_sorts_rows(tmp_path):
     out = tmp_path / "out.csv"
     series.to_csv(out)
     assert PriceSeries.from_csv(out).price_at("ETH", T0 + HOUR) == F("101.25")
+
+
+@pytest.mark.parametrize("cell", [
+    "\u0661\u0662.\u0665", "\u00b2", "+1.5", " 1.5", "1_0.5", ".5", "5.",
+])
+def test_price_cell_outside_the_written_forms_is_a_bad_row(tmp_path, cell):
+    path = tmp_path / "prices.csv"
+    path.write_text(f"price_key,timestamp,price_usd\nETH,{T0},100.5\nETH,{T0 + HOUR},{cell}\n",
+                    encoding="utf-8")
+    with pytest.raises(TableError) as info:
+        PriceSeries.from_csv(path)
+    assert info.value.line == 3
+    assert str(info.value) == f"{path}, line 3: Invalid literal for Fraction: {cell!r}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text("0123456789.-+/ _e\u00b2\u0661", min_size=1, max_size=8))
+def test_price_cell_reads_as_parse_ratio_reads_it(tmp_path_factory, cell):
+    path = tmp_path_factory.mktemp("prices") / "prices.csv"
+    path.write_text(f"price_key,timestamp,price_usd\nETH,{T0},{cell}\n", encoding="utf-8")
+    try:
+        num, den = parse_ratio(cell)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(TableError, match="line 2: ") as info:
+            PriceSeries.from_csv(path)
+        assert str(info.value).endswith(str(exc))
+        return
+    if num <= 0:
+        with pytest.raises(TableError, match="line 2: "):
+            PriceSeries.from_csv(path)
+    else:
+        assert PriceSeries.from_csv(path).price_at("ETH", T0) == F(num, den)
 
 
 def test_make_valuer_uses_price_key_mapping():

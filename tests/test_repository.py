@@ -62,6 +62,28 @@ def test_trace_child_hooks_resolve_in_dfcflow():
     assert missing == []
 
 
+def test_tests_import_only_stdlib_dfcflow_and_the_test_extra():
+    # `pip install .[test]` must be enough to collect every test module
+    tomllib = pytest.importorskip("tomllib")
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    allowed = {re.match(r"[\w.-]+", req)[0].lower().replace("-", "_") for req in extra}
+    # dfcflow and the checkout's own tests/ and tools/ directories
+    allowed |= set(sys.stdlib_module_names) | {"dfcflow", "tests", "tools"}
+    undeclared = set()
+    for path in (REPO_ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            undeclared.update(f"{path.name}: {name}" for name in names
+                              if name.partition(".")[0] not in allowed)
+    assert sorted(undeclared) == []
+
+
 def _resolves(module: str, name: str) -> bool:
     """`from module import name` works: an attribute or a submodule."""
     mod = importlib.import_module(module)

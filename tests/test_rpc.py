@@ -15,9 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from dfcflow.errors import ConfigError, RpcServerError, RpcTransportError
 from dfcflow.ingest import BlockRange, filter_logs, load_fixture, save_fixture
-from dfcflow.rpc import BATCH_CALLS, RpcClient, fetch_logs
+from dfcflow.rpc import BATCH_CALLS, RpcClient, _log_fields, fetch_logs
 from dfcflow.synth import block_timestamp
-from dfcflow.util import to_hex
+from dfcflow.util import parse_hex, to_hex
+from tests.test_ingest import hex_values, outcome
 
 
 class _NodeState:
@@ -500,6 +501,47 @@ def test_malformed_log_or_block_is_a_server_error(
     with pytest.raises(RpcServerError) as err:
         fetch_logs(endpoint, narrow_range, registry)
     assert message.format(index=log.log_index, block=log.block_number) in str(err.value)
+
+
+def log_fields_per_field(obj) -> tuple:
+    """An eth_getLogs entry's RawLog fields, read field by field with
+    parse_hex; an error names the log and the field."""
+    block, index = int(obj["blockNumber"], 16), int(obj["logIndex"], 16)
+
+    def field(name, value, expected_bytes=None):
+        try:
+            return parse_hex(value, expected_bytes)
+        except ValueError as exc:
+            raise RpcServerError(-1, f"log {index} of block {block}: {name}: {exc}") from None
+
+    return (
+        block,
+        field("transactionHash", obj["transactionHash"], 32),
+        index,
+        field("address", obj["address"], 20),
+        tuple(field("topics", t, 32) for t in obj["topics"]),
+        field("data", obj["data"]),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    block=st.integers(0, 2**40),
+    index=st.integers(0, 2**16),
+    tx_hash=hex_values(32),
+    address=hex_values(20),
+    topics=st.lists(hex_values(32), max_size=4),
+    data=hex_values(),
+)
+def test_one_hex_decode_per_log_entry_matches_parse_hex_per_field(
+    block, index, tx_hash, address, topics, data
+):
+    obj = {"blockNumber": hex(block), "logIndex": hex(index), "transactionHash": tx_hash,
+           "address": address, "topics": topics, "data": data, "removed": False}
+    expected = outcome(log_fields_per_field, obj)
+    assert outcome(_log_fields, obj) == expected
+    if expected[0] is RpcServerError:  # it names the log and the field
+        assert expected[1].startswith(f"RPC error -1: log {index} of block {block}: ")
 
 
 @contextlib.contextmanager

@@ -6,6 +6,7 @@ from dfcflow import cluster, decode, ledger, synth
 from dfcflow.cluster import group_addresses
 from dfcflow.decode import ApprovalEvent, CanonicalEvent, VaultTriple
 from dfcflow.errors import TableError
+from dfcflow.ingest import RawLog
 from dfcflow.ledger import FlowRecord
 from dfcflow.market import DAY, HOUR, PriceSeries
 from dfcflow.util import SCALE as U
@@ -125,3 +126,20 @@ def test_bad_row_names_the_file_and_line(tmp_path, read, text, error):
     with pytest.raises(TableError) as info:
         read(path)
     assert str(info.value) == f"{path}, {error}"
+
+
+@pytest.mark.parametrize("record", [
+    RawLog(10_000_001, b"\x01" * 32, 0, b"\x02" * 20, (b"\x03" * 32,), b"", T0),
+    events()[0],
+    VaultTriple(addr(1), addr(2), addr(3)),
+    ApprovalEvent("USDC", addr(1), addr(2), 10_000_001, 4, T0),
+    TABLES["flows"][2]()[0],
+], ids=lambda record: type(record).__name__)
+def test_records_are_immutable_and_compare_field_by_field(record):
+    name = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.note = "extra"
+    assert record == type(record)(*record)
+    assert record != record._replace(**{name: None})

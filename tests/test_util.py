@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, strategies as st
 
-from dfcflow.util import SCALE, format_exact, format_fixed, parse_fixed, parse_ratio
+from dfcflow.util import SCALE, format_exact, format_fixed, parse_fixed, parse_hex, parse_ratio
 
 
 def parse_amount(text):
@@ -80,3 +80,20 @@ def test_parse_fixed_rejects_fractions_and_other_text(text):
     assert str(info.value) == (
         f"invalid amount {text!r}: expected [-]digits[.digits], at most 36 decimals"
     )
+
+
+@pytest.mark.parametrize("value", [
+    "0xab  cd", "0x\nab\n", "0x ab ", "0xab\r\ncd", "0xab\x0bcd\x0c", "0x" + "ab" * 31 + "  ",
+])
+def test_parse_hex_rejects_whitespace_inside_the_hex(value):
+    # bytes.fromhex alone skips ASCII whitespace between bytes
+    with pytest.raises(ValueError) as info:
+        parse_hex(value)
+    assert str(info.value) == f"invalid hex string {value!r}"
+
+
+def test_parse_hex_reads_either_case():
+    assert parse_hex("0xABcd") == parse_hex("0xabCD") == b"\xab\xcd"
+    assert parse_hex("0x") == b""
+    with pytest.raises(ValueError, match="expected 0x-prefixed hex string"):
+        parse_hex("0XABCD")
