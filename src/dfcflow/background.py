@@ -1,0 +1,171 @@
+"""Forked workers for the work of `dfcflow all` that no later stage waits
+for, so that it runs on another core.
+
+`run_stages` forks a price reader before `ingest`, while the heap is
+still small; `track` takes the `PriceSeries` from it through a pipe when
+it first asks for the prices.  The checkpoints of `ingest`, `decode` and
+`track` are written by one forked writer per stage, which renders, then
+compares and renames each file as `PipelineRun.write` does, while the
+parent goes on to the next stage.  Children share the stage values
+copy-on-write (spawned workers would have to pickle them, which costs
+nearly as much as the write); only results and errors are pickled.
+
+Errors surface as they would inline.  A worker's exception is re-raised
+in the parent, and when several stages failed the earliest one wins.
+Every writer is joined before `run_stages` returns, on success and on
+failure, and its status lines are printed then, in stage order; a price
+reader whose result was never taken is killed and reaped.
+
+`dfcflow.cli` imports this module for `all` only, and runs `all` inline
+when `can_fork()` is false.
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+import pickle
+import signal
+import threading
+
+# imported before the price reader forks, so that the child need not
+# import it and the parent can unpickle its `PriceSeries`
+from . import market  # noqa: F401
+from .errors import DfcError
+
+# the stages whose checkpoints a forked writer writes
+WRITER_STAGES = frozenset({"ingest", "decode", "track"})
+
+
+def can_fork() -> bool:
+    """Whether workers may be forked: `os.fork` exists and no other thread
+    is alive, since a thread does not survive a fork and a lock it holds
+    would stay held in the child."""
+    return hasattr(os, "fork") and threading.active_count() == 1
+
+
+class Worker:
+    """`fn(*args)` run in a forked child.  `result()` waits for the child
+    and gives its return value or raises its exception; `stop()` kills
+    the child if its result was never taken."""
+
+    def __init__(self, fn, *args):
+        start_read, start_write = os.pipe()
+        reply_read, reply_write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            for fd in (start_read, start_write, reply_read, reply_write):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            os.close(start_write)
+            os.close(reply_read)
+            _serve(start_read, reply_write, fn, args)
+        os.close(start_read)
+        os.close(reply_write)
+        self._reply = open(reply_read, "rb")
+        # a forked child starts on its parent's CPU; it blocks on this byte,
+        # and waking it lets the scheduler move it to an idle one
+        os.write(start_write, b"\0")
+        os.close(start_write)
+
+    def result(self):
+        with self._reply:
+            reply = self._reply.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if not reply:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError(f"worker exited with status {code} and no result")
+        ok, value = pickle.loads(reply)
+        if ok:
+            return value
+        raise value
+
+    def stop(self) -> None:
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        self._reply.close()
+
+
+def _serve(start: int, reply: int, fn, args) -> None:
+    """The child: wait for the start byte, run `fn`, send back its value or
+    exception, and end with `os._exit`, so that buffers inherited from the
+    parent are never flushed twice."""
+    status = 1
+    try:
+        gc.disable()
+        os.read(start, 1)
+        os.close(start)
+        try:
+            outcome = True, fn(*args)
+        except BaseException as exc:  # re-raised in the parent
+            outcome = False, exc
+        try:
+            data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            error = ChildProcessError(f"worker result cannot be sent back: {exc!r}")
+            data = pickle.dumps((False, error), pickle.HIGHEST_PROTOCOL)
+        with open(reply, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _write_all(writes: list) -> tuple[list[str], Exception | None]:
+    """Run `writes` in order: the status lines of those that finished, and
+    the error that stopped the rest, if any."""
+    lines = []
+    try:
+        for write in writes:
+            lines.append(write())
+    except Exception as exc:
+        return lines, exc
+    return lines, None
+
+
+def run_stages(run, stages, functions) -> tuple[str, DfcError] | None:
+    """Run `stages` in order, as `cli.run_inline` does, with the price file
+    and the checkpoints of `WRITER_STAGES` in forked workers.
+
+    Gives the earliest failed stage and its error, or None; an error that
+    is not a `DfcError` is re-raised, as inline, once every writer has
+    been joined.
+    """
+    prices = Worker(run.cfg.load_prices)
+    run.keep_later(prices=prices.result)
+    writers: list[tuple[str, Worker]] = []
+    failure = written = None  # the failed stage, the earliest failed writer
+    try:
+        for stage in stages:
+            run.deferred = [] if stage in WRITER_STAGES else None
+            try:
+                functions[stage](run)
+                if run.deferred:
+                    writers.append((stage, Worker(_write_all, run.deferred)))
+            except BaseException as exc:  # re-raised below unless a DfcError
+                failure = stage, exc
+                break
+            finally:
+                run.deferred = None
+        for stage, writer in writers:
+            try:
+                lines, error = writer.result()
+            except BaseException as exc:  # re-raised below unless a DfcError
+                lines, error = [], exc
+            if written is None:
+                for line in lines:
+                    run.say(line)
+                if error is not None:
+                    written = stage, error
+    finally:  # a no-op for the workers already joined
+        for worker in (prices, *(writer for _, writer in writers)):
+            worker.stop()
+    failure = written or failure
+    if failure is not None and not isinstance(failure[1], DfcError):
+        raise failure[1]
+    return failure

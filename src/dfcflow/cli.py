@@ -10,10 +10,17 @@ writes its checkpoints, the CSV/JSONL formats documented in
 docs/file_formats.md, never private binaries, so runs are resumable and
 auditable.  Rerunning a stage whose output is unchanged reports a cache
 hit and leaves the file untouched.  `all` runs ingest through report,
-then `compare-clusters`.  Stage failures exit with distinct codes
-(config 2, ingest 3, decode 4, cluster 5, ledger 6, report 7); a config
-key that is neither a `PipelineConfig` field nor `comment` is a config
-error.  Test data comes from tools/gen_fixture.py, not a subcommand.
+then `compare-clusters`.  Where it can fork (`background.can_fork`),
+`all` parses the price file in a forked worker during `ingest` and
+writes the checkpoints of `ingest`, `decode` and `track` from a forked
+writer per stage while the next stage runs; see `dfcflow.background`.
+Each file still appears whole, by rename.  A failed background write
+fails the run when the writer is joined, after the last stage, so later
+stages may have written their outputs by then.  Stage failures exit
+with distinct codes (config 2, ingest 3, decode 4, cluster 5, ledger 6,
+report 7); a config key that is neither a `PipelineConfig` field nor
+`comment` is a config error.  Test data comes from tools/gen_fixture.py,
+not a subcommand.
 
 At import this module loads only what config parsing and `ingest` need
 (`ingest`, `rpc`, `registry`, `errors`, `util`); each stage function and
@@ -29,6 +36,7 @@ import filecmp
 import json
 import sys
 from dataclasses import dataclass, fields
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -182,6 +190,9 @@ class PipelineRun:
         self.cfg = cfg
         self.quiet = quiet
         self._values: dict[str, object] = {}
+        self._later: dict[str, object] = {}
+        # when a list, `write` appends its writes here for the caller to run
+        self.deferred: list | None = None
 
     def say(self, message: str) -> None:
         if not self.quiet:
@@ -191,9 +202,15 @@ class PipelineRun:
         """Hand stage results to later stages of this invocation."""
         self._values.update(values)
 
+    def keep_later(self, **results) -> None:
+        """Hand later stages values still being computed: each is the
+        return value of its function, called when the value is first
+        asked for."""
+        self._later.update(results)
+
     def _once(self, name: str, load):
         if name not in self._values:
-            self._values[name] = load()
+            self._values[name] = self._later.pop(name, load)()
         return self._values[name]
 
     def _read(self, name: str, read, stage: str):
@@ -237,27 +254,31 @@ class PipelineRun:
         return self._read("flows", ledger.read_flows_csv, "track")
 
     def write(self, path: Path, writer, *args) -> None:
-        """Render `writer(tmp, *args)` into the `.tmp` sibling of `path`.
-        When `path` already holds the same bytes, report a cache hit and
-        leave it untouched; otherwise move the new file into place."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        try:
-            writer(tmp, *args)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-        filecmp.clear_cache()  # its cache keys on size and mtime, not content
-        if path.exists() and filecmp.cmp(path, tmp, shallow=False):
-            tmp.unlink()
-            self.say(f"{path.name}: cache hit (unchanged)")
+        """Write a checkpoint with `write_checkpoint` and print its status
+        line, or, while `deferred` is a list, append the write to it."""
+        if self.deferred is None:
+            self.say(write_checkpoint(path, writer, *args))
         else:
-            tmp.replace(path)
-            self.say(f"{path.name}: written")
+            self.deferred.append(partial(write_checkpoint, path, writer, *args))
 
 
-def _write_utf8(path: Path, text: str) -> None:
-    path.write_bytes(text.encode("utf-8"))
+def write_checkpoint(path: Path, writer, *args) -> str:
+    """Render `writer(tmp, *args)` into the `.tmp` sibling of `path`.
+    When `path` already holds the same bytes, leave it untouched;
+    otherwise move the new file into place.  Gives the status line."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        writer(tmp, *args)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    filecmp.clear_cache()  # its cache keys on size and mtime, not content
+    if path.exists() and filecmp.cmp(path, tmp, shallow=False):
+        tmp.unlink()
+        return f"{path.name}: cache hit (unchanged)"
+    tmp.replace(path)
+    return f"{path.name}: written"
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -280,7 +301,7 @@ def stage_ingest(run: PipelineRun) -> list[ingest.RawLog]:
         )
     kept = ingest.filter_logs(logs, registry, block_range)
     run.say(f"ingest: {len(kept)} of {len(logs)} logs kept")
-    run.write(cfg.checkpoint("logs"), _write_utf8, ingest.serialize_fixture(kept))
+    run.write(cfg.checkpoint("logs"), ingest.save_fixture, kept)
     run.keep(logs=kept)
     return kept
 
@@ -450,14 +471,28 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     stages = ALL_STAGES if args.command == "all" else (args.command,)
-    run = PipelineRun(cfg, args.quiet)
+    run_stages = run_inline
+    if args.command == "all":
+        from . import background
+
+        if background.can_fork():
+            run_stages = background.run_stages
+    failure = run_stages(PipelineRun(cfg, args.quiet), stages, STAGE_FUNCTIONS)
+    if failure is None:
+        return EXIT_OK
+    stage, exc = failure
+    print(f"{stage}: error: {exc}", file=sys.stderr)
+    return STAGE_EXIT_CODES[stage]
+
+
+def run_inline(run: PipelineRun, stages, functions) -> tuple[str, DfcError] | None:
+    """Run `stages` in order; the first to fail and its error, or None."""
     for stage in stages:
         try:
-            STAGE_FUNCTIONS[stage](run)
+            functions[stage](run)
         except DfcError as exc:
-            print(f"{stage}: error: {exc}", file=sys.stderr)
-            return STAGE_EXIT_CODES[stage]
-    return EXIT_OK
+            return stage, exc
+    return None
 
 
 if __name__ == "__main__":

@@ -27,7 +27,7 @@ from .errors import DecodeError
 from .ingest import RawLog
 from .registry import ContractRegistry, EventRule, Locator
 from .tables import Table
-from .util import PLACES, format_fixed, parse_fixed, to_hex
+from .util import PLACES, format_fixed, parse_fixed, to_hex, uint_cell_error
 
 COLLATERAL_DEPOSIT = "collateral_deposit"
 COLLATERAL_WITHDRAW = "collateral_withdraw"
@@ -336,13 +336,21 @@ def _amount(name: str, text: str) -> int:
     return amount
 
 
+def _log_position(block_number: str, log_index: str, timestamp: str) -> tuple[int, int, int]:
+    if not (block_number.isdigit() and log_index.isdigit() and timestamp.isdigit()
+            and (block_number + log_index + timestamp).isascii()):
+        raise uint_cell_error(block_number=block_number, log_index=log_index,
+                              timestamp=timestamp)
+    return int(block_number), int(log_index), int(timestamp)
+
+
 def _event_from_row(
     block_number, log_index, timestamp, protocol, kind, actor, on_behalf_of,
     currency, currency_received, amount, amount_received,
 ) -> CanonicalEvent:
     if kind not in CANONICAL_KINDS:
         raise ValueError(f"unknown event kind {kind!r}")
-    position = (kind, protocol, actor, int(block_number), int(log_index), int(timestamp))
+    position = (kind, protocol, actor, *_log_position(block_number, log_index, timestamp))
     on_behalf_of = on_behalf_of or None
     if kind == SWAP:
         return CanonicalEvent(
@@ -359,14 +367,17 @@ def _event_from_row(
     )
 
 
+def _approval_from_row(block_number, log_index, timestamp, token, owner, spender):
+    return ApprovalEvent(token, owner, spender,
+                         *_log_position(block_number, log_index, timestamp))
+
+
 EVENTS = Table(EVENT_CSV_COLUMNS, _event_row, _event_from_row)
 VAULTS = Table(("user", "proxy", "urn"), from_row=VaultTriple)
 APPROVALS = Table(
     ("block_number", "log_index", "timestamp", "token", "owner", "spender"),
     lambda a: (a.block_number, a.log_index, a.timestamp, a.token, a.owner, a.spender),
-    lambda block_number, log_index, timestamp, token, owner, spender: ApprovalEvent(
-        token, owner, spender, int(block_number), int(log_index), int(timestamp)
-    ),
+    _approval_from_row,
 )
 
 write_events_csv = EVENTS.write

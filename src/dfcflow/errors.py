@@ -1,8 +1,20 @@
-"""Exception types shared across the pipeline stages."""
+"""Exception types shared across the pipeline stages.
+
+Every `DfcError` pickles to the same type, message and attributes, so an
+error raised in a forked worker of `dfcflow all` is re-raised in the
+parent as it would have been inline.
+"""
+
+import copyreg
 
 
 class DfcError(Exception):
     """Base class for all pipeline errors."""
+
+    def __reduce__(self):
+        # rebuilt by __new__ without __init__, whose arguments subclasses
+        # format into the message; the attributes come back as state
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigError(DfcError):

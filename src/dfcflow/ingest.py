@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -176,10 +177,12 @@ def load_fixture(path: str | Path) -> list[RawLog]:
 
 
 def save_fixture(path: str | Path, logs: Iterable[RawLog]) -> None:
+    """Write `logs` in the fixture format, rendered a chunk at a time so
+    that no whole-file copy is ever held."""
+    logs = iter(logs)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for log in logs:
-            fh.write(log.to_json_line())
-            fh.write("\n")
+        while chunk := serialize_fixture(islice(logs, 1024)):
+            fh.write(chunk)
 
 
 def serialize_fixture(logs: Iterable[RawLog]) -> str:

@@ -69,7 +69,7 @@ from .decode import (
 )
 from .errors import LedgerError, SequencingError
 from .tables import Table
-from .util import format_fixed, parse_fixed
+from .util import format_fixed, parse_fixed, uint_cell_error
 
 Valuer = Callable[[str, int, int], int]  # (currency, amount, ts) -> USD, fixed point
 
@@ -260,6 +260,9 @@ def _flow_from_row(
     group, timestamp, block_number, protocol, currency, kind,
     debt_token, nondebt_token, debt_usd, nondebt_usd,
 ) -> FlowRecord:
+    if not (timestamp.isdigit() and block_number.isdigit()
+            and (timestamp + block_number).isascii()):
+        raise uint_cell_error(timestamp=timestamp, block_number=block_number)
     return FlowRecord(
         group, int(timestamp), int(block_number), protocol, currency, kind,
         parse_fixed(debt_token), parse_fixed(nondebt_token),

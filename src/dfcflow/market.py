@@ -31,7 +31,7 @@ from pathlib import Path
 from .errors import ConfigError, PriceFetchError, TableError, ValuationError
 from .registry import Currency
 from .tables import Table
-from .util import format_exact, parse_ratio
+from .util import format_exact, parse_ratio, uint_cell_error
 
 HOUR = 3600
 DAY = 86400
@@ -160,6 +160,8 @@ class PriceSeries:
 
 
 def _price_row(key: str, timestamp: str, price: str) -> tuple[str, int, int, int]:
+    if not (timestamp.isdigit() and timestamp.isascii()):
+        raise uint_cell_error(timestamp=timestamp)
     timestamp = int(timestamp)
     whole, dot, frac = price.partition(".")
     if whole.isdigit() and frac.isdigit() and price.isascii():
@@ -202,6 +204,7 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
     end = fetch_config.get("end")
     # loaded only when prices are fetched
     import http.client
+    import urllib.error
     import urllib.request
 
     rows: list[tuple[str, int, Fraction]] = []
@@ -211,6 +214,8 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
             with urllib.request.urlopen(url, timeout=30) as response:
                 candles = json.loads(response.read())
         except (OSError, http.client.HTTPException, ValueError) as exc:
+            if isinstance(exc, urllib.error.HTTPError):
+                exc.close()  # an error reply holds its connection open
             raise PriceFetchError(f"{key} candles from {url}: {exc}") from exc
         if not isinstance(candles, list):
             raise PriceFetchError(f"{key} candles from {url}: reply is not a list")

@@ -91,6 +91,16 @@ def parse_fixed(text: str) -> int:
     )
 
 
+def uint_cell_error(**cells: str) -> ValueError:
+    """The error for the first of `cells` (column name -> text) that is
+    not a plain run of ASCII digits.  Readers check integer cells inline
+    with `isdigit()` and `isascii()`, since `int()` also takes blanks, a
+    sign, `_` separators and non-ASCII digits."""
+    name, text = next((name, text) for name, text in cells.items()
+                      if not (text.isdigit() and text.isascii()))
+    return ValueError(f"invalid {name} {text!r}: expected ASCII digits")
+
+
 def format_fixed(units: int) -> str:
     """A count of 1/SCALE units as a plain decimal with no trailing zeros
     (`4914698.71`, `0`), the same text :func:`format_exact` gives for the

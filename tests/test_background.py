@@ -1,0 +1,139 @@
+"""`dfcflow all` with forked workers (`dfcflow.background`) against the
+same run inline: the same bytes, lines, exit codes and errors, and no
+child process left behind."""
+
+import os
+import shutil
+import threading
+
+import pytest
+
+from dfcflow import background
+from dfcflow.cli import main
+
+from tests.conftest import DATA_DIR
+from tests.test_cli import ALL_OUTPUTS, write_config
+
+MODES = ("fork", "inline")
+
+
+def run_all(monkeypatch, capsys, config, mode):
+    """`dfcflow all` in `mode`: its exit code, or the type and text of the
+    error it raised, and its stdout and stderr.  Fails if a child process
+    of the run is left."""
+    capsys.readouterr()
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        forks.append(None)
+        return fork()
+
+    with monkeypatch.context() as patch:
+        if mode == "fork":
+            assert background.can_fork()
+            patch.setattr(os, "fork", counting_fork)
+        else:
+            patch.delattr(os, "fork")
+        try:
+            outcome = main(["all", "--config", str(config)])
+        except OSError as exc:
+            outcome = type(exc), str(exc)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert bool(forks) == (mode == "fork")
+    out, err = capsys.readouterr()
+    return outcome, out, err
+
+
+def test_fork_and_inline_write_the_same_bytes_and_lines(tmp_path, monkeypatch, capsys):
+    results = {}
+    for mode in MODES:
+        config = write_config(tmp_path, tmp_path / mode)
+        code, out, err = run_all(monkeypatch, capsys, config, mode)
+        assert code == 0 and err == ""
+        results[mode] = sorted(out.splitlines())
+    assert results["fork"] == results["inline"]
+    assert sorted(p.name for p in (tmp_path / "fork").iterdir()) == sorted(ALL_OUTPUTS)
+    for name in ALL_OUTPUTS:
+        assert (tmp_path / "fork" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+
+def test_inline_while_another_thread_is_alive():
+    assert background.can_fork()
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert not background.can_fork()
+    finally:
+        release.set()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def bad_price_cell(tmp_path):
+    prices = tmp_path / "prices.csv"
+    lines = (DATA_DIR / "prices.csv").read_text().splitlines()
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",abc"
+    prices.write_text("\n".join(lines) + "\n")
+    return {"prices": str(prices)}
+
+
+def checkpoint_is_a_directory(*names):
+    """Each named checkpoint path holds a directory, so moving the new file
+    into place fails."""
+    def make(tmp_path):
+        for name in names:
+            (tmp_path / "out" / name).mkdir(parents=True)
+        return {}
+    return make
+
+
+# name -> (what the run is given, its exit code, or the error it raises,
+# and the start of its stderr); the run's output directory is `out`
+FAILURES = {
+    "ingest-missing-fixture": (
+        lambda tmp_path: {"fixture": str(tmp_path / "absent.jsonl")}, 3,
+        "ingest: error: fixture {tmp}/absent.jsonl does not exist"),
+    "cluster-missing-denylist": (
+        lambda tmp_path: {"denylist": str(tmp_path / "absent.csv")}, 5,
+        "cluster: error: {tmp}/absent.csv: cannot read"),
+    "track-bad-price-cell": (
+        bad_price_cell, 6,
+        "track: error: {tmp}/prices.csv, line 5: Invalid literal for Fraction: 'abc'"),
+    "track-missing-price-file": (
+        lambda tmp_path: {"prices": str(tmp_path / "absent.csv")}, 6,
+        "track: error: {tmp}/absent.csv: cannot read"),
+    "track-no-price-file": (
+        lambda tmp_path: {"prices": None, "price_fetch": {"url_template": "x", "key_map": {}}},
+        6, "track: error: no price file configured; run fetch-prices first"),
+    "decode-checkpoint-unwritable": (
+        checkpoint_is_a_directory("vaults.csv"),
+        (IsADirectoryError, "[Errno 21] Is a directory: '{tmp}/out/vaults.csv.tmp' -> "
+                            "'{tmp}/out/vaults.csv'"), ""),
+    # the earliest failure wins: the ingest write, not the decode write or track
+    "earliest-of-several": (
+        lambda tmp_path: checkpoint_is_a_directory("logs.jsonl", "events.csv")(tmp_path)
+        | bad_price_cell(tmp_path),
+        (IsADirectoryError, "[Errno 21] Is a directory: '{tmp}/out/logs.jsonl.tmp' -> "
+                            "'{tmp}/out/logs.jsonl'"), ""),
+}
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_failures_surface_as_inline(tmp_path, monkeypatch, capsys, name):
+    given, outcome, err_start = FAILURES[name]
+    expected = {}
+    for mode in MODES:
+        shutil.rmtree(tmp_path, ignore_errors=True)
+        tmp_path.mkdir()
+        config = write_config(tmp_path, tmp_path / "out", **given(tmp_path))
+        got, _, err = run_all(monkeypatch, capsys, config, mode)
+        if isinstance(outcome, tuple):
+            assert got == (outcome[0], outcome[1].format(tmp=tmp_path))
+        else:
+            assert got == outcome
+        assert err.startswith(err_start.format(tmp=tmp_path)) and "Traceback" not in err
+        expected[mode] = got, err
+    assert expected["fork"] == expected["inline"]

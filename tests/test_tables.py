@@ -143,3 +143,35 @@ def test_records_are_immutable_and_compare_field_by_field(record):
         record.note = "extra"
     assert record == type(record)(*record)
     assert record != record._replace(**{name: None})
+
+
+def integer_cell_forms(text):
+    """Forms of an integer cell that `int()` reads but a checkpoint never holds."""
+    return {
+        "space": " " + text,
+        "sign": "+" + text,
+        "underscore": text[0] + "_" + text[1:] if len(text) > 1 else "0_" + text,
+        "arabic-indic": text.translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")),
+    }
+
+
+@pytest.mark.parametrize("form", sorted(integer_cell_forms("1")))
+@pytest.mark.parametrize("name, column", [
+    ("prices", "timestamp"),
+    ("events", "block_number"), ("events", "log_index"), ("events", "timestamp"),
+    ("approvals", "block_number"), ("approvals", "log_index"), ("approvals", "timestamp"),
+    ("flows", "timestamp"), ("flows", "block_number"),
+])
+def test_integer_cells_take_only_ascii_digits(tmp_path, name, column, form):
+    write, read, make, _ = TABLES[name]
+    path = tmp_path / f"{name}.csv"
+    write(path, make())
+    lines = path.read_text(encoding="utf-8").splitlines()
+    index = lines[0].split(",").index(column)
+    cells = lines[1].split(",")
+    text = cells[index] = integer_cell_forms(cells[index])[form]
+    lines[1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(TableError) as info:
+        read(path)
+    assert str(info.value) == f"{path}, line 2: invalid {column} {text!r}: expected ASCII digits"
