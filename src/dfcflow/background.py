@@ -4,17 +4,28 @@ for, so that it runs on another core.
 `run_stages` forks a price reader before `ingest`, while the heap is
 still small; `track` takes the `PriceSeries` from it through a pipe when
 it first asks for the prices.  The checkpoints of `ingest`, `decode` and
-`track` are written by one forked writer per stage, which renders, then
-compares and renames each file as `PipelineRun.write` does, while the
-parent goes on to the next stage.  Children share the stage values
-copy-on-write (spawned workers would have to pickle them, which costs
-nearly as much as the write); only results and errors are pickled.
+`track` are written by forked writers, which render, then compare and
+rename each file as `PipelineRun.write` does, while the parent goes on
+to the next stage.  The first writer is forked after `decode` and
+carries the checkpoints of both `ingest` and `decode`, so that no child
+shares the pages of the `RawLog`s while `decode` reads them; the second
+is forked after `track`.  Children share the stage values copy-on-write
+(spawned workers would have to pickle them, which costs nearly as much
+as the write); only results and errors are pickled.
+
+Each fork is preceded by `gc.freeze()`, so that the parent's collector
+never walks, and so never writes to, the objects it shares with a child:
+each such write would copy a page.  `run_stages` calls `gc.unfreeze()`
+when it returns, so an in-process caller gets its collector back as it
+was.
 
 Errors surface as they would inline.  A worker's exception is re-raised
-in the parent, and when several stages failed the earliest one wins.
-Every writer is joined before `run_stages` returns, on success and on
-failure, and its status lines are printed then, in stage order; a price
-reader whose result was never taken is killed and reaped.
+in the parent, and when several stages failed the earliest one wins.  A
+writer's error counts against the stage whose checkpoint failed, so a
+failed `logs.jsonl` is still an `ingest` failure, earlier than any of
+`decode`.  Every writer is joined before `run_stages` returns, on
+success and on failure, and its status lines are printed then, in stage
+order; a price reader whose result was never taken is killed and reaped.
 
 `dfcflow.cli` imports this module for `all` only, and runs `all` inline
 when `can_fork()` is false.
@@ -35,6 +46,9 @@ from .errors import DfcError
 
 # the stages whose checkpoints a forked writer writes
 WRITER_STAGES = frozenset({"ingest", "decode", "track"})
+# the stages whose checkpoints wait for the writer of the next stage:
+# `decode` reads every `RawLog`, and no child should share those pages then
+CARRIED_STAGES = frozenset({"ingest"})
 
 
 def can_fork() -> bool:
@@ -52,6 +66,9 @@ class Worker:
     def __init__(self, fn, *args):
         start_read, start_write = os.pipe()
         reply_read, reply_write = os.pipe()
+        # the collector would write to every object the child shares, and
+        # each write copies a page; `run_stages` unfreezes when it returns
+        gc.freeze()
         try:
             self.pid = os.fork()
         except BaseException:
@@ -116,15 +133,16 @@ def _serve(start: int, reply: int, fn, args) -> None:
         os._exit(status)
 
 
-def _write_all(writes: list) -> tuple[list[str], Exception | None]:
-    """Run `writes` in order: the status lines of those that finished, and
-    the error that stopped the rest, if any."""
+def _write_all(writes: list) -> tuple[list[str], tuple[str, Exception] | None]:
+    """Run `writes`, (stage, write) pairs, in order: the status lines of
+    those that finished, and the stage and error of the one that stopped
+    the rest, if any."""
     lines = []
-    try:
-        for write in writes:
+    for stage, write in writes:
+        try:
             lines.append(write())
-    except Exception as exc:
-        return lines, exc
+        except Exception as exc:
+            return lines, (stage, exc)
     return lines, None
 
 
@@ -136,35 +154,42 @@ def run_stages(run, stages, functions) -> tuple[str, DfcError] | None:
     is not a `DfcError` is re-raised, as inline, once every writer has
     been joined.
     """
-    prices = Worker(run.cfg.load_prices)
-    run.keep_later(prices=prices.result)
-    writers: list[tuple[str, Worker]] = []
+    writers: list[tuple[str, Worker]] = []  # each with the first stage it writes for
+    pending: list = []  # (stage, write) pairs that the next writer takes
+    prices = None
     failure = written = None  # the failed stage, the earliest failed writer
     try:
+        prices = Worker(run.cfg.load_prices)
+        run.keep_later(prices=prices.result)
         for stage in stages:
             run.deferred = [] if stage in WRITER_STAGES else None
             try:
                 functions[stage](run)
-                if run.deferred:
-                    writers.append((stage, Worker(_write_all, run.deferred)))
+                pending += [(stage, write) for write in run.deferred or ()]
             except BaseException as exc:  # re-raised below unless a DfcError
                 failure = stage, exc
                 break
             finally:
                 run.deferred = None
-        for stage, writer in writers:
+            if pending and stage not in CARRIED_STAGES:
+                writers.append((pending[0][0], Worker(_write_all, pending)))
+                pending = []
+        if pending:
+            writers.append((pending[0][0], Worker(_write_all, pending)))
+        for first, writer in writers:
             try:
                 lines, error = writer.result()
             except BaseException as exc:  # re-raised below unless a DfcError
-                lines, error = [], exc
+                lines, error = [], (first, exc)
             if written is None:
                 for line in lines:
                     run.say(line)
-                if error is not None:
-                    written = stage, error
+                written = error
     finally:  # a no-op for the workers already joined
         for worker in (prices, *(writer for _, writer in writers)):
-            worker.stop()
+            if worker is not None:
+                worker.stop()
+        gc.unfreeze()
     failure = written or failure
     if failure is not None and not isinstance(failure[1], DfcError):
         raise failure[1]

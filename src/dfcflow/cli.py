@@ -12,8 +12,8 @@ auditable.  Rerunning a stage whose output is unchanged reports a cache
 hit and leaves the file untouched.  `all` runs ingest through report,
 then `compare-clusters`.  Where it can fork (`background.can_fork`),
 `all` parses the price file in a forked worker during `ingest` and
-writes the checkpoints of `ingest`, `decode` and `track` from a forked
-writer per stage while the next stage runs; see `dfcflow.background`.
+writes the checkpoints of `ingest`, `decode` and `track` from forked
+writers while later stages run; see `dfcflow.background`.
 Each file still appears whole, by rename.  A failed background write
 fails the run when the writer is joined, after the last stage, so later
 stages may have written their outputs by then.  Stage failures exit
@@ -95,8 +95,8 @@ class PipelineConfig:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError(f"config {path} is not a JSON object")
-        if overrides:
-            doc.update({k: v for k, v in overrides.items() if v is not None})
+        overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+        doc.update(overrides)
         known = {f.name for f in fields(cls)} | {"comment"}
         unknown = sorted(doc.keys() - known)
         if unknown:
@@ -109,7 +109,8 @@ class PipelineConfig:
             if value is None:
                 return None
             p = Path(value)
-            return p if p.is_absolute() else (base / p)
+            # a path given on the command line is relative to the working directory
+            return p if p.is_absolute() or key in overrides else (base / p)
 
         for key in ("registry", "from_block", "to_block", "output"):
             if doc.get(key) is None:

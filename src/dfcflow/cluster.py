@@ -143,12 +143,6 @@ class Partition:
         rep = self.addr_to_rep.get(addr)
         return rep if rep in self.eligible else None
 
-    def group_family(self) -> frozenset[frozenset[str]]:
-        return frozenset(self.groups.values())
-
-    def eligible_family(self) -> frozenset[frozenset[str]]:
-        return frozenset(self.groups[rep] for rep in self.eligible)
-
     def validate(self) -> None:
         seen: set[str] = set()
         for rep, members in self.groups.items():

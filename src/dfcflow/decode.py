@@ -1,7 +1,24 @@
 """Decode filtered raw logs into canonical, currency-normalized events.
 
 Each registry rule names where the acting address, amounts and currency
-live inside a log (topic index or data byte offset).  Amounts leave this
+live inside a log (topic index or data byte offset).  The first time a
+run meets a rule, `decode_stream` compiles it into one decoder function,
+kept on the registry: the function holds the rule's topic indexes, data
+offsets, currency and scale as local values, and reads a log with direct
+slices and `int.from_bytes`.  `decode_event` goes through the same
+decoders, so there is one decode path.
+
+A decoder checks a log's length once, against the largest topic index
+and data end of the rule's reads.  A log too short for some read raises
+the `DecodeError` of the first read that does not fit, in the order the
+fields are read: the currency token, actor, beneficiary and amount of a
+lending event; the four amount words, actor and recipient of a swap; the
+addresses of a vault opening or approval, in the order the rule names
+them.  A lending event whose currency token is out of scope, and a
+degenerate swap, give None whatever the reads after them would find.
+(`tests/oracles.py` keeps the read-by-read decoder these match.)
+
+Amounts leave this
 module as `int` counts of 1/`util.SCALE` tokens: a token with `decimals`
 d has 10**(36 - d) units per base unit, so decoding is exact for every d
 up to 18 and an amount in `events.csv` reads back to the same count.
@@ -20,6 +37,7 @@ field.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -118,8 +136,17 @@ class DecodeResult:
     approvals: list[ApprovalEvent] = field(default_factory=list)
     stats: dict[str, int] = field(default_factory=dict)
 
-    def bump(self, key: str) -> None:
-        self.stats[key] = self.stats.get(key, 0) + 1
+
+# A field read, as (in_topic, index, start, stop): an address is the low
+# 20 bytes of topic `index` or the 20 bytes at data offset `index`, an
+# amount the whole topic or the 32-byte word at the offset.  The read
+# needs topic `index` to exist, or `stop` bytes of data.
+Field = tuple[bool, int, int, "int | None"]
+
+# a swap's data words: amount0In, amount1In, amount0Out, amount1Out
+_SWAP_WORDS = tuple((False, offset, offset, offset + 32) for offset in (0, 32, 64, 96))
+
+_new = tuple.__new__  # a named tuple from all of its fields, without `__new__`'s defaults
 
 
 def normalize_amount(raw: int, decimals: int) -> int:
@@ -131,161 +158,218 @@ def normalize_amount(raw: int, decimals: int) -> int:
     return raw * 10 ** (PLACES - decimals)
 
 
-def _read_topic(log: RawLog, index: int) -> bytes:
-    if index >= len(log.topics):
-        raise DecodeError(
-            f"topic index {index} out of bounds ({len(log.topics)} topics)",
-            to_hex(log.tx_hash),
-            log.log_index,
-        )
-    return log.topics[index]
-
-
-def _read_data(log: RawLog, offset: int, length: int) -> bytes:
-    if offset + length > len(log.data):
-        raise DecodeError(
-            f"data field too short: need {offset + length} bytes, have {len(log.data)}",
-            to_hex(log.tx_hash),
-            log.log_index,
-        )
-    return log.data[offset:offset + length]
-
-
-def _address_bytes(log: RawLog, locator: Locator) -> bytes:
-    """Resolve an address locator: low 20 bytes of a topic, or the 20 bytes
-    at a data byte offset."""
+def _field(locator: Locator, length: int) -> Field:
     if locator.source == "topic":
-        return _read_topic(log, locator.index)[12:]
-    return _read_data(log, locator.index, 20)
+        return True, locator.index, 32 - length, None
+    return False, locator.index, locator.index, locator.index + length
 
 
-def extract_actor(log: RawLog, locator: Locator) -> str:
-    return to_hex(_address_bytes(log, locator))
-
-
-def _read_uint(log: RawLog, locator: Locator) -> int:
-    if locator.source == "topic":
-        word = _read_topic(log, locator.index)
-    else:
-        word = _read_data(log, locator.index, 32)
-    return int.from_bytes(word, "big")
-
-
-def _resolve_currency(log: RawLog, rule: EventRule, registry: ContractRegistry):
-    """Return the event's Currency, or None when out of the five-currency
-    scope."""
-    if rule.currency_fixed is not None:
-        return registry.currency(rule.currency_fixed)
-    return registry.token_currency(_address_bytes(log, rule.currency_token))
-
-
-# a swap's data words: amount0In, amount1In, amount0Out, amount1Out
-_SWAP_IN0 = Locator("data", 0)
-_SWAP_IN1 = Locator("data", 32)
-_SWAP_OUT0 = Locator("data", 64)
-_SWAP_OUT1 = Locator("data", 96)
-
-
-def _decode_swap(log: RawLog, rule: EventRule, registry: ContractRegistry):
-    sent_cur = registry.token_currency(rule.token0)
-    recv_cur = registry.token_currency(rule.token1)
-    if sent_cur is None or recv_cur is None:
-        return None  # a pair leg outside the five currencies
-    if sent_cur.symbol == recv_cur.symbol:
-        raise DecodeError(
-            f"pair {to_hex(rule.contract)} resolves both legs to {sent_cur.symbol}",
-            to_hex(log.tx_hash),
-            log.log_index,
-        )
-    in0 = _read_uint(log, _SWAP_IN0)
-    in1 = _read_uint(log, _SWAP_IN1)
-    out0 = _read_uint(log, _SWAP_OUT0)
-    out1 = _read_uint(log, _SWAP_OUT1)
-    # classify on net pool flows: the user sends the token flowing into
-    # the pool and receives the token flowing out
-    net0 = in0 - out0
-    net1 = in1 - out1
-    if net0 > 0 and net1 < 0:
-        sent_amt, recv_amt = net0, -net1
-    elif net1 > 0 and net0 < 0:
-        sent_cur, recv_cur = recv_cur, sent_cur
-        sent_amt, recv_amt = net1, -net0
-    else:
-        return None  # degenerate swap, no directed exchange
-    actor = extract_actor(log, rule.actor)
-    recipient = extract_actor(log, rule.recipient)
-    return CanonicalEvent(
-        kind=SWAP,
-        protocol=rule.protocol,
-        actor=actor,
-        block_number=log.block_number,
-        log_index=log.log_index,
-        timestamp=log.timestamp,
-        currency_sent=sent_cur.symbol,
-        currency_received=recv_cur.symbol,
-        amount_sent=normalize_amount(sent_amt, sent_cur.decimals),
-        amount_received=normalize_amount(recv_amt, recv_cur.decimals),
-        on_behalf_of=recipient if recipient != actor else None,
+def _extent(fields: Sequence[Field]) -> tuple[int, int]:
+    """The number of topics and of data bytes a log needs for all of `fields`."""
+    return (
+        max((index + 1 for in_topic, index, _, _ in fields if in_topic), default=0),
+        max((stop for in_topic, _, _, stop in fields if not in_topic), default=0),
     )
+
+
+def _short_error(log: RawLog, fields: Sequence[Field]) -> DecodeError | None:
+    """The error of the first of `fields` that `log` is too short for, or
+    None when all of them fit."""
+    topics, data = log.topics, log.data
+    for in_topic, index, _, stop in fields:
+        if in_topic and index >= len(topics):
+            message = f"topic index {index} out of bounds ({len(topics)} topics)"
+        elif not in_topic and stop > len(data):
+            message = f"data field too short: need {stop} bytes, have {len(data)}"
+        else:
+            continue
+        return DecodeError(message, to_hex(log.tx_hash), log.log_index)
+    return None
+
+
+def _net_flows(data: bytes) -> tuple[int, int]:
+    """A swap's net flows of token0 and token1 into the pool."""
+    return (int.from_bytes(data[:32], "big") - int.from_bytes(data[64:96], "big"),
+            int.from_bytes(data[32:64], "big") - int.from_bytes(data[96:128], "big"))
+
+
+def _nothing(log: RawLog) -> None:
+    return None
+
+
+def _lending_decoder(rule: EventRule, registry: ContractRegistry):
+    kind, protocol = rule.kind, rule.protocol
+    fields = [actor := _field(rule.actor, 20)]
+    at, ai, a0, a1 = actor
+    bt = bi = b0 = b1 = None
+    if rule.on_behalf_of is not None:
+        fields.append(beneficiary := _field(rule.on_behalf_of, 20))
+        bt, bi, b0, b1 = beneficiary
+    fields.append(amount := _field(rule.amount, 32))
+    mt, mi, m0, m1 = amount
+    ct = ci = c0 = c1 = scales = None
+    if rule.currency_fixed is not None:
+        currency = registry.currency(rule.currency_fixed)
+        fixed = currency.symbol, normalize_amount(1, currency.decimals)
+    else:
+        # the currency token is read first, and an out-of-scope one ends the read
+        fields.insert(0, token := _field(rule.currency_token, 20))
+        ct, ci, c0, c1 = token
+        scales = {
+            address: (symbol, normalize_amount(1, registry.currencies[symbol].decimals))
+            for address, symbol in registry.tokens.items()
+        }
+    n_topics, n_data = _extent(fields)
+
+    def short(log: RawLog) -> None:
+        if (ct is not None and _short_error(log, fields[:1]) is None
+                and (log.topics[ci] if ct else log.data)[c0:c1] not in scales):
+            return None
+        raise _short_error(log, fields)
+
+    def decode(log: RawLog) -> CanonicalEvent | None:
+        block_number, _, log_index, _, topics, data, timestamp = log
+        if len(topics) < n_topics or len(data) < n_data:
+            return short(log)
+        if ct is None:
+            symbol, scale = fixed
+        else:
+            currency = scales.get((topics[ci] if ct else data)[c0:c1])
+            if currency is None:
+                return None
+            symbol, scale = currency
+        actor = "0x" + (topics[ai] if at else data)[a0:a1].hex()
+        on_behalf_of = None
+        if bt is not None:
+            named = "0x" + (topics[bi] if bt else data)[b0:b1].hex()
+            if named != actor:
+                on_behalf_of = named
+        amount = int.from_bytes((topics[mi] if mt else data)[m0:m1], "big") * scale
+        return _new(CanonicalEvent, (
+            kind, protocol, actor, block_number, log_index, timestamp, symbol, amount,
+            None, None, None, None, on_behalf_of,
+        ))
+
+    return decode
+
+
+def _swap_decoder(rule: EventRule, registry: ContractRegistry):
+    protocol = rule.protocol
+    leg0 = registry.token_currency(rule.token0)
+    leg1 = registry.token_currency(rule.token1)
+    if leg0 is None or leg1 is None:
+        return _nothing  # a pair leg outside the five currencies
+    if leg0.symbol == leg1.symbol:
+        message = f"pair {to_hex(rule.contract)} resolves both legs to {leg0.symbol}"
+
+        def same_legs(log: RawLog):
+            raise DecodeError(message, to_hex(log.tx_hash), log.log_index)
+
+        return same_legs
+    sym0, scale0 = leg0.symbol, normalize_amount(1, leg0.decimals)
+    sym1, scale1 = leg1.symbol, normalize_amount(1, leg1.decimals)
+    at, ai, a0, a1 = actor = _field(rule.actor, 20)
+    rt, ri, r0, r1 = recipient = _field(rule.recipient, 20)
+    fields = _SWAP_WORDS + (actor, recipient)
+    n_topics, n_data = _extent(fields)
+
+    def short(log: RawLog) -> None:
+        if _short_error(log, _SWAP_WORDS) is None:
+            net0, net1 = _net_flows(log.data)
+            if not (net0 > 0 > net1 or net1 > 0 > net0):
+                return None  # degenerate: no address is read
+        raise _short_error(log, fields)
+
+    def decode(log: RawLog) -> CanonicalEvent | None:
+        block_number, _, log_index, _, topics, data, timestamp = log
+        if len(topics) < n_topics or len(data) < n_data:
+            return short(log)
+        # classify on net pool flows: the user sends the token flowing into
+        # the pool and receives the token flowing out
+        net0, net1 = _net_flows(data)
+        if net0 > 0 > net1:
+            legs = sym0, sym1, net0 * scale0, -net1 * scale1
+        elif net1 > 0 > net0:
+            legs = sym1, sym0, net1 * scale1, -net0 * scale0
+        else:
+            return None  # degenerate swap, no directed exchange
+        actor = "0x" + (topics[ai] if at else data)[a0:a1].hex()
+        recipient = "0x" + (topics[ri] if rt else data)[r0:r1].hex()
+        return _new(CanonicalEvent, (
+            SWAP, protocol, actor, block_number, log_index, timestamp, None, None,
+            *legs, recipient if recipient != actor else None,
+        ))
+
+    return decode
+
+
+def _address_decoder(locators: Sequence[Locator], build):
+    """A decoder that reads the addresses at `locators` and gives
+    `build(log, *addresses)`."""
+    fields = [_field(locator, 20) for locator in locators]
+    n_topics, n_data = _extent(fields)
+
+    def decode(log: RawLog):
+        topics, data = log.topics, log.data
+        if len(topics) < n_topics or len(data) < n_data:
+            raise _short_error(log, fields)
+        return build(log, *["0x" + (topics[index] if in_topic else data)[start:stop].hex()
+                            for in_topic, index, start, stop in fields])
+
+    return decode
+
+
+def _vault_triple(log: RawLog, user: str, proxy: str, urn: str | None = None) -> VaultTriple:
+    return VaultTriple(user, proxy, urn or proxy)
+
+
+def _approval(token: str, log: RawLog, owner: str, spender: str) -> ApprovalEvent:
+    return ApprovalEvent(token, owner, spender, log.block_number, log.log_index, log.timestamp)
+
+
+def _compile(registry: ContractRegistry, key: tuple[bytes, bytes | None]):
+    """The decoder of the rule at `key` (contract, topic0), with the kind of
+    record it gives and the stats key of a log it gives None for."""
+    rule = registry.rules.get(key)
+    if rule is None:
+        return _nothing, None, "unmatched"
+    kind = rule.kind
+    if kind == "liquidation":
+        return _nothing, kind, "liquidation_excluded"
+    if kind == "vault_open":
+        locators = [rule.vault_user, rule.vault_proxy]
+        if rule.vault_urn is not None:
+            locators.append(rule.vault_urn)
+        return _address_decoder(locators, _vault_triple), kind, None
+    if kind == "approval":
+        approval = partial(_approval, registry.tokens[rule.contract])
+        return _address_decoder([rule.owner, rule.spender], approval), kind, None
+    build = _swap_decoder if kind == SWAP else _lending_decoder
+    return build(rule, registry), kind, "not_relevant"
+
+
+def _decoder(registry: ContractRegistry, log: RawLog):
+    """The compiled decoder entry of `log`'s rule, built on first use."""
+    key = log.contract_address, log.topic0
+    entry = registry.decoders.get(key)
+    if entry is None:
+        entry = registry.decoders[key] = _compile(registry, key)
+    return entry
 
 
 def decode_event(log: RawLog, registry: ContractRegistry) -> CanonicalEvent | None:
     """Decode one filtered log; None means not relevant to the canonical
     stream (out-of-scope currency, liquidation, vault bookkeeping, ...)."""
-    rule = registry.rule_for(log.contract_address, log.topic0)
-    if rule is None:
+    decode, kind, missed = _decoder(registry, log)
+    if missed == "unmatched":
         raise DecodeError(
             "log does not match any registry rule",
             to_hex(log.tx_hash),
             log.log_index,
         )
-    return _decode_matched(log, rule, registry)
-
-
-def _decode_matched(log: RawLog, rule: EventRule, registry: ContractRegistry):
-    if rule.kind in ("liquidation", "vault_open", "approval"):
+    if kind == "vault_open" or kind == "approval":
         return None
-    if rule.kind == SWAP:
-        return _decode_swap(log, rule, registry)
-
-    currency = _resolve_currency(log, rule, registry)
-    if currency is None:
-        return None
-    actor = extract_actor(log, rule.actor)
-    beneficiary = None
-    if rule.on_behalf_of is not None:
-        named = extract_actor(log, rule.on_behalf_of)
-        if named != actor:
-            beneficiary = named
-    return CanonicalEvent(
-        kind=rule.kind,
-        protocol=rule.protocol,
-        actor=actor,
-        block_number=log.block_number,
-        log_index=log.log_index,
-        timestamp=log.timestamp,
-        currency=currency.symbol,
-        amount=normalize_amount(_read_uint(log, rule.amount), currency.decimals),
-        on_behalf_of=beneficiary,
-    )
-
-
-def decode_vault_open(log: RawLog, rule: EventRule) -> VaultTriple:
-    user = extract_actor(log, rule.vault_user)
-    proxy = extract_actor(log, rule.vault_proxy)
-    urn = extract_actor(log, rule.vault_urn) if rule.vault_urn else proxy
-    return VaultTriple(user=user, proxy=proxy, urn=urn)
-
-
-def decode_approval(log: RawLog, rule: EventRule, registry: ContractRegistry) -> ApprovalEvent:
-    return ApprovalEvent(
-        token=registry.tokens[rule.contract],
-        owner=extract_actor(log, rule.owner),
-        spender=extract_actor(log, rule.spender),
-        block_number=log.block_number,
-        log_index=log.log_index,
-        timestamp=log.timestamp,
-    )
+    return decode(log)
 
 
 def decode_stream(logs: Sequence[RawLog], registry: ContractRegistry) -> DecodeResult:
@@ -295,25 +379,22 @@ def decode_stream(logs: Sequence[RawLog], registry: ContractRegistry) -> DecodeR
     Not-relevant logs are counted in `stats`, never logged per event.
     """
     result = DecodeResult()
+    stats = result.stats
+    records = dict.fromkeys(CANONICAL_KINDS, result.events)
+    records.update(vault_open=result.vault_triples, approval=result.approvals)
+    decoders = registry.decoders
     for log in logs:
-        rule = registry.rule_for(log.contract_address, log.topic0)
-        if rule is None:
-            result.bump("unmatched")
-            continue
-        if rule.kind == "vault_open":
-            result.vault_triples.append(decode_vault_open(log, rule))
-            result.bump("vault_open")
-        elif rule.kind == "approval":
-            result.approvals.append(decode_approval(log, rule, registry))
-            result.bump("approval")
+        topics = log.topics
+        entry = decoders.get((log.contract_address, topics[0] if topics else None))
+        if entry is None:
+            entry = _decoder(registry, log)
+        decode, kind, missed = entry
+        record = decode(log)
+        if record is None:
+            stats[missed] = stats.get(missed, 0) + 1
         else:
-            event = _decode_matched(log, rule, registry)
-            if event is None:
-                key = "liquidation_excluded" if rule.kind == "liquidation" else "not_relevant"
-                result.bump(key)
-            else:
-                result.events.append(event)
-                result.bump(event.kind)
+            records[kind].append(record)
+            stats[kind] = stats.get(kind, 0) + 1
     return result
 
 

@@ -71,6 +71,8 @@ from .errors import LedgerError, SequencingError
 from .tables import Table
 from .util import format_fixed, parse_fixed, uint_cell_error
 
+_new = tuple.__new__  # a named tuple from all of its fields, without `__new__`'s defaults
+
 Valuer = Callable[[str, int, int], int]  # (currency, amount, ts) -> USD, fixed point
 
 FLOW_CSV_COLUMNS = (
@@ -121,79 +123,68 @@ class GroupLedger:
         self.flow_log: list[FlowRecord] = []
         self._last_key: tuple[int, int] | None = None
 
-    def apply(self, e: CanonicalEvent) -> None:
-        if self._last_key is not None and e.order_key <= self._last_key:
+    def apply(self, e: CanonicalEvent) -> FlowRecord | None:
+        """Apply one event; gives the flow record of a deposit or withdrawal."""
+        (kind, protocol, _, block_number, log_index, timestamp, currency, amount,
+         sent, received, amount_sent, amount_received, _) = e
+        key = block_number, log_index
+        if self._last_key is not None and key <= self._last_key:
             raise SequencingError(
-                f"event at {e.order_key} arrived after {self._last_key} in group {self.group}"
+                f"event at {key} arrived after {self._last_key} in group {self.group}"
             )
-        self._last_key = e.order_key
+        self._last_key = key
+        wallet = self.wallet_debt
 
-        platform_key = None
-        if e.kind == DEBT_CREATE:
-            self.wallet_debt[e.currency] += e.amount
-            changed = (e.currency,)
-        elif e.kind == DEBT_REPAY:
-            balance = self.wallet_debt[e.currency]
-            self.wallet_debt[e.currency] = balance - min(e.amount, balance)
-            changed = (e.currency,)
-        elif e.kind == COLLATERAL_DEPOSIT:
-            platform_key = (e.protocol, e.currency)
-            debt_amt, nondebt_amt = first_out_split(e.amount, self.wallet_debt[e.currency])
-            self.wallet_debt[e.currency] -= debt_amt
-            self.platform_debt[platform_key] += debt_amt
-            self._record(e, debt_amt, nondebt_amt)
-            changed = (e.currency,)
-        elif e.kind == COLLATERAL_WITHDRAW:
-            platform_key = (e.protocol, e.currency)
-            held = self.platform_debt[platform_key]
-            moved = min(e.amount, held)
-            self.platform_debt[platform_key] = held - moved
-            self.wallet_debt[e.currency] += moved
-            self._record(e, moved, e.amount - moved)
-            changed = (e.currency,)
-        elif e.kind == SWAP:
-            self._apply_swap(e)
-            changed = (e.currency_sent, e.currency_received)
+        if kind == SWAP:
+            if amount_sent != 0:
+                held = wallet[sent]
+                moved = min(held, amount_sent)
+                wallet[sent] = held - moved
+                # the one taint division: floored, so it never creates taint
+                wallet[received] += amount_received * moved // amount_sent
+            for currency in (sent, received):
+                # .get: a swap that sent nothing created no balance
+                if wallet.get(currency, 0) < 0:
+                    raise LedgerError(f"wallet debt for {currency} went negative at {key}")
+            return None
+
+        record = platform_key = None
+        if kind == DEBT_CREATE:
+            balance = wallet[currency] + amount
+            wallet[currency] = balance
+        elif kind == DEBT_REPAY:
+            balance = wallet[currency]
+            balance -= min(amount, balance)
+            wallet[currency] = balance
+        elif kind == COLLATERAL_DEPOSIT or kind == COLLATERAL_WITHDRAW:
+            platform_key = protocol, currency
+            balance = wallet[currency]
+            if kind == COLLATERAL_DEPOSIT:
+                moved, kept = first_out_split(amount, balance)
+                held = self.platform_debt[platform_key] + moved
+                balance -= moved
+            else:
+                held = self.platform_debt[platform_key]
+                moved = min(amount, held)
+                kept = amount - moved
+                held -= moved
+                balance += moved
+            wallet[currency] = balance
+            self.platform_debt[platform_key] = held
+            valuer = self._valuer
+            record = _new(FlowRecord, (
+                self.group, timestamp, block_number, protocol, currency, kind, moved, kept,
+                valuer(currency, moved, timestamp), valuer(currency, kept, timestamp),
+            ))
+            self.flow_log.append(record)
         else:
-            raise LedgerError(f"unknown event kind {e.kind!r}")
+            raise LedgerError(f"unknown event kind {kind!r}")
 
-        self._check_non_negative(e, changed, platform_key)
-
-    def _apply_swap(self, e: CanonicalEvent) -> None:
-        if e.amount_sent == 0:
-            return
-        held = self.wallet_debt[e.currency_sent]
-        moved = min(held, e.amount_sent)
-        self.wallet_debt[e.currency_sent] = held - moved
-        # the one taint division: floored, so it never creates taint
-        self.wallet_debt[e.currency_received] += e.amount_received * moved // e.amount_sent
-
-    def _record(self, e: CanonicalEvent, debt_amt: int, nondebt_amt: int) -> None:
-        self.flow_log.append(FlowRecord(
-            group=self.group,
-            timestamp=e.timestamp,
-            block_number=e.block_number,
-            protocol=e.protocol,
-            currency=e.currency,
-            kind=e.kind,
-            debt_token=debt_amt,
-            nondebt_token=nondebt_amt,
-            debt_usd=self._valuer(e.currency, debt_amt, e.timestamp),
-            nondebt_usd=self._valuer(e.currency, nondebt_amt, e.timestamp),
-        ))
-
-    def _check_non_negative(
-        self, e: CanonicalEvent, currencies: tuple[str, ...], platform_key: tuple[str, str] | None,
-    ) -> None:
-        """Check the balances `e` changed; every other one passed when it last changed."""
-        for currency in currencies:
-            # .get: a swap that sent nothing created no balance
-            if self.wallet_debt.get(currency, 0) < 0:
-                raise LedgerError(
-                    f"wallet debt for {currency} went negative at {e.order_key}"
-                )
-        if platform_key is not None and self.platform_debt[platform_key] < 0:
-            raise LedgerError(f"platform debt for {platform_key} went negative at {e.order_key}")
+        if balance < 0:
+            raise LedgerError(f"wallet debt for {currency} went negative at {key}")
+        if platform_key is not None and held < 0:
+            raise LedgerError(f"platform debt for {platform_key} went negative at {key}")
+        return record
 
 
 @dataclass
@@ -215,18 +206,21 @@ def run_ledger(
     Cross-group on-behalf repayments apply to the actor's group (the funds
     leave the actor's wallet) and are counted in stats.
     """
-    ordered = sorted(events, key=CanonicalEvent.order_key.fget)
-    for earlier, later in zip(ordered, ordered[1:]):
-        if earlier.order_key == later.order_key:
-            raise SequencingError(f"duplicate event position {earlier.order_key}")
+    order_key = CanonicalEvent.order_key.fget
+    ordered = sorted(events, key=order_key)
+    keys = list(map(order_key, ordered))
+    for earlier, later in zip(keys, keys[1:]):
+        if earlier == later:
+            raise SequencingError(f"duplicate event position {earlier}")
 
     ledgers: dict[str, GroupLedger] = {}
     stats = {"applied": 0, "skipped_unrouted": 0, "cross_group_repays": 0}
     flow_records: list[FlowRecord] = []
+    addr_to_rep, eligible = partition.addr_to_rep, partition.eligible
 
     for e in ordered:
-        rep = partition.eligible_rep_of(e.actor)
-        if rep is None:
+        rep = addr_to_rep.get(e.actor)
+        if rep not in eligible:
             stats["skipped_unrouted"] += 1
             continue
         if e.kind == DEBT_REPAY and e.on_behalf_of is not None:
@@ -236,9 +230,9 @@ def run_ledger(
         ledger = ledgers.get(rep)
         if ledger is None:
             ledger = ledgers[rep] = GroupLedger(rep, valuer)
-        before = len(ledger.flow_log)
-        ledger.apply(e)
-        flow_records.extend(ledger.flow_log[before:])
+        record = ledger.apply(e)
+        if record is not None:
+            flow_records.append(record)
         stats["applied"] += 1
 
     return LedgerRun(flow_records=flow_records, group_ledgers=ledgers, stats=stats)

@@ -90,13 +90,12 @@ class ContractRegistry:
     tokens: dict[bytes, str]  # token address -> currency symbol
     rules: dict[tuple[bytes, bytes], EventRule]  # (contract, topic0) -> rule
     contract_protocol: dict[bytes, str] = field(default_factory=dict)
+    # (contract, topic0) -> compiled decoder, built by `dfcflow.decode` on first use
+    decoders: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def addresses(self) -> frozenset[bytes]:
         return frozenset(contract for contract, _ in self.rules)
-
-    def topics_for(self, contract: bytes) -> frozenset[bytes]:
-        return frozenset(t for c, t in self.rules if c == contract)
 
     @property
     def all_topic0(self) -> frozenset[bytes]:

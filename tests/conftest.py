@@ -36,6 +36,21 @@ DATA_DIR = REPO_ROOT / "data"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
 
+def group_family(partition) -> frozenset[frozenset[str]]:
+    """Every group of a `cluster.Partition`, as a set of member sets."""
+    return frozenset(partition.groups.values())
+
+
+def eligible_family(partition) -> frozenset[frozenset[str]]:
+    """The eligible groups of a `cluster.Partition`, as a set of member sets."""
+    return frozenset(partition.groups[rep] for rep in partition.eligible)
+
+
+def topics_for(registry, contract: bytes) -> frozenset[bytes]:
+    """The topic0s the registry has a rule for at `contract`."""
+    return frozenset(t for c, t in registry.rules if c == contract)
+
+
 def units(value) -> int:
     """A token or dollar amount (int, decimal string or Fraction) as whole
     1/SCALE units, floored: the ledger's fixed-point representation."""

@@ -2,8 +2,10 @@
 
 These deliberately avoid the production data structures: the taint
 interpreter is a flat loop over plain dicts, grouping is brute-force
-connected components via networkx, and the correlation oracle recomputes
-Pearson R and its p-value from definitions in 50-digit arithmetic.
+connected components via networkx, the log decoder reads each field
+through its registry locator with its own bounds check, and the
+correlation oracle recomputes Pearson R and its p-value from definitions
+in 50-digit arithmetic.
 
 The taint heuristics at the end replay scenarios on fully known
 balances.  The production ledger needs only the running debt balance,
@@ -23,7 +25,12 @@ from typing import Sequence
 import networkx as nx
 from mpmath import mp, mpf, betainc, fabs, sqrt as mp_sqrt
 
-from dfcflow.errors import LedgerError
+from dfcflow.decode import (
+    ApprovalEvent, CanonicalEvent, DecodeResult, VaultTriple, normalize_amount,
+)
+from dfcflow.errors import DecodeError, LedgerError
+from dfcflow.registry import Locator
+from dfcflow.util import to_hex
 
 ZERO = Fraction(0)
 
@@ -183,6 +190,157 @@ def brute_force_grouping(triples, events, pairs):
         if rest:
             residuals.append(frozenset(rest))
     return frozenset(final_eligible), frozenset(final_eligible) | frozenset(residuals)
+
+
+def _read_topic(log, index: int) -> bytes:
+    if index >= len(log.topics):
+        raise DecodeError(
+            f"topic index {index} out of bounds ({len(log.topics)} topics)",
+            to_hex(log.tx_hash),
+            log.log_index,
+        )
+    return log.topics[index]
+
+
+def _read_data(log, offset: int, length: int) -> bytes:
+    if offset + length > len(log.data):
+        raise DecodeError(
+            f"data field too short: need {offset + length} bytes, have {len(log.data)}",
+            to_hex(log.tx_hash),
+            log.log_index,
+        )
+    return log.data[offset:offset + length]
+
+
+def _address_bytes(log, locator) -> bytes:
+    if locator.source == "topic":
+        return _read_topic(log, locator.index)[12:]
+    return _read_data(log, locator.index, 20)
+
+
+def extract_actor(log, locator) -> str:
+    """The address at `locator`: the low 20 bytes of a topic, or the 20
+    bytes at a data byte offset."""
+    return to_hex(_address_bytes(log, locator))
+
+
+def _read_uint(log, locator) -> int:
+    if locator.source == "topic":
+        word = _read_topic(log, locator.index)
+    else:
+        word = _read_data(log, locator.index, 32)
+    return int.from_bytes(word, "big")
+
+
+def _reference_swap(log, rule, registry):
+    sent_cur = registry.token_currency(rule.token0)
+    recv_cur = registry.token_currency(rule.token1)
+    if sent_cur is None or recv_cur is None:
+        return None
+    if sent_cur.symbol == recv_cur.symbol:
+        raise DecodeError(
+            f"pair {to_hex(rule.contract)} resolves both legs to {sent_cur.symbol}",
+            to_hex(log.tx_hash),
+            log.log_index,
+        )
+    in0, in1, out0, out1 = (_read_uint(log, Locator("data", offset)) for offset in (0, 32, 64, 96))
+    net0 = in0 - out0
+    net1 = in1 - out1
+    if net0 > 0 and net1 < 0:
+        sent_amt, recv_amt = net0, -net1
+    elif net1 > 0 and net0 < 0:
+        sent_cur, recv_cur = recv_cur, sent_cur
+        sent_amt, recv_amt = net1, -net0
+    else:
+        return None
+    actor = extract_actor(log, rule.actor)
+    recipient = extract_actor(log, rule.recipient)
+    return CanonicalEvent(
+        kind="swap",
+        protocol=rule.protocol,
+        actor=actor,
+        block_number=log.block_number,
+        log_index=log.log_index,
+        timestamp=log.timestamp,
+        currency_sent=sent_cur.symbol,
+        currency_received=recv_cur.symbol,
+        amount_sent=normalize_amount(sent_amt, sent_cur.decimals),
+        amount_received=normalize_amount(recv_amt, recv_cur.decimals),
+        on_behalf_of=recipient if recipient != actor else None,
+    )
+
+
+def _reference_event(log, rule, registry):
+    if rule.kind in ("liquidation", "vault_open", "approval"):
+        return None
+    if rule.kind == "swap":
+        return _reference_swap(log, rule, registry)
+    if rule.currency_fixed is not None:
+        currency = registry.currency(rule.currency_fixed)
+    else:
+        currency = registry.token_currency(_address_bytes(log, rule.currency_token))
+    if currency is None:
+        return None
+    actor = extract_actor(log, rule.actor)
+    beneficiary = None
+    if rule.on_behalf_of is not None:
+        named = extract_actor(log, rule.on_behalf_of)
+        if named != actor:
+            beneficiary = named
+    return CanonicalEvent(
+        kind=rule.kind,
+        protocol=rule.protocol,
+        actor=actor,
+        block_number=log.block_number,
+        log_index=log.log_index,
+        timestamp=log.timestamp,
+        currency=currency.symbol,
+        amount=normalize_amount(_read_uint(log, rule.amount), currency.decimals),
+        on_behalf_of=beneficiary,
+    )
+
+
+def reference_decode_stream(logs, registry) -> DecodeResult:
+    """Locator-by-locator decoder: each field read through its registry
+    locator, with its own bounds check, in the order the rule names them.
+
+    The currency token of a lending event is read first, and an
+    out-of-scope one gives None; a swap reads its four amount words, and
+    a degenerate one gives None before the actor and recipient are read.
+    """
+    result = DecodeResult()
+
+    def bump(key):
+        result.stats[key] = result.stats.get(key, 0) + 1
+
+    for log in logs:
+        rule = registry.rule_for(log.contract_address, log.topic0)
+        if rule is None:
+            bump("unmatched")
+        elif rule.kind == "vault_open":
+            user = extract_actor(log, rule.vault_user)
+            proxy = extract_actor(log, rule.vault_proxy)
+            urn = extract_actor(log, rule.vault_urn) if rule.vault_urn else proxy
+            result.vault_triples.append(VaultTriple(user, proxy, urn))
+            bump("vault_open")
+        elif rule.kind == "approval":
+            result.approvals.append(ApprovalEvent(
+                token=registry.tokens[rule.contract],
+                owner=extract_actor(log, rule.owner),
+                spender=extract_actor(log, rule.spender),
+                block_number=log.block_number,
+                log_index=log.log_index,
+                timestamp=log.timestamp,
+            ))
+            bump("approval")
+        else:
+            event = _reference_event(log, rule, registry)
+            if event is None:
+                bump("liquidation_excluded" if rule.kind == "liquidation" else "not_relevant")
+            else:
+                result.events.append(event)
+                bump(event.kind)
+    return result
 
 
 def pearson_reference(xs, ys):

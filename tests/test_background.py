@@ -2,6 +2,7 @@
 same run inline: the same bytes, lines, exit codes and errors, and no
 child process left behind."""
 
+import gc
 import os
 import shutil
 import threading
@@ -57,6 +58,20 @@ def test_fork_and_inline_write_the_same_bytes_and_lines(tmp_path, monkeypatch, c
     assert sorted(p.name for p in (tmp_path / "fork").iterdir()) == sorted(ALL_OUTPUTS)
     for name in ALL_OUTPUTS:
         assert (tmp_path / "fork" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+
+@pytest.mark.parametrize("enabled", (True, False))
+def test_gc_is_unfrozen_and_left_as_found(tmp_path, monkeypatch, capsys, enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        config = write_config(tmp_path, tmp_path / "out")
+        code, _, err = run_all(monkeypatch, capsys, config, "fork")
+        assert code == 0 and err == ""
+        assert gc.get_freeze_count() == 0
+        assert gc.isenabled() == enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_inline_while_another_thread_is_alive():

@@ -285,6 +285,18 @@ def test_output_override(tmp_path):
     assert (out / "logs.jsonl").exists()
 
 
+def test_relative_output_override_is_relative_to_the_working_directory(tmp_path, monkeypatch):
+    config_dir = tmp_path / "config"
+    config_dir.mkdir()
+    config = write_config(config_dir, tmp_path / "ignored")
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run("ingest", "--config", config, "--quiet", "--output", "rel_out") == 0
+    assert (work / "rel_out" / "logs.jsonl").exists()
+    assert not (config_dir / "rel_out").exists()
+
+
 def test_gen_fixture_is_deterministic(tmp_path):
     # tools/gen_fixture.py took over from the removed `gen-fixture` subcommand
     a = tmp_path / "a"

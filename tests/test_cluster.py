@@ -14,7 +14,7 @@ from dfcflow.cluster import (
 )
 from dfcflow.decode import ApprovalEvent, CanonicalEvent, VaultTriple
 
-from tests.conftest import units
+from tests.conftest import eligible_family, group_family, units
 from tests.oracles import brute_force_grouping
 
 
@@ -50,7 +50,7 @@ def test_shared_triple_addresses_merge_transitively():
     triples = [VaultTriple(addr(1), addr(2), addr(10)),
                VaultTriple(addr(2), addr(3), addr(11))]
     partition = group_addresses(triples, [])
-    assert partition.group_family() == frozenset(
+    assert group_family(partition) == frozenset(
         {frozenset({addr(1), addr(2), addr(3), addr(10), addr(11)})}
     )
 
@@ -58,7 +58,7 @@ def test_shared_triple_addresses_merge_transitively():
 def test_degenerate_triple_is_a_two_address_set():
     triple = VaultTriple(addr(5), addr(5), addr(6))
     partition = group_addresses([triple], [])
-    assert partition.group_family() == frozenset({frozenset({addr(5), addr(6)})})
+    assert group_family(partition) == frozenset({frozenset({addr(5), addr(6)})})
 
 
 def test_duplicate_triples_collapse():
@@ -70,7 +70,7 @@ def test_single_protocol_group_is_not_eligible():
     events = [event(addr(1), "Aave")]
     partition = group_addresses([], events)
     assert partition.eligible == frozenset()
-    assert partition.group_family() == frozenset({frozenset({addr(1)})})
+    assert group_family(partition) == frozenset({frozenset({addr(1)})})
 
 
 def test_two_protocol_group_is_eligible():
@@ -100,7 +100,7 @@ def test_hand_enumerated_eligible_count():
     # hand count: {1,2,3,4,5}, {6,7,8}, and the 4 singletons
     assert len(partition.eligible) == 6
     expected_eligible, _ = brute_force_grouping(triples, events, [])
-    assert partition.eligible_family() == expected_eligible
+    assert eligible_family(partition) == expected_eligible
 
 
 def test_pair_bridging_two_eligible_groups_merges_them():
@@ -110,7 +110,7 @@ def test_pair_bridging_two_eligible_groups_merges_them():
         partition, [HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient")],
         address_protocol_map(events),
     )
-    assert merged.eligible_family() == frozenset({frozenset({addr(1), addr(2)})})
+    assert eligible_family(merged) == frozenset({frozenset({addr(1), addr(2)})})
 
 
 def test_pair_in_component_without_eligible_group_has_no_effect():
@@ -120,7 +120,7 @@ def test_pair_in_component_without_eligible_group_has_no_effect():
         partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")],
         address_protocol_map(events),
     )
-    assert result.group_family() == partition.group_family()
+    assert group_family(result) == group_family(partition)
     assert result.eligible == frozenset()
 
 
@@ -131,7 +131,7 @@ def test_pair_absorbs_unassigned_address():
         partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")],
         address_protocol_map(events),
     )
-    assert result.eligible_family() == frozenset({frozenset({addr(1), addr(9)})})
+    assert eligible_family(result) == frozenset({frozenset({addr(1), addr(9)})})
 
 
 def test_chain_of_pairs_is_order_independent():
@@ -144,7 +144,7 @@ def test_chain_of_pairs_is_order_independent():
     for ordering in (pairs, pairs[::-1]):
         partition = group_addresses([], events)
         result = apply_heuristic_pairs(partition, ordering, address_protocol_map(events))
-        assert result.eligible_family() == expected
+        assert eligible_family(result) == expected
     oracle_eligible, _ = brute_force_grouping([], events, pairs)
     assert oracle_eligible == expected
 
@@ -158,8 +158,8 @@ def test_default_mode_moves_only_the_paired_address():
         partition, [HeuristicPair(addr(1), addr(2), "AaveRepayOnBehalf")],
         address_protocol_map(events),
     )
-    assert frozenset({addr(1), addr(2)}) in result.eligible_family()
-    assert frozenset({addr(3)}) in result.group_family()
+    assert frozenset({addr(1), addr(2)}) in eligible_family(result)
+    assert frozenset({addr(3)}) in group_family(result)
 
 
 def test_pairs_never_shrink_eligible_groups():
@@ -170,7 +170,7 @@ def test_pairs_never_shrink_eligible_groups():
     result = apply_heuristic_pairs(partition, pairs, address_protocol_map(events))
     for rep in partition.eligible:
         members = partition.groups[rep]
-        assert any(members <= final for final in result.eligible_family())
+        assert any(members <= final for final in eligible_family(result))
 
 
 def test_heuristic_pair_rejects_equal_endpoints():
@@ -266,8 +266,8 @@ def test_random_instances_match_brute_force():
         result = apply_heuristic_pairs(partition, pairs, address_protocol_map(events))
         result.validate()
         oracle_eligible, oracle_full = brute_force_grouping(triples, events, pairs)
-        assert result.eligible_family() == oracle_eligible
-        assert result.group_family() == oracle_full
+        assert eligible_family(result) == oracle_eligible
+        assert group_family(result) == oracle_full
 
 
 @settings(max_examples=40, deadline=None)
@@ -284,5 +284,5 @@ def test_permutation_invariance(seed):
         shuffled = apply_heuristic_pairs(
             group_addresses(triples, events), pairs, address_protocol_map(events)
         )
-        assert shuffled.eligible_family() == baseline.eligible_family()
-        assert shuffled.group_family() == baseline.group_family()
+        assert eligible_family(shuffled) == eligible_family(baseline)
+        assert group_family(shuffled) == group_family(baseline)

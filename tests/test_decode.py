@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfcflow.decode import (
     CANONICAL_KINDS,
     SWAP,
     decode_event,
     decode_stream,
-    extract_actor,
     normalize_amount,
 )
 from dfcflow.errors import DecodeError
@@ -15,6 +15,9 @@ from dfcflow.ingest import RawLog
 from dfcflow.registry import ContractRegistry, Locator
 from dfcflow.synth import encode_event_log, token_address_for
 from dfcflow.util import SCALE, to_hex
+
+from tests.conftest import REGISTRY_PATH
+from tests.oracles import extract_actor, reference_decode_stream
 
 ACTOR = "0x" + "aa" * 20
 OTHER = "0x" + "bb" * 20
@@ -295,3 +298,66 @@ def test_approval_decoding(registry):
     result = decode_stream([log], registry)
     approval = result.approvals[0]
     assert (approval.owner, approval.spender, approval.token) == (ACTOR, OTHER, "USDC")
+
+
+SHIPPED = ContractRegistry.from_json_file(REGISTRY_PATH)
+RULES_BY_KIND = {
+    kind: sorted((r for r in SHIPPED.rules.values() if r.kind == kind),
+                 key=lambda r: (r.contract, r.topic0))
+    for kind in sorted({r.kind for r in SHIPPED.rules.values()})
+}
+
+
+def _word(address: bytes) -> bytes:
+    return bytes(12) + address
+
+
+# a topic or data word: a small or large amount, a registry token (in
+# scope), an unlisted address (out of scope), or any 32 bytes
+WORDS = st.one_of(
+    st.integers(0, 4).map(lambda n: n.to_bytes(32, "big")),
+    st.integers(0, 2**256 - 1).map(lambda n: n.to_bytes(32, "big")),
+    st.sampled_from(sorted(SHIPPED.tokens)).map(_word),
+    st.binary(min_size=20, max_size=20).map(_word),
+    st.binary(min_size=32, max_size=32),
+)
+
+
+@st.composite
+def rule_logs(draw):
+    """A log at a shipped rule's contract with 0-4 topics (topic0 the
+    rule's) and 0-6 data words plus a ragged tail, so that every read
+    of every rule falls in bounds or out of them."""
+    rule = draw(st.sampled_from(RULES_BY_KIND[draw(st.sampled_from(sorted(RULES_BY_KIND)))]))
+    n_topics = draw(st.integers(0, 4))
+    topics = (rule.topic0, *draw(st.lists(WORDS, min_size=n_topics, max_size=n_topics)))
+    n_words = draw(st.integers(0, 6))
+    words = draw(st.lists(WORDS, min_size=n_words, max_size=n_words))
+    data = b"".join(words) + draw(st.binary(max_size=31))
+    return RawLog(
+        block_number=10_000_000 + draw(st.integers(0, 10**6)),
+        tx_hash=draw(st.binary(min_size=32, max_size=32)),
+        log_index=draw(st.integers(0, 500)),
+        contract_address=rule.contract,
+        topics=topics[:n_topics],
+        data=data,
+        timestamp=1_588_598_520,
+    )
+
+
+@settings(max_examples=600, deadline=None)
+@given(rule_logs())
+def test_decoders_match_the_reference_decoder(log):
+    try:
+        expected = reference_decode_stream([log], SHIPPED)
+    except DecodeError as exc:
+        with pytest.raises(DecodeError) as err:
+            decode_stream([log], SHIPPED)
+        got = err.value
+        assert (str(got), got.tx_hash, got.log_index) == (str(exc), exc.tx_hash, exc.log_index)
+        return
+    got = decode_stream([log], SHIPPED)
+    assert got.events == expected.events
+    assert got.vault_triples == expected.vault_triples
+    assert got.approvals == expected.approvals
+    assert got.stats == expected.stats

@@ -6,7 +6,7 @@ import pytest
 from dfcflow.errors import ConfigError
 from dfcflow.registry import ContractRegistry, CURRENCIES, PROTOCOLS
 
-from tests.conftest import REGISTRY_PATH
+from tests.conftest import REGISTRY_PATH, topics_for
 
 POOL = "0x" + "aa" * 20
 TOKEN = "0x" + "bb" * 20
@@ -234,7 +234,7 @@ def test_filter_sets_exposed():
     token = bytes.fromhex(TOKEN[2:])
     assert pool in registry.addresses
     assert token in registry.addresses  # approval rules cover the tokens
-    assert registry.topics_for(pool) == frozenset({bytes.fromhex(TOPIC[2:])})
+    assert topics_for(registry, pool) == frozenset({bytes.fromhex(TOPIC[2:])})
 
 
 def test_approvals_section_generates_per_token_rules():

@@ -364,7 +364,7 @@ def generate_fixture(
         tx_hash=rng.randbytes(32),
         log_index=0,
         contract_address=sorted(registry.addresses)[0],
-        topics=(sorted(registry.topics_for(sorted(registry.addresses)[0]))[0],),
+        topics=(min(t for c, t in registry.rules if c == min(registry.addresses)),),
         data=b"\x00" * 64,
         timestamp=low,
     ))
