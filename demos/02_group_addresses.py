@@ -33,7 +33,8 @@ kept = filter_logs(logs, registry, BlockRange(10_000_000, 10_700_000))
 decoded = decode_stream(kept, registry)
 denylist = load_denylist(ROOT / "data" / "denylist.csv")
 
-partition = group_addresses(decoded.vault_triples, decoded.events)
+activity = address_protocol_map(decoded.events)
+partition = group_addresses(decoded.vault_triples, activity)
 print(f"stage 1+2: {len(partition.groups)} groups over "
       f"{len(partition.addr_to_rep)} addresses")
 print(f"stage 3:   {len(partition.eligible)} groups touch >= 2 protocols")
@@ -44,7 +45,7 @@ print(f"\nlink pairs mined from the event stream: {len(pairs)}")
 for source, count in sorted(by_source.items()):
     print(f"  {source:28s} {count}")
 
-final = apply_heuristic_pairs(partition, pairs, address_protocol_map(decoded.events))
+final = apply_heuristic_pairs(partition, pairs, activity)
 print(f"\nafter pair application: {len(final.eligible)} eligible groups "
       f"({len(final.groups)} total)")
 

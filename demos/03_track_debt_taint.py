@@ -79,10 +79,11 @@ logs = load_fixture(ROOT / "data" / "fixture_logs.jsonl")
 kept = filter_logs(logs, registry, BlockRange(10_000_000, 10_700_000))
 decoded = decode_stream(kept, registry)
 denylist = load_denylist(ROOT / "data" / "denylist.csv")
+activity = address_protocol_map(decoded.events)
 partition = apply_heuristic_pairs(
-    group_addresses(decoded.vault_triples, decoded.events),
+    group_addresses(decoded.vault_triples, activity),
     extract_heuristic_pairs(decoded.events, denylist),
-    address_protocol_map(decoded.events),
+    activity,
 )
 prices = PriceSeries.from_csv(ROOT / "data" / "prices.csv")
 run = run_ledger(decoded.events, partition, make_valuer(prices, registry.currencies))

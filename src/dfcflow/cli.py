@@ -22,11 +22,14 @@ report 7); a config key that is neither a `PipelineConfig` field nor
 `comment` is a config error.  Test data comes from tools/gen_fixture.py,
 not a subcommand.
 
-At import this module loads only what config parsing and `ingest` need
-(`ingest`, `rpc`, `registry`, `errors`, `util`); each stage function and
-`PipelineRun` accessor imports the stage modules it uses, so `dfcflow
-ingest` and a config check never compile decode, cluster, ledger,
-market or report.
+At import this module loads only what config parsing and `ingest` from
+a fixture need (`ingest`, `registry`, `errors`, `util`); each stage
+function and `PipelineRun` accessor imports the stage modules it uses,
+so `dfcflow ingest` and a config check never compile decode, cluster,
+ledger, market or report, and only an `ingest` from an RPC endpoint
+loads `rpc`.  The package's records are named tuples and its holders
+plain classes, so that no command pays at start-up for a class-building
+library it does not use.
 """
 
 from __future__ import annotations
@@ -35,12 +38,11 @@ import argparse
 import filecmp
 import json
 import sys
-from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import ingest, rpc
+from . import ingest
 from .errors import ConfigError, DfcError, MissingCheckpointError
 from .registry import ContractRegistry
 from .util import to_hex
@@ -70,8 +72,7 @@ CHECKPOINTS = {
 }
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     registry: Path
     from_block: int
     to_block: int
@@ -81,7 +82,7 @@ class PipelineConfig:
     prices: Path | None = None
     price_fetch: dict | None = None
     denylist: Path | None = None
-    rpc_window: int = rpc.DEFAULT_WINDOW_SIZE
+    rpc_window: int = ingest.DEFAULT_WINDOW_SIZE
 
     @classmethod
     def from_file(cls, path: str | Path, overrides: dict | None = None) -> "PipelineConfig":
@@ -97,7 +98,7 @@ class PipelineConfig:
             raise ConfigError(f"config {path} is not a JSON object")
         overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
         doc.update(overrides)
-        known = {f.name for f in fields(cls)} | {"comment"}
+        known = {*cls._fields, "comment"}
         unknown = sorted(doc.keys() - known)
         if unknown:
             raise ConfigError(f"unknown config key {unknown[0]!r} in {path}")
@@ -149,7 +150,7 @@ class PipelineConfig:
             prices=prices,
             price_fetch=price_fetch,
             denylist=resolve("denylist"),
-            rpc_window=integer("rpc_window", 1, rpc.DEFAULT_WINDOW_SIZE),
+            rpc_window=integer("rpc_window", 1, ingest.DEFAULT_WINDOW_SIZE),
         )
 
     def checkpoint(self, name: str) -> Path:
@@ -297,6 +298,8 @@ def stage_ingest(run: PipelineRun) -> list[ingest.RawLog]:
             raise ConfigError(f"fixture {cfg.fixture} does not exist")
         logs = ingest.load_fixture(cfg.fixture)
     else:
+        from . import rpc
+
         logs = rpc.fetch_logs(
             cfg.rpc_endpoint, block_range, registry, window_size=cfg.rpc_window
         )
@@ -328,11 +331,10 @@ def stage_cluster(run: PipelineRun) -> cluster.Partition:
     events = run.events()
     triples = run.vault_triples()
     denylist = run.denylist()
-    partition = cluster.group_addresses(triples, events)
+    activity = cluster.address_protocol_map(events)
+    partition = cluster.group_addresses(triples, activity)
     pairs = cluster.extract_heuristic_pairs(events, denylist)
-    final = cluster.apply_heuristic_pairs(
-        partition, pairs, cluster.address_protocol_map(events)
-    )
+    final = cluster.apply_heuristic_pairs(partition, pairs, activity)
     run.say(
         f"cluster: {len(final.eligible)} eligible groups "
         f"({len(final.groups)} total, {len(pairs)} link pairs)"

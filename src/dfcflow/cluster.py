@@ -20,9 +20,8 @@ across runs.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .decode import DEBT_REPAY, SWAP, ApprovalEvent, CanonicalEvent, VaultTriple
 from .tables import Table
@@ -33,15 +32,13 @@ _REPAY_SOURCE = {
 }
 
 
-@dataclass(frozen=True)
-class HeuristicPair:
-    r1: str
-    r2: str
-    source: str
+class HeuristicPair(NamedTuple("HeuristicPair", [("r1", str), ("r2", str), ("source", str)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r1 == self.r2:
+    def __new__(cls, r1: str, r2: str, source: str):
+        if r1 == r2:
             raise ValueError("heuristic pair endpoints must differ")
+        return super().__new__(cls, r1, r2, source)
 
     @property
     def unordered(self) -> frozenset[str]:
@@ -98,28 +95,38 @@ class DisjointSet:
         return {self._min[root]: frozenset(members) for root, members in by_root.items()}
 
 
-@dataclass(frozen=True)
 class Partition:
     """Disjoint address groups with per-group protocol activity.
 
     `addr_to_rep` and `eligible` are derived from the two given fields: a
-    group is eligible when its members touched two or more protocols.
-    Immutable once built; the ledger and report stages read it
+    group is eligible when its members touched two or more protocols, so
+    two partitions are equal when their `groups` and `group_protocols`
+    are.  Immutable once built; the ledger and report stages read it
     concurrently without coordination.
     """
 
-    groups: dict[str, frozenset[str]]            # representative -> members
-    group_protocols: dict[str, frozenset[str]]    # representative -> protocols
-    addr_to_rep: dict[str, str] = field(init=False)
-    eligible: frozenset[str] = field(init=False)  # eligible representatives
+    def __init__(
+        self,
+        groups: dict[str, frozenset[str]],            # representative -> members
+        group_protocols: dict[str, frozenset[str]],   # representative -> protocols
+    ):
+        self.__dict__.update(
+            groups=groups,
+            group_protocols=group_protocols,
+            addr_to_rep={addr: rep for rep, members in groups.items() for addr in members},
+            # eligible representatives
+            eligible=frozenset(
+                rep for rep, protos in group_protocols.items() if len(protos) >= 2
+            ),
+        )
 
-    def __post_init__(self):
-        object.__setattr__(self, "addr_to_rep", {
-            addr: rep for rep, members in self.groups.items() for addr in members
-        })
-        object.__setattr__(self, "eligible", frozenset(
-            rep for rep, protos in self.group_protocols.items() if len(protos) >= 2
-        ))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return (self.groups, self.group_protocols) == (other.groups, other.group_protocols)
 
     @classmethod
     def build(
@@ -218,6 +225,8 @@ def self_approval_pairs(
 
 
 def address_protocol_map(events: Sequence[CanonicalEvent]) -> dict[str, frozenset[str]]:
+    """Each actor -> the protocols it initiated events in, actors in the
+    order they first act."""
     protos: dict[str, set[str]] = defaultdict(set)
     for e in events:
         protos[e.actor].add(e.protocol)
@@ -226,11 +235,12 @@ def address_protocol_map(events: Sequence[CanonicalEvent]) -> dict[str, frozense
 
 def group_addresses(
     triples: Sequence[VaultTriple],
-    events: Sequence[CanonicalEvent],
+    activity: Mapping[str, frozenset[str]],
 ) -> Partition:
     """Stages 1-3: vault-triple grouping, actor insertion, eligibility.
 
-    Triples sharing any address merge transitively; every actor joins its
+    Triples sharing any address merge transitively; every actor (a key of
+    `activity`, the `address_protocol_map` of the events) joins its
     existing group or becomes a singleton; a group is eligible when its
     members initiated events in more than one protocol.
     """
@@ -241,9 +251,9 @@ def group_addresses(
             dsu.add(addr)
         for left, right in zip(addrs, addrs[1:]):
             dsu.union(left, right)
-    for e in events:
-        dsu.add(e.actor)
-    return Partition.build(dsu.groups().values(), address_protocol_map(events))
+    for actor in activity:
+        dsu.add(actor)
+    return Partition.build(dsu.groups().values(), activity)
 
 
 def apply_heuristic_pairs(

@@ -36,7 +36,6 @@ field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import NamedTuple, Sequence
@@ -129,12 +128,15 @@ class ApprovalEvent(NamedTuple):
     timestamp: int
 
 
-@dataclass
 class DecodeResult:
-    events: list[CanonicalEvent] = field(default_factory=list)
-    vault_triples: list[VaultTriple] = field(default_factory=list)
-    approvals: list[ApprovalEvent] = field(default_factory=list)
-    stats: dict[str, int] = field(default_factory=dict)
+    """The three output streams of a decode, and counts per kind and per
+    reason a log gave no record."""
+
+    def __init__(self):
+        self.events: list[CanonicalEvent] = []
+        self.vault_triples: list[VaultTriple] = []
+        self.approvals: list[ApprovalEvent] = []
+        self.stats: dict[str, int] = {}
 
 
 # A field read, as (in_topic, index, start, stop): an address is the low

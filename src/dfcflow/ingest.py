@@ -14,7 +14,6 @@ two logs compare equal field by field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
@@ -23,6 +22,10 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import ConflictingLogError, FixtureParseError
 from .registry import ContractRegistry
 from .util import parse_hex, to_hex
+
+# blocks per eth_getLogs window of an RPC fetch (`dfcflow.rpc`), unless
+# the pipeline config sets `rpc_window`
+DEFAULT_WINDOW_SIZE = 100_000
 
 FIXTURE_FIELDS = (
     "block_number",
@@ -125,16 +128,15 @@ class RawLog(NamedTuple):
                    obj["timestamp"])
 
 
-@dataclass(frozen=True)
-class BlockRange:
+class BlockRange(NamedTuple("BlockRange", [("start", int), ("end", int)])):
     """Inclusive block range."""
 
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"block range start {self.start} > end {self.end}")
+    def __new__(cls, start: int, end: int):
+        if start > end:
+            raise ValueError(f"block range start {start} > end {end}")
+        return super().__new__(cls, start, end)
 
     def __contains__(self, block_number: int) -> bool:
         return self.start <= block_number <= self.end

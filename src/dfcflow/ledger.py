@@ -55,7 +55,6 @@ withdrawal and compared field by field.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 from .cluster import Partition
@@ -187,8 +186,7 @@ class GroupLedger:
         return record
 
 
-@dataclass
-class LedgerRun:
+class LedgerRun(NamedTuple):
     flow_records: list[FlowRecord]
     group_ledgers: dict[str, GroupLedger]
     stats: dict[str, int]

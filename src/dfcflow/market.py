@@ -24,7 +24,6 @@ import math
 import operator
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 
@@ -54,14 +53,21 @@ def _not_increasing(key: str, timestamp: int) -> ConfigError:
     return ConfigError(f"{key} timestamps must be strictly increasing (got {timestamp})")
 
 
-@dataclass
 class PriceSeries:
     """Sorted (timestamp, price) points per price key; a key's prices are
-    `_units[key][i] / _scales[key]`."""
+    `_units[key][i] / _scales[key]`.  Two series are equal when they hold
+    the same points at the same scales."""
 
-    _timestamps: dict[str, list[int]] = field(default_factory=dict)
-    _units: dict[str, list[int]] = field(default_factory=dict)
-    _scales: dict[str, int] = field(default_factory=dict)
+    def __init__(self):
+        self._timestamps: dict[str, list[int]] = {}
+        self._units: dict[str, list[int]] = {}
+        self._scales: dict[str, int] = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, PriceSeries):
+            return NotImplemented
+        return ((self._timestamps, self._units, self._scales)
+                == (other._timestamps, other._units, other._scales))
 
     def add_point(self, key: str, timestamp: int, price: Fraction) -> None:
         _check_point(key, timestamp, price.numerator)

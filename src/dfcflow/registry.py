@@ -10,8 +10,8 @@ module.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .util import parse_hex
@@ -29,15 +29,13 @@ LENDING_KINDS = (
 KINDS = LENDING_KINDS + ("swap", "liquidation", "vault_open", "approval")
 
 
-@dataclass(frozen=True)
-class Currency:
+class Currency(NamedTuple):
     symbol: str
     decimals: int
     price_key: str
 
 
-@dataclass(frozen=True)
-class Locator:
+class Locator(NamedTuple):
     """Where a field lives in a log: a topic index or a data byte offset.
 
     Address reads take 20 bytes at the offset (or the low 20 bytes of the
@@ -59,8 +57,7 @@ class Locator:
         return cls(source, index)
 
 
-@dataclass(frozen=True)
-class EventRule:
+class EventRule(NamedTuple):
     protocol: str
     contract: bytes
     topic0: bytes
@@ -84,14 +81,29 @@ class EventRule:
     spender: Locator | None = None
 
 
-@dataclass
 class ContractRegistry:
-    currencies: dict[str, Currency]
-    tokens: dict[bytes, str]  # token address -> currency symbol
-    rules: dict[tuple[bytes, bytes], EventRule]  # (contract, topic0) -> rule
-    contract_protocol: dict[bytes, str] = field(default_factory=dict)
-    # (contract, topic0) -> compiled decoder, built by `dfcflow.decode` on first use
-    decoders: dict = field(default_factory=dict, repr=False, compare=False)
+    """The parsed registry.  Two registries are equal when their tables
+    are; `decoders` is a cache and takes no part."""
+
+    def __init__(
+        self,
+        currencies: dict[str, Currency],
+        tokens: dict[bytes, str],  # token address -> currency symbol
+        rules: dict[tuple[bytes, bytes], EventRule],  # (contract, topic0) -> rule
+        contract_protocol: dict[bytes, str],  # contract -> protocol
+    ):
+        self.currencies = currencies
+        self.tokens = tokens
+        self.rules = rules
+        self.contract_protocol = contract_protocol
+        # (contract, topic0) -> compiled decoder, built by `dfcflow.decode` on first use
+        self.decoders: dict = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, ContractRegistry):
+            return NotImplemented
+        return ((self.currencies, self.tokens, self.rules, self.contract_protocol)
+                == (other.currencies, other.tokens, other.rules, other.contract_protocol))
 
     @property
     def addresses(self) -> frozenset[bytes]:

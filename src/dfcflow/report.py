@@ -3,12 +3,13 @@
 The monthly table, protocol breakdown and summary sum the ledger's
 fixed-point USD values (`int` counts of 1/`util.SCALE` dollars) as plain
 ints; a cell becomes an exact `Fraction` only to be rounded for display
-(USD in whole millions or cents, percentages to one decimal).  The
-correlation layer is statistical and works in floats, each one an int
-true division, which rounds correctly: it
-builds per-hour and per-day series of collateral change, price change and
-debt percentage, then correlates each variable with the debt percentage
-of the following period.
+(USD in whole millions or cents, percentages to one decimal, ties to
+even, by the formatters below, so repeated runs emit byte-identical
+files).  The correlation layer is statistical and works in floats, each
+one an int true division, which rounds correctly: it builds per-hour and
+per-day series of collateral change, price change and debt percentage,
+then correlates each variable with the debt percentage of the following
+period.
 
 "Collateral change" is realized as net USD collateral flow (deposits
 minus withdrawals) per period; the source material leaves the term
@@ -23,9 +24,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import defaultdict
-from dataclasses import dataclass
+from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .decode import COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW, SWAP, CanonicalEvent
 from .errors import InsufficientDataError, UndefinedCorrelationError, ValuationError
@@ -33,17 +34,14 @@ from .ledger import FlowRecord
 from .market import DAY, HOUR, PriceSeries
 from .registry import PROTOCOLS, Currency
 from .tables import Table
-from .util import (
-    SCALE, format_places, format_usd, format_usd_millions, month_key, month_range,
-)
+from .util import SCALE
 
 MIN_CORRELATION_SAMPLES = 3
 
 STAR_THRESHOLDS = ((0.01, "***"), (0.05, "**"), (0.1, "*"))
 
 
-@dataclass(frozen=True)
-class MonthlyDfcRow:
+class MonthlyDfcRow(NamedTuple):
     month: str
     debt_usd: int
     nondebt_usd: int
@@ -59,8 +57,7 @@ class MonthlyDfcRow:
         return Fraction(100 * self.debt_usd, self.total_usd)
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
+class CorrelationResult(NamedTuple):
     var1: str  # collateral_change | price_change
     lag: str  # next_hour | next_day
     r: float | None
@@ -79,6 +76,25 @@ class CorrelationResult:
             if self.p_value < threshold:
                 return marker
         return ""
+
+
+def month_key(timestamp: int) -> str:
+    """UTC calendar month bucket, e.g. 1588598520 -> '2020-05'."""
+    return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m")
+
+
+def month_range(first: str, last: str) -> list[str]:
+    """All months from `first` to `last` inclusive ('YYYY-MM' keys)."""
+    fy, fm = (int(p) for p in first.split("-"))
+    ly, lm = (int(p) for p in last.split("-"))
+    out = []
+    y, m = fy, fm
+    while (y, m) <= (ly, lm):
+        out.append(f"{y:04d}-{m:02d}")
+        m += 1
+        if m == 13:
+            y, m = y + 1, 1
+    return out
 
 
 def _span_months(records: Sequence[FlowRecord]) -> list[str]:
@@ -329,6 +345,39 @@ def summary_stats(
 
 
 # --- CSV writers --------------------------------------------------------------
+
+def round_half_even(x: Fraction, places: int = 0) -> Fraction:
+    """Round an exact rational to `places` decimal digits, ties to even."""
+    scale = 10**places
+    scaled = x * scale
+    n, r = divmod(scaled.numerator, scaled.denominator)
+    # divmod keeps 0 <= r < den for negative n too, so the same tie rule works
+    double = 2 * r
+    if double > scaled.denominator or (double == scaled.denominator and n % 2 != 0):
+        n += 1
+    return Fraction(n, scale)
+
+
+def format_places(x: Fraction, places: int) -> str:
+    """Fixed-point rendering with exactly `places` fractional digits."""
+    sign = "-" if x < 0 else ""
+    rounded = round_half_even(abs(x), places)
+    units = rounded.numerator * (10**places // rounded.denominator)
+    digits = str(units).rjust(places + 1, "0")
+    if places == 0:
+        return sign + digits
+    return sign + f"{digits[:-places]}.{digits[-places:]}"
+
+
+def format_usd(units: int, places: int) -> str:
+    """A fixed-point USD count at `places` fractional digits, ties to even."""
+    return format_places(Fraction(units, SCALE), places)
+
+
+def format_usd_millions(units: int) -> str:
+    """Whole-number USD millions, matching the monthly report presentation."""
+    return format_places(Fraction(units, SCALE * 1_000_000), 0)
+
 
 def _pct(pct: Fraction | None) -> str:
     return format_places(pct, 1) if pct is not None else ""

@@ -71,11 +71,10 @@ from contextlib import closing
 from typing import Sequence
 
 from .errors import ConfigError, RpcServerError, RpcTransportError
-from .ingest import BlockRange, RawLog, decode_hex_fields, filter_logs
+from .ingest import DEFAULT_WINDOW_SIZE, BlockRange, RawLog, decode_hex_fields, filter_logs
 from .registry import ContractRegistry
 from .util import parse_hex, to_hex
 
-DEFAULT_WINDOW_SIZE = 100_000
 BATCH_CALLS = 100
 LIMIT_EXCEEDED = -32005
 

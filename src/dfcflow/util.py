@@ -1,4 +1,4 @@
-"""Hex, fixed-point and calendar helpers used throughout the pipeline.
+"""Hex, fixed-point and exact-price helpers used throughout the pipeline.
 
 Token amounts, debt balances and USD values are `int` counts of
 1/:data:`SCALE` units from decoding through the report.  The scale is
@@ -6,17 +6,21 @@ Token amounts, debt balances and USD values are `int` counts of
 for the one division the ledger makes (see `dfcflow.ledger`).  Checkpoint
 files write such a count as a plain decimal (:func:`format_fixed`,
 :func:`parse_fixed`).  Prices stay exact rationals, held as integer units
-over a per-key scale (see `dfcflow.market`), and reports turn fixed-point
-sums into `fractions.Fraction` only to round a rendered cell.  Binary
-floating point only appears in the statistics layer.  Rendering goes
-through the formatters here so repeated runs emit byte-identical files.
+over a per-key scale (see `dfcflow.market`) and written to the price file
+by :func:`format_exact`.  Binary floating point only appears in the
+statistics layer.  The rounding formatters and the calendar-month
+helpers of the report tables live in `dfcflow.report`, their only user,
+so that this module, which every stage imports, loads neither
+`fractions` nor `datetime`.
 """
 
 from __future__ import annotations
 
 import re
-from datetime import datetime, timezone
-from fractions import Fraction
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # decimal places of a fixed-point count; SCALE units make one token or dollar
 PLACES = 36
@@ -112,18 +116,6 @@ def format_fixed(units: int) -> str:
     return f"{sign}{whole}.{str(frac).rjust(PLACES, '0').rstrip('0')}"
 
 
-def round_half_even(x: Fraction, places: int = 0) -> Fraction:
-    """Round an exact rational to `places` decimal digits, ties to even."""
-    scale = 10**places
-    scaled = x * scale
-    n, r = divmod(scaled.numerator, scaled.denominator)
-    # divmod keeps 0 <= r < den for negative n too, so the same tie rule works
-    double = 2 * r
-    if double > scaled.denominator or (double == scaled.denominator and n % 2 != 0):
-        n += 1
-    return Fraction(n, scale)
-
-
 def format_exact(x: Fraction) -> str:
     """Lossless rendering of a price for the price file.
 
@@ -150,43 +142,3 @@ def format_exact(x: Fraction) -> str:
     whole, frac = digits[:-places], digits[-places:]
     frac = frac.rstrip("0")
     return sign + (f"{whole}.{frac}" if frac else whole)
-
-
-def format_places(x: Fraction, places: int) -> str:
-    """Fixed-point rendering with exactly `places` fractional digits."""
-    sign = "-" if x < 0 else ""
-    rounded = round_half_even(abs(x), places)
-    units = rounded.numerator * (10**places // rounded.denominator)
-    digits = str(units).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return sign + f"{digits[:-places]}.{digits[-places:]}"
-
-
-def format_usd(units: int, places: int) -> str:
-    """A fixed-point USD count at `places` fractional digits, ties to even."""
-    return format_places(Fraction(units, SCALE), places)
-
-
-def format_usd_millions(units: int) -> str:
-    """Whole-number USD millions, matching the monthly report presentation."""
-    return format_places(Fraction(units, SCALE * 1_000_000), 0)
-
-
-def month_key(timestamp: int) -> str:
-    """UTC calendar month bucket, e.g. 1588598520 -> '2020-05'."""
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m")
-
-
-def month_range(first: str, last: str) -> list[str]:
-    """All months from `first` to `last` inclusive ('YYYY-MM' keys)."""
-    fy, fm = (int(p) for p in first.split("-"))
-    ly, lm = (int(p) for p in last.split("-"))
-    out = []
-    y, m = fy, fm
-    while (y, m) <= (ly, lm):
-        out.append(f"{y:04d}-{m:02d}")
-        m += 1
-        if m == 13:
-            y, m = y + 1, 1
-    return out

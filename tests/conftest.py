@@ -63,11 +63,6 @@ def registry() -> ContractRegistry:
 
 
 @pytest.fixture(scope="session")
-def fixture_logs_path() -> Path:
-    return DATA_DIR / "fixture_logs.jsonl"
-
-
-@pytest.fixture(scope="session")
 def prices_path() -> Path:
     return DATA_DIR / "prices.csv"
 

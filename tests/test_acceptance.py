@@ -79,7 +79,7 @@ def eligible_partition(*addresses):
     for i, addr in enumerate(addresses):
         events.append(make_event("collateral_deposit", 2 * i, addr, protocol="Aave"))
         events.append(make_event("collateral_deposit", 2 * i + 1, addr, protocol="Compound"))
-    return cluster.group_addresses([], events)
+    return cluster.group_addresses([], cluster.address_protocol_map(events))
 
 
 # -----------------------------------------------------------------------------
@@ -174,10 +174,11 @@ def load_fixture_pipeline():
     kept = ingest.filter_logs(logs, registry, ingest.BlockRange(10_000_000, 10_700_000))
     decoded = decode.decode_stream(kept, registry)
     denylist = cluster.load_denylist(DATA_DIR / "denylist.csv")
+    activity = cluster.address_protocol_map(decoded.events)
     partition = cluster.apply_heuristic_pairs(
-        cluster.group_addresses(decoded.vault_triples, decoded.events),
+        cluster.group_addresses(decoded.vault_triples, activity),
         cluster.extract_heuristic_pairs(decoded.events, denylist),
-        cluster.address_protocol_map(decoded.events),
+        activity,
     )
     prices = market.PriceSeries.from_csv(DATA_DIR / "prices.csv")
 
@@ -234,9 +235,9 @@ def test_criterion_3_clustering_equals_brute_force():
     rng = random.Random(31_337)
     for index in range(500):
         triples, events, pairs = random_grouping_instance(rng)
-        partition = cluster.group_addresses(triples, events)
+        activity = cluster.address_protocol_map(events)
         result = cluster.apply_heuristic_pairs(
-            partition, pairs, cluster.address_protocol_map(events)
+            cluster.group_addresses(triples, activity), pairs, activity
         )
         result.validate()
         oracle_eligible, oracle_full = brute_force_grouping(triples, events, pairs)
@@ -246,9 +247,9 @@ def test_criterion_3_clustering_equals_brute_force():
             rng.shuffle(triples)
             rng.shuffle(events)
             rng.shuffle(pairs)
+            activity = cluster.address_protocol_map(events)
             shuffled = cluster.apply_heuristic_pairs(
-                cluster.group_addresses(triples, events), pairs,
-                cluster.address_protocol_map(events),
+                cluster.group_addresses(triples, activity), pairs, activity
             )
             assert eligible_family(shuffled) == eligible_family(result)
             assert group_family(shuffled) == group_family(result)

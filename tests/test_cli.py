@@ -121,7 +121,9 @@ def test_conflicting_fixture_lines_fail_ingest_with_line_number(tmp_path, capsys
     assert not (tmp_path / "out" / "logs.jsonl").exists()
 
 
-def test_cli_import_loads_no_scipy_numpy_or_requests(tmp_path):
+def loaded_modules(tmp_path, command):
+    """The modules loaded in a fresh interpreter after `import dfcflow.cli`,
+    and after it runs `command` on the bundled fixture."""
     probe = (
         "import json, sys\n"
         "import dfcflow.cli\n"
@@ -132,10 +134,14 @@ def test_cli_import_loads_no_scipy_numpy_or_requests(tmp_path):
     )
     config = write_config(tmp_path, tmp_path / "out")
     proc = subprocess.run(
-        [sys.executable, "-c", probe, "ingest", "--config", str(config), "--quiet"],
+        [sys.executable, "-c", probe, command, "--config", str(config), "--quiet"],
         capture_output=True, text=True, check=True,
     )
-    after_import, after_ingest = map(json.loads, proc.stdout.splitlines())
+    return [set(json.loads(line)) for line in proc.stdout.splitlines()]
+
+
+def test_cli_import_loads_no_scipy_numpy_or_requests(tmp_path):
+    after_import, after_ingest = loaded_modules(tmp_path, "ingest")
     unwanted = {"scipy", "numpy", "requests", "http.client", "ssl", "gzip"} | {
         f"dfcflow.{stage}" for stage in ("decode", "cluster", "ledger", "market", "report", "tables")
     }
@@ -143,6 +149,17 @@ def test_cli_import_loads_no_scipy_numpy_or_requests(tmp_path):
     assert unwanted.isdisjoint(after_import)
     assert unwanted.isdisjoint(after_ingest)
     assert "dfcflow.ingest" in after_import and (tmp_path / "out" / "logs.jsonl").exists()
+    # nor a library that only start-up would pay for: the RPC client, the
+    # class-building library and what it imports, or exact arithmetic
+    unused = {"dataclasses", "inspect", "fractions", "decimal", "dfcflow.rpc"}
+    assert sorted(unused & (after_import | after_ingest)) == []
+
+
+def test_all_on_a_fixture_loads_neither_rpc_nor_dataclasses(tmp_path):
+    _, after_all = loaded_modules(tmp_path, "all")
+    assert "dfcflow.report" in after_all and (tmp_path / "out" / "summary.csv").exists()
+    unused = {"dataclasses", "inspect", "dfcflow.rpc", "http.client"}
+    assert sorted(unused & after_all) == []
 
 
 def test_rerun_reports_cache_hit(tmp_path, capsys):

@@ -10,7 +10,9 @@ from dfcflow.cluster import (
     apply_heuristic_pairs,
     extract_heuristic_pairs,
     group_addresses,
+    read_partition_csv,
     self_approval_pairs,
+    write_partition_csv,
 )
 from dfcflow.decode import ApprovalEvent, CanonicalEvent, VaultTriple
 
@@ -49,7 +51,7 @@ def two_protocol_events(actor, position=0):
 def test_shared_triple_addresses_merge_transitively():
     triples = [VaultTriple(addr(1), addr(2), addr(10)),
                VaultTriple(addr(2), addr(3), addr(11))]
-    partition = group_addresses(triples, [])
+    partition = group_addresses(triples, {})
     assert group_family(partition) == frozenset(
         {frozenset({addr(1), addr(2), addr(3), addr(10), addr(11)})}
     )
@@ -57,24 +59,23 @@ def test_shared_triple_addresses_merge_transitively():
 
 def test_degenerate_triple_is_a_two_address_set():
     triple = VaultTriple(addr(5), addr(5), addr(6))
-    partition = group_addresses([triple], [])
+    partition = group_addresses([triple], {})
     assert group_family(partition) == frozenset({frozenset({addr(5), addr(6)})})
 
 
 def test_duplicate_triples_collapse():
     t = VaultTriple(addr(1), addr(2), addr(3))
-    assert group_addresses([t, t, t], []) == group_addresses([t], [])
+    assert group_addresses([t, t, t], {}) == group_addresses([t], {})
 
 
 def test_single_protocol_group_is_not_eligible():
-    events = [event(addr(1), "Aave")]
-    partition = group_addresses([], events)
+    partition = group_addresses([], address_protocol_map([event(addr(1), "Aave")]))
     assert partition.eligible == frozenset()
     assert group_family(partition) == frozenset({frozenset({addr(1)})})
 
 
 def test_two_protocol_group_is_eligible():
-    partition = group_addresses([], two_protocol_events(addr(1)))
+    partition = group_addresses([], address_protocol_map(two_protocol_events(addr(1))))
     assert partition.eligible == frozenset({addr(1)})
 
 
@@ -96,7 +97,7 @@ def test_hand_enumerated_eligible_count():
     for a in singles:
         events.extend(two_protocol_events(a, position))
         position += 2
-    partition = group_addresses(triples, events)
+    partition = group_addresses(triples, address_protocol_map(events))
     # hand count: {1,2,3,4,5}, {6,7,8}, and the 4 singletons
     assert len(partition.eligible) == 6
     expected_eligible, _ = brute_force_grouping(triples, events, [])
@@ -105,20 +106,21 @@ def test_hand_enumerated_eligible_count():
 
 def test_pair_bridging_two_eligible_groups_merges_them():
     events = two_protocol_events(addr(1)) + two_protocol_events(addr(2), 10)
-    partition = group_addresses([], events)
+    activity = address_protocol_map(events)
     merged = apply_heuristic_pairs(
-        partition, [HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient")],
-        address_protocol_map(events),
+        group_addresses([], activity),
+        [HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient")],
+        activity,
     )
     assert eligible_family(merged) == frozenset({frozenset({addr(1), addr(2)})})
 
 
 def test_pair_in_component_without_eligible_group_has_no_effect():
     events = [event(addr(1), "Aave")]  # one protocol: not eligible
-    partition = group_addresses([], events)
+    activity = address_protocol_map(events)
+    partition = group_addresses([], activity)
     result = apply_heuristic_pairs(
-        partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")],
-        address_protocol_map(events),
+        partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")], activity,
     )
     assert group_family(result) == group_family(partition)
     assert result.eligible == frozenset()
@@ -126,10 +128,10 @@ def test_pair_in_component_without_eligible_group_has_no_effect():
 
 def test_pair_absorbs_unassigned_address():
     events = two_protocol_events(addr(1))
-    partition = group_addresses([], events)
+    activity = address_protocol_map(events)
+    partition = group_addresses([], activity)
     result = apply_heuristic_pairs(
-        partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")],
-        address_protocol_map(events),
+        partition, [HeuristicPair(addr(1), addr(9), "AaveRepayOnBehalf")], activity,
     )
     assert eligible_family(result) == frozenset({frozenset({addr(1), addr(9)})})
 
@@ -141,9 +143,9 @@ def test_chain_of_pairs_is_order_independent():
         HeuristicPair(addr(2), addr(3), "UniswapSwapRecipient"),
     ]
     expected = frozenset({frozenset({addr(1), addr(2), addr(3)})})
+    activity = address_protocol_map(events)
     for ordering in (pairs, pairs[::-1]):
-        partition = group_addresses([], events)
-        result = apply_heuristic_pairs(partition, ordering, address_protocol_map(events))
+        result = apply_heuristic_pairs(group_addresses([], activity), ordering, activity)
         assert eligible_family(result) == expected
     oracle_eligible, _ = brute_force_grouping([], events, pairs)
     assert oracle_eligible == expected
@@ -153,10 +155,11 @@ def test_default_mode_moves_only_the_paired_address():
     # addr(2)+addr(3) form a non-eligible vault group; a pair pulls only addr(2)
     triples = [VaultTriple(addr(2), addr(3), addr(3))]
     events = two_protocol_events(addr(1)) + [event(addr(2), "Maker", 20)]
-    partition = group_addresses(triples, events)
+    activity = address_protocol_map(events)
     result = apply_heuristic_pairs(
-        partition, [HeuristicPair(addr(1), addr(2), "AaveRepayOnBehalf")],
-        address_protocol_map(events),
+        group_addresses(triples, activity),
+        [HeuristicPair(addr(1), addr(2), "AaveRepayOnBehalf")],
+        activity,
     )
     assert frozenset({addr(1), addr(2)}) in eligible_family(result)
     assert frozenset({addr(3)}) in group_family(result)
@@ -165,17 +168,31 @@ def test_default_mode_moves_only_the_paired_address():
 def test_pairs_never_shrink_eligible_groups():
     events = (two_protocol_events(addr(1)) + two_protocol_events(addr(2), 10)
               + two_protocol_events(addr(3), 20))
-    partition = group_addresses([], events)
+    activity = address_protocol_map(events)
+    partition = group_addresses([], activity)
     pairs = [HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient")]
-    result = apply_heuristic_pairs(partition, pairs, address_protocol_map(events))
+    result = apply_heuristic_pairs(partition, pairs, activity)
     for rep in partition.eligible:
         members = partition.groups[rep]
         assert any(members <= final for final in eligible_family(result))
 
 
 def test_heuristic_pair_rejects_equal_endpoints():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^heuristic pair endpoints must differ$"):
         HeuristicPair(addr(1), addr(1), "AaveRepayOnBehalf")
+
+
+def test_partition_is_immutable_and_equals_its_checkpoint(tmp_path):
+    events = two_protocol_events(addr(1)) + [event(addr(2), "Maker", 20)]
+    partition = group_addresses([VaultTriple(addr(2), addr(3), addr(3))],
+                                address_protocol_map(events))
+    path = tmp_path / "partition.csv"
+    write_partition_csv(path, partition)
+    assert read_partition_csv(path) == partition
+    assert group_addresses([], address_protocol_map(events)) != partition
+    for name in ("groups", "group_protocols", "addr_to_rep", "eligible"):
+        with pytest.raises(AttributeError):
+            setattr(partition, name, getattr(partition, name))
 
 
 def test_extract_heuristic_pairs_sources_and_denylist():
@@ -262,8 +279,8 @@ def test_random_instances_match_brute_force():
     rng = random.Random(7)
     for _ in range(120):
         triples, events, pairs = random_instance(rng)
-        partition = group_addresses(triples, events)
-        result = apply_heuristic_pairs(partition, pairs, address_protocol_map(events))
+        activity = address_protocol_map(events)
+        result = apply_heuristic_pairs(group_addresses(triples, activity), pairs, activity)
         result.validate()
         oracle_eligible, oracle_full = brute_force_grouping(triples, events, pairs)
         assert eligible_family(result) == oracle_eligible
@@ -276,13 +293,12 @@ def test_permutation_invariance(seed):
     rng = random.Random(seed)
     triples, events, pairs = random_instance(rng)
     activity = address_protocol_map(events)
-    baseline = apply_heuristic_pairs(group_addresses(triples, events), pairs, activity)
+    baseline = apply_heuristic_pairs(group_addresses(triples, activity), pairs, activity)
     for _ in range(3):
         rng.shuffle(triples)
         rng.shuffle(events)
         rng.shuffle(pairs)
-        shuffled = apply_heuristic_pairs(
-            group_addresses(triples, events), pairs, address_protocol_map(events)
-        )
+        activity = address_protocol_map(events)
+        shuffled = apply_heuristic_pairs(group_addresses(triples, activity), pairs, activity)
         assert eligible_family(shuffled) == eligible_family(baseline)
         assert group_family(shuffled) == group_family(baseline)

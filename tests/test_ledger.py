@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dfcflow.cluster import group_addresses
+from dfcflow.cluster import address_protocol_map, group_addresses
 from dfcflow.decode import CanonicalEvent, normalize_amount
 from dfcflow.errors import LedgerError, SequencingError
 from dfcflow.ledger import FlowRecord, GroupLedger, first_out_split, run_ledger
@@ -234,11 +234,12 @@ def eligible_partition(*addresses):
     for i, a in enumerate(addresses):
         events.append(ev("collateral_deposit", 2 * i, actor=a, protocol="Aave"))
         events.append(ev("collateral_deposit", 2 * i + 1, actor=a, protocol="Compound"))
-    return group_addresses([], events)
+    return group_addresses([], address_protocol_map(events))
 
 
 def test_no_eligible_groups_means_zero_totals():
-    partition = group_addresses([], [ev("collateral_deposit", 0)])  # 1 protocol
+    # 1 protocol
+    partition = group_addresses([], address_protocol_map([ev("collateral_deposit", 0)]))
     events = [ev("debt_create", 1, amount=10), ev("collateral_deposit", 2, amount=10)]
     run = run_ledger(events, partition, flat_valuer)
     assert run.flow_records == []

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import tempfile
 import threading
 from fractions import Fraction
@@ -23,6 +24,15 @@ def hourly_series(points):
     for i, price in enumerate(points):
         series.add_point("ETH", T0 + i * HOUR, F(price))
     return series
+
+
+def test_series_equals_the_same_points_and_survives_pickle():
+    # the price reader of `dfcflow all` sends its series back pickled
+    series = hourly_series(["100.5", "101.25"])
+    assert pickle.loads(pickle.dumps(series, pickle.HIGHEST_PROTOCOL)) == series
+    assert hourly_series(["100.5", "101.25"]) == series
+    assert hourly_series(["100.5", "101.5"]) != series
+    assert hourly_series(["100.5"]) != series
 
 
 def test_query_exactly_at_a_point():

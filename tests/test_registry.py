@@ -1,12 +1,14 @@
 import copy
 import json
+import pickle
 
 import pytest
 
+from dfcflow import decode, ingest
 from dfcflow.errors import ConfigError
 from dfcflow.registry import ContractRegistry, CURRENCIES, PROTOCOLS
 
-from tests.conftest import REGISTRY_PATH, topics_for
+from tests.conftest import DATA_DIR, REGISTRY_PATH, topics_for
 
 POOL = "0x" + "aa" * 20
 TOKEN = "0x" + "bb" * 20
@@ -73,6 +75,17 @@ def test_minimal_doc_loads():
     registry = ContractRegistry.from_dict(minimal_doc())
     assert len(registry.rules) == 1  # no approvals section, so just the borrow rule
     assert registry.currency("DAI").decimals == 18
+
+
+def test_registry_equality_ignores_decoders_and_survives_pickle():
+    registry = ContractRegistry.from_json_file(REGISTRY_PATH)
+    assert pickle.loads(pickle.dumps(registry, pickle.HIGHEST_PROTOCOL)) == registry
+    logs = ingest.load_fixture(DATA_DIR / "fixture_logs.jsonl")[:50]
+    decode.decode_stream(ingest.filter_logs(logs, registry, ingest.BlockRange(0, 10**9)),
+                         registry)
+    assert registry.decoders  # filled by the decode
+    assert registry == ContractRegistry.from_json_file(REGISTRY_PATH)
+    assert registry != ContractRegistry.from_dict(minimal_doc())
 
 
 def reject(mutate, match=None):

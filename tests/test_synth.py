@@ -1,7 +1,9 @@
 from dfcflow.decode import CANONICAL_KINDS, decode_stream
 from dfcflow.ingest import BlockRange, filter_logs, serialize_fixture
-from tools.gen_fixture import generate_fixture
-from dfcflow.util import month_key
+from dfcflow.report import month_key
+from tools.gen_fixture import generate_fixture, main as gen_fixture_main
+
+from tests.conftest import DATA_DIR
 
 
 def test_same_seed_is_byte_identical(registry):
@@ -38,6 +40,9 @@ def test_fixture_shape(registry):
         assert last >= max(e.timestamp for e in result.events)
 
 
-def test_bundled_data_matches_seed_42(registry, fixture_logs_path):
-    bundle = generate_fixture(registry, seed=42)
-    assert fixture_logs_path.read_text() == serialize_fixture(bundle.logs)
+def test_bundled_data_matches_seed_42(tmp_path):
+    # `tools/gen_fixture.py --seed 42 --output data` rewrites data/ byte for byte
+    assert gen_fixture_main(["--seed", "42", "--output", str(tmp_path)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in DATA_DIR.iterdir())
+    for path in DATA_DIR.iterdir():
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name

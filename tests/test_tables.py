@@ -3,12 +3,14 @@ from fractions import Fraction as F
 import pytest
 
 from dfcflow import cluster, decode, ledger, synth
-from dfcflow.cluster import group_addresses
+from dfcflow.cluster import HeuristicPair, address_protocol_map, group_addresses
 from dfcflow.decode import ApprovalEvent, CanonicalEvent, VaultTriple
 from dfcflow.errors import TableError
-from dfcflow.ingest import RawLog
+from dfcflow.ingest import BlockRange, RawLog
 from dfcflow.ledger import FlowRecord
 from dfcflow.market import DAY, HOUR, PriceSeries
+from dfcflow.registry import Currency, EventRule, Locator
+from dfcflow.report import CorrelationResult, MonthlyDfcRow
 from dfcflow.util import SCALE as U
 
 T0 = 1_588_598_520
@@ -41,7 +43,7 @@ def partition():
                           log_index=0, timestamp=T0, currency="DAI", amount=U)
            for i, (a, p) in enumerate([(addr(1), "Aave"), (addr(1), "Compound"),
                                        (addr(7), "Maker"), (addr(5), "Aave")])]
-    return group_addresses([VaultTriple(addr(1), addr(2), addr(3))], evs)
+    return group_addresses([VaultTriple(addr(1), addr(2), addr(3))], address_protocol_map(evs))
 
 
 def prices():
@@ -134,6 +136,14 @@ def test_bad_row_names_the_file_and_line(tmp_path, read, text, error):
     VaultTriple(addr(1), addr(2), addr(3)),
     ApprovalEvent("USDC", addr(1), addr(2), 10_000_001, 4, T0),
     TABLES["flows"][2]()[0],
+    Currency("DAI", 18, "DAI"),
+    Locator("data", 32),
+    EventRule("Aave", b"\x02" * 20, b"\x03" * 32, "Borrow(...)", "debt_create",
+              actor=Locator("topic", 1), amount=Locator("data", 0), currency_fixed="DAI"),
+    BlockRange(10_000_000, 10_000_001),
+    HeuristicPair(addr(1), addr(2), "UniswapSwapRecipient"),
+    MonthlyDfcRow("2020-07", U, 2 * U),
+    CorrelationResult("price_change", "next_day", 0.1, 0.05, 10),
 ], ids=lambda record: type(record).__name__)
 def test_records_are_immutable_and_compare_field_by_field(record):
     name = record._fields[0]

@@ -36,10 +36,10 @@ def main(golden: Path = GOLDEN) -> None:
     decoded = decode.decode_stream(kept, registry)
     denylist = cluster.load_denylist(ROOT / "data" / "denylist.csv")
 
-    partition = cluster.group_addresses(decoded.vault_triples, decoded.events)
+    activity = cluster.address_protocol_map(decoded.events)
+    partition = cluster.group_addresses(decoded.vault_triples, activity)
     pairs = cluster.extract_heuristic_pairs(decoded.events, denylist)
-    final = cluster.apply_heuristic_pairs(partition, pairs,
-                                          cluster.address_protocol_map(decoded.events))
+    final = cluster.apply_heuristic_pairs(partition, pairs, activity)
 
     prices = market.PriceSeries.from_csv(ROOT / "data" / "prices.csv")
 
