@@ -2,33 +2,27 @@
 for, so that it runs on another core.
 
 `run_stages` forks a price reader before `ingest`, while the heap is
-still small; `track` takes the `PriceSeries` from it through a pipe when
-it first asks for the prices.  The checkpoints of `ingest`, `decode` and
-`track` are written by forked writers, which render, then compare and
-rename each file as `PipelineRun.write` does, while the parent goes on
-to the next stage.  The first writer is forked after `decode` and
-carries the checkpoints of both `ingest` and `decode`, so that no child
-shares the pages of the `RawLog`s while `decode` reads them; the second
-is forked after `track`.  Children share the stage values copy-on-write
-(spawned workers would have to pickle them, which costs nearly as much
-as the write); only results and errors are pickled.
+still small, and swaps it in as the run's prices loader: `track` takes
+the `PriceSeries` from it through a pipe.  After each stage it takes the
+checkpoint writes the stage queued: those of `ingest`, `decode` and
+`track` go to forked writers, the rest it writes at once, as
+`cli.run_inline` does.  The first writer is forked after `decode` and
+carries the checkpoints of `ingest` too, so that no child shares the
+pages of the `RawLog`s while `decode` reads them; the second is forked
+after `track`.  Children share the stage values copy-on-write (spawned
+workers would have to pickle them, which costs nearly as much as the
+write); only results and errors are pickled.  Each fork is preceded by
+`gc.freeze()`, so that the parent's collector never writes to, and so
+never copies a page of, the objects it shares with a child;
+`run_stages` unfreezes when it returns.
 
-Each fork is preceded by `gc.freeze()`, so that the parent's collector
-never walks, and so never writes to, the objects it shares with a child:
-each such write would copy a page.  `run_stages` calls `gc.unfreeze()`
-when it returns, so an in-process caller gets its collector back as it
-was.
-
-Errors surface as they would inline.  A worker's exception is re-raised
-in the parent, and when several stages failed the earliest one wins.  A
-writer's error counts against the stage whose checkpoint failed, so a
-failed `logs.jsonl` is still an `ingest` failure, earlier than any of
-`decode`.  Every writer is joined before `run_stages` returns, on
-success and on failure, and its status lines are printed then, in stage
-order; a price reader whose result was never taken is killed and reaped.
-
-`dfcflow.cli` imports this module for `all` only, and runs `all` inline
-when `can_fork()` is false.
+Errors surface as they would inline: a worker's exception is re-raised
+in the parent, a writer's error counts against the stage whose
+checkpoint failed, and the earliest failed stage wins.  Every writer is
+joined before `run_stages` returns, and its status lines are printed
+then, in stage order; a price reader whose result was never taken is
+killed and reaped.  `dfcflow.cli` imports this module for `all` only,
+and runs `all` inline when `can_fork()` is false.
 """
 
 from __future__ import annotations
@@ -160,17 +154,18 @@ def run_stages(run, stages, functions) -> tuple[str, DfcError] | None:
     failure = written = None  # the failed stage, the earliest failed writer
     try:
         prices = Worker(run.cfg.load_prices)
-        run.keep_later(prices=prices.result)
+        run.load_prices = prices.result
         for stage in stages:
-            run.deferred = [] if stage in WRITER_STAGES else None
             try:
                 functions[stage](run)
-                pending += [(stage, write) for write in run.deferred or ()]
+                if stage in WRITER_STAGES:
+                    pending += [(stage, write) for write in run.take_writes()]
+                else:
+                    for write in run.take_writes():
+                        run.say(write())
             except BaseException as exc:  # re-raised below unless a DfcError
                 failure = stage, exc
                 break
-            finally:
-                run.deferred = None
             if pending and stage not in CARRIED_STAGES:
                 writers.append((pending[0][0], Worker(_write_all, pending)))
                 pending = []

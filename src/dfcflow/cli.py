@@ -2,34 +2,27 @@
 
 Stages are plain functions over a `PipelineRun`, the state of one
 invocation; each returns its typed result (the kept logs, the
-`DecodeResult`, the `Partition`, the `LedgerRun`).  `dfcflow all` hands
-those results from stage to stage in memory and loads the registry,
-prices and deny-list once; a single-stage invocation reads its inputs
-back from the previous stage's checkpoints.  Either way every stage
-writes its checkpoints, the CSV/JSONL formats documented in
-docs/file_formats.md, never private binaries, so runs are resumable and
-auditable.  Rerunning a stage whose output is unchanged reports a cache
-hit and leaves the file untouched.  `all` runs ingest through report,
-then `compare-clusters`.  Where it can fork (`background.can_fork`),
-`all` parses the price file in a forked worker during `ingest` and
-writes the checkpoints of `ingest`, `decode` and `track` from forked
-writers while later stages run; see `dfcflow.background`.
-Each file still appears whole, by rename.  A failed background write
-fails the run when the writer is joined, after the last stage, so later
-stages may have written their outputs by then.  Stage failures exit
-with distinct codes (config 2, ingest 3, decode 4, cluster 5, ledger 6,
-report 7); a config key that is neither a `PipelineConfig` field nor
-`comment` is a config error.  Test data comes from tools/gen_fixture.py,
-not a subcommand.
+`DecodeResult`, the `Partition`, the `LedgerRun`).  `dfcflow all` runs
+ingest through report, then `compare-clusters`, handing results from
+stage to stage in memory and loading the registry, prices and deny-list
+once; a single-stage invocation reads its inputs back from the previous
+stage's checkpoints.  Either way every stage leaves its checkpoints, in
+the CSV/JSONL formats of docs/file_formats.md, so runs are resumable and
+auditable.  A stage queues them with `PipelineRun.write`; its runner
+writes them with `write_checkpoint` once the stage returns, `run_inline`
+at once and `background.run_stages` (`all`, where it can fork) partly
+from forked writers.  An unchanged output is a cache hit, left
+untouched.  Stage failures exit with distinct codes (config 2, ingest
+3, decode 4, cluster 5, ledger 6, report 7); a config key that is
+neither a `PipelineConfig` field nor `comment` is a config error.
 
 At import this module loads only what config parsing and `ingest` from
 a fixture need (`ingest`, `registry`, `errors`, `util`); each stage
 function and `PipelineRun` accessor imports the stage modules it uses,
 so `dfcflow ingest` and a config check never compile decode, cluster,
 ledger, market or report, and only an `ingest` from an RPC endpoint
-loads `rpc`.  The package's records are named tuples and its holders
-plain classes, so that no command pays at start-up for a class-building
-library it does not use.
+loads `rpc`.  Records are named tuples and holders plain classes, so no
+command pays at start-up for a class-building library.
 """
 
 from __future__ import annotations
@@ -178,23 +171,19 @@ class PipelineConfig(NamedTuple):
 
 
 class PipelineRun:
-    """The state of one invocation: its config, whether it prints, and the
-    values its stages have produced or loaded.
-
-    Each input accessor returns the value a stage of this invocation
-    already produced, and otherwise reads it once from its checkpoint (or,
-    for the registry, prices and deny-list, from the configured file).
-    `main` makes a new run per call, so nothing carries over between
-    invocations.
-    """
+    """The state of one invocation: its config, whether it prints, the
+    values its stages have produced or loaded, and the checkpoint writes
+    queued for its runner.  An input accessor gives the value a stage
+    already produced, or reads it once from its checkpoint (the registry,
+    prices and deny-list from the configured file)."""
 
     def __init__(self, cfg: PipelineConfig, quiet: bool = False):
         self.cfg = cfg
         self.quiet = quiet
+        # `dfcflow all` swaps in the result of its price reader
+        self.load_prices = cfg.load_prices
         self._values: dict[str, object] = {}
-        self._later: dict[str, object] = {}
-        # when a list, `write` appends its writes here for the caller to run
-        self.deferred: list | None = None
+        self._writes: list = []
 
     def say(self, message: str) -> None:
         if not self.quiet:
@@ -204,15 +193,9 @@ class PipelineRun:
         """Hand stage results to later stages of this invocation."""
         self._values.update(values)
 
-    def keep_later(self, **results) -> None:
-        """Hand later stages values still being computed: each is the
-        return value of its function, called when the value is first
-        asked for."""
-        self._later.update(results)
-
     def _once(self, name: str, load):
         if name not in self._values:
-            self._values[name] = self._later.pop(name, load)()
+            self._values[name] = load()
         return self._values[name]
 
     def _read(self, name: str, read, stage: str):
@@ -222,7 +205,7 @@ class PipelineRun:
         return self._once("registry", self.cfg.load_registry)
 
     def prices(self) -> market.PriceSeries:
-        return self._once("prices", self.cfg.load_prices)
+        return self._once("prices", self.load_prices)
 
     def denylist(self) -> frozenset[str]:
         return self._once("denylist", self.cfg.load_denylist)
@@ -256,12 +239,15 @@ class PipelineRun:
         return self._read("flows", ledger.read_flows_csv, "track")
 
     def write(self, path: Path, writer, *args) -> None:
-        """Write a checkpoint with `write_checkpoint` and print its status
-        line, or, while `deferred` is a list, append the write to it."""
-        if self.deferred is None:
-            self.say(write_checkpoint(path, writer, *args))
-        else:
-            self.deferred.append(partial(write_checkpoint, path, writer, *args))
+        """Queue a checkpoint for the runner to write with `write_checkpoint`
+        once the stage returns."""
+        self._writes.append(partial(write_checkpoint, path, writer, *args))
+
+    def take_writes(self) -> list:
+        """The writes queued since the last call, in order; each writes one
+        file and gives its status line."""
+        writes, self._writes = self._writes, []
+        return writes
 
 
 def write_checkpoint(path: Path, writer, *args) -> str:
@@ -489,10 +475,13 @@ def main(argv=None) -> int:
 
 
 def run_inline(run: PipelineRun, stages, functions) -> tuple[str, DfcError] | None:
-    """Run `stages` in order; the first to fail and its error, or None."""
+    """Run `stages` in order, each followed by its checkpoint writes; the
+    first to fail and its error, or None."""
     for stage in stages:
         try:
             functions[stage](run)
+            for write in run.take_writes():
+                run.say(write())
         except DfcError as exc:
             return stage, exc
     return None

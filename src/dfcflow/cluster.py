@@ -40,6 +40,10 @@ class HeuristicPair(NamedTuple("HeuristicPair", [("r1", str), ("r2", str), ("sou
             raise ValueError("heuristic pair endpoints must differ")
         return super().__new__(cls, r1, r2, source)
 
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it
+        return cls(*iterable)
+
     @property
     def unordered(self) -> frozenset[str]:
         return frozenset((self.r1, self.r2))
@@ -83,9 +87,6 @@ class DisjointSet:
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
         self._min[ra] = min(self._min[ra], self._min[rb])
-
-    def representative(self, item: str) -> str:
-        return self._min[self.find(item)]
 
     def groups(self) -> dict[str, frozenset[str]]:
         """Map smallest-member representative -> member set."""

@@ -44,7 +44,7 @@ from .errors import DecodeError
 from .ingest import RawLog
 from .registry import ContractRegistry, EventRule, Locator
 from .tables import Table
-from .util import PLACES, format_fixed, parse_fixed, to_hex, uint_cell_error
+from .util import PLACES, format_fixed, parse_amount, to_hex, uint_cell_error
 
 COLLATERAL_DEPOSIT = "collateral_deposit"
 COLLATERAL_WITHDRAW = "collateral_withdraw"
@@ -412,13 +412,6 @@ def _event_row(e: CanonicalEvent) -> tuple:
     return head + (currency, "", format_fixed(amount), "")
 
 
-def _amount(name: str, text: str) -> int:
-    amount = parse_fixed(text)
-    if amount < 0:
-        raise ValueError(f"negative {name} {text!r}")
-    return amount
-
-
 def _log_position(block_number: str, log_index: str, timestamp: str) -> tuple[int, int, int]:
     if not (block_number.isdigit() and log_index.isdigit() and timestamp.isdigit()
             and (block_number + log_index + timestamp).isascii()):
@@ -435,17 +428,20 @@ def _event_from_row(
         raise ValueError(f"unknown event kind {kind!r}")
     position = (kind, protocol, actor, *_log_position(block_number, log_index, timestamp))
     on_behalf_of = on_behalf_of or None
+    if on_behalf_of == actor:
+        # the decoder leaves the cell empty when the two coincide
+        raise ValueError(f"on_behalf_of equals actor {actor!r}")
     if kind == SWAP:
         return CanonicalEvent(
             *position,
             currency_sent=currency,
             currency_received=currency_received,
-            amount_sent=_amount("amount_sent", amount),
-            amount_received=_amount("amount_received", amount_received),
+            amount_sent=parse_amount("amount_sent", amount),
+            amount_received=parse_amount("amount_received", amount_received),
             on_behalf_of=on_behalf_of,
         )
     return CanonicalEvent(
-        *position, currency=currency, amount=_amount("amount", amount),
+        *position, currency=currency, amount=parse_amount("amount", amount),
         on_behalf_of=on_behalf_of,
     )
 

@@ -138,6 +138,10 @@ class BlockRange(NamedTuple("BlockRange", [("start", int), ("end", int)])):
             raise ValueError(f"block range start {start} > end {end}")
         return super().__new__(cls, start, end)
 
+    @classmethod
+    def _make(cls, iterable):  # `_replace` builds through it
+        return cls(*iterable)
+
     def __contains__(self, block_number: int) -> bool:
         return self.start <= block_number <= self.end
 
@@ -210,7 +214,7 @@ def filter_logs(
         for log in logs
         if log.block_number in block_range
         and log.topics
-        and registry.rule_for(log.contract_address, log.topics[0]) is not None
+        and (log.contract_address, log.topics[0]) in registry.rules
     ]
     kept.sort(key=RawLog.order_key.fget)
     unique: list[RawLog] = []

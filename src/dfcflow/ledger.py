@@ -68,7 +68,7 @@ from .decode import (
 )
 from .errors import LedgerError, SequencingError
 from .tables import Table
-from .util import format_fixed, parse_fixed, uint_cell_error
+from .util import format_fixed, parse_amount, uint_cell_error
 
 _new = tuple.__new__  # a named tuple from all of its fields, without `__new__`'s defaults
 
@@ -255,10 +255,14 @@ def _flow_from_row(
     if not (timestamp.isdigit() and block_number.isdigit()
             and (timestamp + block_number).isascii()):
         raise uint_cell_error(timestamp=timestamp, block_number=block_number)
+    if kind not in (COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW):
+        raise ValueError(f"unknown flow kind {kind!r}")
     return FlowRecord(
         group, int(timestamp), int(block_number), protocol, currency, kind,
-        parse_fixed(debt_token), parse_fixed(nondebt_token),
-        parse_fixed(debt_usd), parse_fixed(nondebt_usd),
+        parse_amount("debt_amount_token", debt_token),
+        parse_amount("nondebt_amount_token", nondebt_token),
+        parse_amount("debt_amount_usd", debt_usd),
+        parse_amount("nondebt_amount_usd", nondebt_usd),
     )
 
 

@@ -6,15 +6,14 @@ declared granularity (hourly for BTC/ETH/USDC/DAI, daily for USDT).
 Carry-forward avoids lookahead bias; the staleness bound keeps gaps from
 silently valuing events with week-old prices.
 
-Each key's prices are held as integer units over one scale, the least
-common denominator of that key's prices (10**4 for a file of prices with
-at most four decimals), so loading and lookups make no `Fraction` per
-point.  Prices are exact `Fraction`s at the API.  `value_usd` takes a
-token amount and returns a USD value, both as fixed-point `int` counts
-of 1/`util.SCALE` units, floored to a whole unit (the rounding rule of
-`dfcflow.ledger`).
-
-Series are immutable after load and safe for concurrent readers.
+A series is built once, by its constructor, from points in any order;
+`from_csv`, `fetch_prices` and `synth.generate_prices` all build through
+it.  Each key's prices are held as integer units over one scale, the
+least common denominator of that key's prices, so building and lookups
+make no `Fraction` per point.  Prices are exact `Fraction`s at the API.
+`value_usd` takes a token amount and returns a USD value, both as
+fixed-point `int` counts of 1/`util.SCALE` units, floored to a whole
+unit (the rounding rule of `dfcflow.ledger`).
 """
 
 from __future__ import annotations
@@ -49,40 +48,57 @@ def _check_point(key: str, timestamp: int, numerator: int, error=ConfigError) ->
         raise error(f"{key} price at {timestamp} is not positive")
 
 
-def _not_increasing(key: str, timestamp: int) -> ConfigError:
-    return ConfigError(f"{key} timestamps must be strictly increasing (got {timestamp})")
-
-
 class PriceSeries:
     """Sorted (timestamp, price) points per price key; a key's prices are
     `_units[key][i] / _scales[key]`.  Two series are equal when they hold
     the same points at the same scales."""
 
-    def __init__(self):
+    def __init__(self, points=()):
+        """A series of `(key, timestamp, numerator, denominator)` points, in
+        any order.  An unknown key, a price that is not positive or a
+        repeated timestamp raises ConfigError."""
+        columns: dict[str, tuple[list[int], list[int], list[int]]] = {}
+        for key, timestamp, numerator, denominator in points:
+            column = columns.get(key) or columns.setdefault(key, ([], [], []))
+            column[0].append(timestamp)
+            column[1].append(numerator)
+            column[2].append(denominator)
         self._timestamps: dict[str, list[int]] = {}
         self._units: dict[str, list[int]] = {}
         self._scales: dict[str, int] = {}
+        for key in sorted(columns):
+            ts_list, numerators, denominators = columns.pop(key)
+            if not all(map(operator.lt, ts_list, ts_list[1:])):
+                order = sorted(range(len(ts_list)), key=ts_list.__getitem__)
+                ts_list, numerators, denominators = (
+                    [column[i] for i in order] for column in (ts_list, numerators, denominators))
+                for earlier, timestamp in zip(ts_list, ts_list[1:]):
+                    if timestamp == earlier:
+                        raise ConfigError(
+                            f"{key} timestamps must be strictly increasing (got {timestamp})")
+            if key not in GRANULARITY or min(numerators) <= 0:
+                for timestamp, numerator in zip(ts_list, numerators):
+                    _check_point(key, timestamp, numerator)
+            distinct = set(denominators)
+            scale = math.lcm(*distinct)
+            units = numerators
+            if len(distinct) > 1:
+                factors = {den: scale // den for den in distinct}
+                units = [num * factors[den] for num, den in zip(numerators, denominators)]
+            # the least common denominator, so a series equals itself read back
+            common = math.gcd(scale, *units)
+            if common > 1:
+                scale //= common
+                units = [u // common for u in units]
+            self._timestamps[key] = ts_list
+            self._units[key] = units
+            self._scales[key] = scale
 
     def __eq__(self, other):
         if not isinstance(other, PriceSeries):
             return NotImplemented
         return ((self._timestamps, self._units, self._scales)
                 == (other._timestamps, other._units, other._scales))
-
-    def add_point(self, key: str, timestamp: int, price: Fraction) -> None:
-        _check_point(key, timestamp, price.numerator)
-        ts_list = self._timestamps.setdefault(key, [])
-        if ts_list and timestamp <= ts_list[-1]:
-            raise _not_increasing(key, timestamp)
-        units = self._units.setdefault(key, [])
-        scale = self._scales.setdefault(key, 1)
-        if scale % price.denominator:
-            rescaled = math.lcm(scale, price.denominator)
-            factor = rescaled // scale
-            units[:] = [u * factor for u in units]
-            self._scales[key] = scale = rescaled
-        ts_list.append(timestamp)
-        units.append(price.numerator * (scale // price.denominator))
 
     @property
     def keys(self) -> frozenset[str]:
@@ -126,36 +142,13 @@ class PriceSeries:
     def from_csv(cls, path: str | Path) -> "PriceSeries":
         """Price file: columns price_key,timestamp,price_usd (exact decimal).
 
-        Rows may come in any order; a key whose rows are out of time order
-        is sorted.  An unknown key or a non-positive price names its line;
-        a repeated timestamp names the file.
+        Rows may come in any order.  An unknown key or a non-positive price
+        names its line; a repeated timestamp names the file.
         """
-        points: dict[str, list[tuple[str, int, int, int]]] = {}
-        for row in PRICES.read(path):
-            points.setdefault(row[0], []).append(row)
-        series = cls()
-        for key in sorted(points):
-            rows = points[key]
-            ts_list = [row[1] for row in rows]
-            if not all(map(operator.lt, ts_list, ts_list[1:])):
-                rows.sort(key=operator.itemgetter(1))
-                ts_list = [row[1] for row in rows]
-                for earlier, ts in zip(ts_list, ts_list[1:]):
-                    if ts <= earlier:
-                        raise TableError(path, str(_not_increasing(key, ts)))
-            denominators = {row[3] for row in rows}
-            scale = math.lcm(*denominators)
-            factors = {den: scale // den for den in denominators}
-            units = [num * factors[den] for _, _, num, den in rows]
-            # the least common denominator, so a series equals itself read back
-            common = math.gcd(scale, *units)
-            if common > 1:
-                scale //= common
-                units = [u // common for u in units]
-            series._timestamps[key] = ts_list
-            series._units[key] = units
-            series._scales[key] = scale
-        return series
+        try:
+            return cls(PRICES.read(path))
+        except ConfigError as exc:  # a repeated timestamp: each row was checked
+            raise TableError(path, str(exc)) from None
 
     def to_csv(self, path: str | Path) -> None:
         PRICES.write(path, (
@@ -189,15 +182,9 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
     Config keys: url_template (with {key}, {start}, {end} placeholders),
     key_map (price key -> endpoint symbol), start, end (UTC seconds),
     optional timestamp_field / price_field (indexes into each candle row,
-    defaults 0 and 3), optional delay_seconds between requests.
-
-    One GET per price key through `urllib.request`, which honours the
-    proxy environment variables, with a 30 s timeout.  A failed request,
-    an HTTP error status, a body that is not JSON or a candle that does
-    not parse raises PriceFetchError naming the key and the URL.
-
-    Runtime fetching is opt-in; pipeline runs default to price files so
-    results stay offline-reproducible.
+    defaults 0 and 3), optional delay_seconds between requests.  The
+    requests and their errors (PriceFetchError, naming the key and the
+    URL) are described under prices.csv in docs/file_formats.md.
     """
     template = fetch_config.get("url_template")
     key_map = fetch_config.get("key_map")
@@ -213,7 +200,7 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
     import urllib.error
     import urllib.request
 
-    rows: list[tuple[str, int, Fraction]] = []
+    points: list[tuple[str, int, int, int]] = []
     for key in sorted(key_map):
         url = template.format(key=key_map[key], start=start, end=end)
         try:
@@ -226,23 +213,16 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
         if not isinstance(candles, list):
             raise PriceFetchError(f"{key} candles from {url}: reply is not a list")
         try:
-            rows.extend(
-                (key, int(candle[ts_field]), Fraction(str(candle[price_field])))
+            points.extend(
+                (key, int(candle[ts_field]),
+                 *Fraction(str(candle[price_field])).as_integer_ratio())
                 for candle in candles
             )
         except (LookupError, TypeError, ValueError) as exc:
             raise PriceFetchError(f"{key} candles from {url}: bad candle: {exc}") from exc
         if delay:
             time.sleep(delay)
-    rows.sort(key=lambda r: (r[0], r[1]))
-    series = PriceSeries()
-    seen: set[tuple[str, int]] = set()
-    for key, ts, price in rows:
-        if (key, ts) in seen:
-            continue
-        seen.add((key, ts))
-        series.add_point(key, ts, price)
-    return series
+    return PriceSeries(points)
 
 
 def make_valuer(series: PriceSeries, currencies: dict[str, Currency]):

@@ -113,9 +113,6 @@ class ContractRegistry:
     def all_topic0(self) -> frozenset[bytes]:
         return frozenset(t for _, t in self.rules)
 
-    def rule_for(self, contract: bytes, topic0: bytes) -> EventRule | None:
-        return self.rules.get((contract, topic0))
-
     def token_currency(self, token: bytes) -> Currency | None:
         symbol = self.tokens.get(token)
         return self.currencies[symbol] if symbol else None

@@ -65,10 +65,6 @@ class CorrelationResult(NamedTuple):
     n: int
 
     @property
-    def defined(self) -> bool:
-        return self.r is not None
-
-    @property
     def stars(self) -> str:
         if self.p_value is None:
             return ""
@@ -258,8 +254,6 @@ def _period_series(records: Sequence[FlowRecord], period: int):
 def lagged_correlations(
     records: Sequence[FlowRecord],
     prices: PriceSeries,
-    *,
-    price_key: str = "ETH",
 ) -> list[CorrelationResult]:
     """The four {collateral change, price change} x {next hour, next day}
     correlations against the following period's debt percentage."""
@@ -288,8 +282,8 @@ def lagged_correlations(
                     x = (dep_total.get(bucket, 0) - wd_total.get(bucket, 0)) / SCALE
                 else:
                     try:
-                        open_units = prices.units_at(price_key, bucket * period)
-                        close_units = prices.units_at(price_key, (bucket + 1) * period)
+                        open_units = prices.units_at("ETH", bucket * period)
+                        close_units = prices.units_at("ETH", (bucket + 1) * period)
                     except ValuationError:
                         continue
                     # both at the key's one scale; int division rounds correctly

@@ -76,6 +76,7 @@ from .registry import ContractRegistry
 from .util import parse_hex, to_hex
 
 BATCH_CALLS = 100
+TIMEOUT = 30.0  # seconds, on connect and on each read
 LIMIT_EXCEEDED = -32005
 
 
@@ -91,7 +92,7 @@ def _basic_auth(url) -> str:
 class RpcClient:
     """JSON-RPC batches to one endpoint over one persistent connection."""
 
-    def __init__(self, endpoint: str, timeout: float = 30.0):
+    def __init__(self, endpoint: str):
         # loaded only when a run talks to a node; http.client loads ssl
         import http.client
         import urllib.request
@@ -109,7 +110,7 @@ class RpcClient:
                       else http.client.HTTPConnection)
         proxy = urllib.request.getproxies().get(url.scheme)
         if not proxy or urllib.request.proxy_bypass(host):
-            self._conn = connection(host, timeout=timeout)
+            self._conn = connection(host, timeout=TIMEOUT)
         else:
             proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
             proxy_host = proxy.netloc.rpartition("@")[2]
@@ -117,12 +118,12 @@ class RpcClient:
             if proxy.username is not None:
                 proxy_headers["Proxy-Authorization"] = _basic_auth(proxy)
             if url.scheme == "https":
-                self._conn = connection(proxy_host, timeout=timeout)
+                self._conn = connection(proxy_host, timeout=TIMEOUT)
                 self._conn.set_tunnel(host, headers=proxy_headers)
             else:
                 to_proxy = (http.client.HTTPSConnection if proxy.scheme == "https"
                             else http.client.HTTPConnection)
-                self._conn = to_proxy(proxy_host, timeout=timeout)
+                self._conn = to_proxy(proxy_host, timeout=TIMEOUT)
                 self._target = f"http://{host}{self._target}"
                 self._headers.update(proxy_headers)
         self._next_id = 1

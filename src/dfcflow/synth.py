@@ -3,8 +3,9 @@
 `encode_event_log` is the inverse of decoding: it places semantic fields
 (actor, amount, currency token, ...) into topics/data exactly where a
 registry rule's locators say they live.  Every registry entry can thus be
-exercised with encode-then-decode round trips.  `generate_prices` draws
-seeded random-walk price series in the price-file format.
+exercised with encode-then-decode round trips.  `generate_prices` streams
+seeded random walks into the `PriceSeries` constructor, with no
+`Fraction` and no list of points.
 
 The generators built on these, tools/gen_fixture.py (the bundled
 fixture) and perfbench/workloads.py (the benchmark workloads), live
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 
 from .cluster import DENYLIST
 from .ingest import RawLog
@@ -169,35 +171,27 @@ def encode_event_log(
     )
 
 
-def _price_walk(rng, start_units, n, step_per_10k, unit_exp):
-    """Integer random walk in 10**-unit_exp USD units; exact decimal strings."""
+def _price_walk(rng, key, timestamps, start_units, step_per_10k, unit_exp):
+    """Integer random walk in 10**-unit_exp USD units, as price points."""
+    scale = 10**unit_exp
     units = start_units
-    out = []
-    for _ in range(n):
-        out.append(Fraction(units, 10**unit_exp))
+    for ts in timestamps:
+        yield key, ts, units, scale
         units = units * (10_000 + rng.randint(-step_per_10k, step_per_10k)) // 10_000
         units = max(units, 1)
-    return out
 
 
 def generate_prices(rng: random.Random, start_ts: int, end_ts: int) -> PriceSeries:
-    series = PriceSeries()
-    hour_start = (start_ts // HOUR - 2) * HOUR
-    hours = range(hour_start, end_ts + 2 * HOUR, HOUR)
-    walks = {
-        "BTC": _price_walk(rng, 91_234_500, len(hours), 35, 4),   # ~9123.45
-        "ETH": _price_walk(rng, 2_101_200, len(hours), 45, 4),    # ~210.12
-        "USDC": _price_walk(rng, 10_001, len(hours), 3, 4),
-        "DAI": _price_walk(rng, 10_090, len(hours), 4, 4),
-    }
-    for key, walk in walks.items():
-        for ts, price in zip(hours, walk):
-            series.add_point(key, ts, price)
-    day_start = (start_ts // DAY - 1) * DAY
-    days = range(day_start, end_ts + 2 * DAY, DAY)
-    for ts, price in zip(days, _price_walk(rng, 10_004, len(days), 5, 4)):
-        series.add_point("USDT", ts, price)
-    return series
+    # the walks draw from `rng` in this order as the series consumes them
+    hours = range((start_ts // HOUR - 2) * HOUR, end_ts + 2 * HOUR, HOUR)
+    days = range((start_ts // DAY - 1) * DAY, end_ts + 2 * DAY, DAY)
+    return PriceSeries(chain(
+        _price_walk(rng, "BTC", hours, 91_234_500, 35, 4),   # ~9123.45
+        _price_walk(rng, "ETH", hours, 2_101_200, 45, 4),    # ~210.12
+        _price_walk(rng, "USDC", hours, 10_001, 3, 4),
+        _price_walk(rng, "DAI", hours, 10_090, 4, 4),
+        _price_walk(rng, "USDT", days, 10_004, 5, 4),
+    ))
 
 
 write_denylist_csv = DENYLIST.write

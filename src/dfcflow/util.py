@@ -95,6 +95,15 @@ def parse_fixed(text: str) -> int:
     )
 
 
+def parse_amount(name: str, text: str) -> int:
+    """`parse_fixed` for an amount cell, which must not be negative; the
+    error names the column `name`."""
+    amount = parse_fixed(text)
+    if amount < 0:
+        raise ValueError(f"negative {name} {text!r}")
+    return amount
+
+
 def uint_cell_error(**cells: str) -> ValueError:
     """The error for the first of `cells` (column name -> text) that is
     not a plain run of ASCII digits.  Readers check integer cells inline

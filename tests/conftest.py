@@ -61,12 +61,3 @@ def units(value) -> int:
 def registry() -> ContractRegistry:
     return ContractRegistry.from_json_file(REGISTRY_PATH)
 
-
-@pytest.fixture(scope="session")
-def prices_path() -> Path:
-    return DATA_DIR / "prices.csv"
-
-
-@pytest.fixture(scope="session")
-def denylist_path() -> Path:
-    return DATA_DIR / "denylist.csv"

@@ -314,7 +314,7 @@ def reference_decode_stream(logs, registry) -> DecodeResult:
         result.stats[key] = result.stats.get(key, 0) + 1
 
     for log in logs:
-        rule = registry.rule_for(log.contract_address, log.topic0)
+        rule = registry.rules.get((log.contract_address, log.topic0))
         if rule is None:
             bump("unmatched")
         elif rule.kind == "vault_open":

@@ -173,7 +173,7 @@ def test_rerun_reports_cache_hit(tmp_path, capsys):
     assert (out / "logs.jsonl").read_bytes() == first
 
 
-def test_write_compares_checkpoints_by_content(tmp_path, capsys):
+def test_write_compares_checkpoints_by_content(tmp_path):
     run = PipelineRun(PipelineConfig.from_file(write_config(tmp_path, tmp_path / "out")))
     path = tmp_path / "out" / "big.bin"
     # more than one 1 MiB comparison chunk, the two versions differing in the last byte
@@ -184,10 +184,11 @@ def test_write_compares_checkpoints_by_content(tmp_path, capsys):
 
     run.write(path, writer, old)
     run.write(path, writer, old)
-    assert capsys.readouterr().out.splitlines() == [
+    assert not path.parent.exists()  # queued until the runner takes the writes
+    assert [write() for write in run.take_writes()] == [
         "big.bin: written", "big.bin: cache hit (unchanged)"]
     run.write(path, writer, new)
-    assert capsys.readouterr().out.splitlines() == ["big.bin: written"]
+    assert [write() for write in run.take_writes()] == ["big.bin: written"]
     assert path.read_bytes() == new
     assert sorted(p.name for p in path.parent.iterdir()) == ["big.bin"]
 
@@ -432,9 +433,16 @@ def rename_kind(row):
     ("prices.csv", 5, set_cell(0, lambda _: "DOGE"), "track", 6, "unknown price key 'DOGE'"),
     ("prices.csv", 5, set_cell(-1, lambda _: "0"), "track", 6,
      "BTC price at 1588600800 is not positive"),
+    ("flows.csv", 3, set_cell(8, lambda _: "-5"), "report", 7, "negative debt_amount_usd '-5'"),
+    ("flows.csv", 4, set_cell(5, lambda _: "collateral_depositt"), "report", 7,
+     "unknown flow kind 'collateral_depositt'"),
+    # line 17 is an Aave debt_repay on behalf of another address
+    ("events.csv", 17, set_cell(6, lambda _: "0x26b338382fe142af7f310453a524c5d7cc32b0c4"),
+     "cluster", 5, "on_behalf_of equals actor '0x26b338382fe142af7f310453a524c5d7cc32b0c4'"),
 ], ids=["events-header", "flows-amount", "prices-cell", "prices-missing", "denylist-missing",
         "events-negative-deposit", "events-negative-withdrawal", "events-negative-swap",
-        "prices-unknown-key", "prices-not-positive"])
+        "prices-unknown-key", "prices-not-positive", "flows-negative-usd", "flows-unknown-kind",
+        "events-on-behalf-of-actor"])
 def test_bad_csv_fails_its_stage_naming_file_and_line(tmp_path, capsys, name, line, edit,
                                                       stage, code, message):
     out = tmp_path / "out"

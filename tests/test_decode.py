@@ -114,7 +114,7 @@ def test_unmatched_log_is_a_decode_error(registry):
 def test_maker_debt_draw_decodes_to_dai_debt_create(registry):
     dai_join = bytes.fromhex("9759a6ac90977b93b58547b4a71c78317f391a28")
     exit_topic = bytes.fromhex("ef693bed" + "00" * 28)
-    rule = registry.rule_for(dai_join, exit_topic)
+    rule = registry.rules[dai_join, exit_topic]
     log = encode_event_log(
         rule, registry, block_number=10_000_200, log_index=1, tx_hash=TXH,
         actor=ACTOR, amount=Fraction(2_500), currency="DAI",
@@ -258,8 +258,8 @@ def test_decode_is_pure(registry):
 
 def test_decode_stream_preserves_order_and_counts(registry):
     dai_join = bytes.fromhex("9759a6ac90977b93b58547b4a71c78317f391a28")
-    exit_rule = registry.rule_for(dai_join, bytes.fromhex("ef693bed" + "00" * 28))
-    join_rule = registry.rule_for(dai_join, bytes.fromhex("3b4da69f" + "00" * 28))
+    exit_rule = registry.rules[dai_join, bytes.fromhex("ef693bed" + "00" * 28)]
+    join_rule = registry.rules[dai_join, bytes.fromhex("3b4da69f" + "00" * 28)]
     logs = [
         encode_event_log(exit_rule, registry, block_number=10_000_010, log_index=0,
                          tx_hash=TXH, actor=ACTOR, amount=Fraction(100), currency="DAI"),
@@ -289,8 +289,8 @@ def test_vault_open_without_urn_degrades_to_proxy(registry):
 
 def test_approval_decoding(registry):
     token = token_address_for(registry, "USDC")
-    rule = registry.rule_for(token, bytes.fromhex(
-        "8c5be1e5ebec7d5bd14f71427d1e84f3dd0314c0f7b2291e5b200ac8c7c3b925"))
+    rule = registry.rules[token, bytes.fromhex(
+        "8c5be1e5ebec7d5bd14f71427d1e84f3dd0314c0f7b2291e5b200ac8c7c3b925")]
     log = encode_event_log(
         rule, registry, block_number=10_000_060, log_index=0, tx_hash=TXH,
         owner=ACTOR, spender=OTHER, value=10**20,

@@ -297,6 +297,10 @@ def test_one_hex_decode_per_log_matches_parse_hex_per_field(tx_hash, address, to
 def test_block_range_rejects_inverted_bounds():
     with pytest.raises(ValueError, match="^block range start 11 > end 10$"):
         BlockRange(11, 10)
+    with pytest.raises(ValueError, match="^block range start 9 > end 5$"):
+        BlockRange(1, 5)._replace(start=9)
+    with pytest.raises(ValueError, match="^block range start 9 > end 5$"):
+        BlockRange._make((9, 5))
 
 
 @st.composite

@@ -19,16 +19,19 @@ F = Fraction
 T0 = 1_600_000_000 - (1_600_000_000 % HOUR)  # aligned to an hour
 
 
-def hourly_series(points):
-    series = PriceSeries()
-    for i, price in enumerate(points):
-        series.add_point("ETH", T0 + i * HOUR, F(price))
-    return series
+def point(key, timestamp, price):
+    """A `PriceSeries` point: `price` as a numerator and denominator."""
+    return (key, timestamp, *F(price).as_integer_ratio())
+
+
+def hourly_series(prices):
+    return PriceSeries(point("ETH", T0 + i * HOUR, price) for i, price in enumerate(prices))
 
 
 def test_series_equals_the_same_points_and_survives_pickle():
     # the price reader of `dfcflow all` sends its series back pickled
     series = hourly_series(["100.5", "101.25"])
+    assert PriceSeries([point("ETH", T0 + HOUR, "101.25"), point("ETH", T0, "100.5")]) == series
     assert pickle.loads(pickle.dumps(series, pickle.HIGHEST_PROTOCOL)) == series
     assert hourly_series(["100.5", "101.25"]) == series
     assert hourly_series(["100.5", "101.5"]) != series
@@ -61,8 +64,7 @@ def test_query_before_first_point_fails():
 
 
 def test_daily_usdt_has_a_two_day_bound():
-    series = PriceSeries()
-    series.add_point("USDT", T0, F("1.0002"))
+    series = PriceSeries([point("USDT", T0, "1.0002")])
     assert series.price_at("USDT", T0 + 36 * HOUR) == F("1.0002")
     with pytest.raises(ValuationError):
         series.price_at("USDT", T0 + 2 * DAY + 1)
@@ -70,27 +72,26 @@ def test_daily_usdt_has_a_two_day_bound():
 
 def test_adding_later_points_never_changes_earlier_answers():
     series = hourly_series(["100.5", "101.25"])
-    answers = [series.price_at("ETH", T0 + offset) for offset in (0, 1800, HOUR)]
-    series.add_point("ETH", T0 + 2 * HOUR, F("150"))
-    assert [series.price_at("ETH", T0 + offset) for offset in (0, 1800, HOUR)] == answers
+    longer = hourly_series(["100.5", "101.25", "150"])
+    for offset in (0, 1800, HOUR):
+        assert longer.price_at("ETH", T0 + offset) == series.price_at("ETH", T0 + offset)
 
 
 def test_timestamps_must_strictly_increase():
-    series = hourly_series(["100.5"])
-    with pytest.raises(ConfigError):
-        series.add_point("ETH", T0, F("101"))
+    message = f"ETH timestamps must be strictly increasing \\(got {T0}\\)"
+    with pytest.raises(ConfigError, match=message):
+        PriceSeries([point("ETH", T0, "100.5"), point("ETH", T0 + HOUR, "99"),
+                     point("ETH", T0, "101")])
 
 
 def test_prices_must_be_positive():
-    series = PriceSeries()
-    with pytest.raises(ConfigError):
-        series.add_point("ETH", T0, F(0))
+    with pytest.raises(ConfigError, match=f"ETH price at {T0 + HOUR} is not positive"):
+        PriceSeries([point("ETH", T0, "1"), point("ETH", T0 + HOUR, 0)])
 
 
 def test_unknown_price_key_rejected():
-    series = PriceSeries()
-    with pytest.raises(ConfigError):
-        series.add_point("DOGE", T0, F(1))
+    with pytest.raises(ConfigError, match="unknown price key 'DOGE'"):
+        PriceSeries([point("DOGE", T0, 1)])
 
 
 def test_value_usd_linearity_and_scaling():
@@ -105,8 +106,7 @@ def test_value_usd_linearity_and_scaling():
 
 def test_usdc_value_matches_spreadsheet_oracle():
     # hand-computed before the implementation: 1234.56 * 0.9991 = 1233.448896
-    series = PriceSeries()
-    series.add_point("USDC", T0, F("0.9991"))
+    series = PriceSeries([point("USDC", T0, "0.9991")])
     usdc = Currency("USDC", 6, "USDC")
     assert series.value_usd(123456 * SCALE // 100, usdc, T0) == 1233448896 * SCALE // 10**6
 
@@ -200,8 +200,10 @@ class _CandleHandler(BaseHTTPRequestHandler):
     def do_GET(self):
         # /candles/<SYMBOL>?start=..&end=..
         symbol = self.path.split("/")[2].split("?")[0]
-        base = {"BTC-USD": 9000, "ETH-USD": 210}[symbol]
+        base = {"BTC-USD": 9000, "ETH-USD": 210, "TWICE-USD": 1}[symbol]
         candles = [[T0 + i * HOUR, 1, 2, base + i, 4, 5] for i in range(3)]
+        if symbol == "TWICE-USD":  # every candle sent twice
+            candles += candles
         body = json.dumps(candles).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -237,6 +239,13 @@ def test_fetch_prices_from_candle_endpoint(candle_server):
     })
     assert series.price_at("BTC", T0 + HOUR) == F(9001)
     assert series.price_at("ETH", T0 + 2 * HOUR) == F(212)
+
+
+def test_fetched_candles_repeating_a_time_are_rejected(candle_server):
+    message = f"ETH timestamps must be strictly increasing \\(got {T0}\\)"
+    with pytest.raises(ConfigError, match=message):
+        fetch_prices({"url_template": candle_server + "/candles/{key}",
+                      "key_map": {"ETH": "TWICE-USD"}})
 
 
 def test_fetch_prices_requires_template_and_map():

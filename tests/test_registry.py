@@ -260,5 +260,5 @@ def test_approvals_section_generates_per_token_rules():
     }
     registry = ContractRegistry.from_dict(doc)
     token = bytes.fromhex(TOKEN[2:])
-    rule = registry.rule_for(token, bytes.fromhex("33" * 32))
+    rule = registry.rules.get((token, bytes.fromhex("33" * 32)))
     assert rule is not None and rule.kind == "approval"

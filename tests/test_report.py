@@ -260,15 +260,16 @@ def aligned(ts):
 BASE = aligned(MAY_4_2020) + 10 * HOUR
 
 
-def constant_price_series(hours=200, price="210.5"):
-    series = PriceSeries()
-    for i in range(-4, hours):
-        series.add_point("ETH", BASE + i * HOUR, F(price))
-    # daily points so next_day rows have usable prices
+def daily_usdt_points(days):
+    """Daily points so next_day rows have usable prices."""
     day0 = BASE - BASE % 86_400
-    for i in range(-2, hours // 24 + 3):
-        series.add_point("USDT", day0 + i * 86_400, F(1))
-    return series
+    return [("USDT", day0 + i * 86_400, 1, 1) for i in range(-2, days)]
+
+
+def constant_price_series(hours=200, price="210.5"):
+    num, den = F(price).as_integer_ratio()
+    return PriceSeries([("ETH", BASE + i * HOUR, num, den) for i in range(-4, hours)]
+                       + daily_usdt_points(hours // 24 + 3))
 
 
 def test_constant_price_rows_report_undefined_correlation():
@@ -280,9 +281,9 @@ def test_constant_price_rows_report_undefined_correlation():
                             rng.randint(0, 50), rng.randint(1, 50)))
     results = lagged_correlations(records, constant_price_series())
     by_key = {(r.var1, r.lag): r for r in results}
-    assert not by_key[("price_change", "next_hour")].defined
-    assert not by_key[("price_change", "next_day")].defined
-    assert by_key[("collateral_change", "next_hour")].defined
+    assert by_key[("price_change", "next_hour")].r is None
+    assert by_key[("price_change", "next_day")].r is None
+    assert by_key[("collateral_change", "next_hour")].r is not None
 
 
 def test_perfectly_predictive_collateral_change_gives_r_one():
@@ -298,7 +299,7 @@ def test_perfectly_predictive_collateral_change_gives_r_one():
             records.append(flow(BASE + (day * 24 + i) * HOUR, debt, F(total) - debt))
     results = lagged_correlations(records, constant_price_series())
     row = next(r for r in results if (r.var1, r.lag) == ("collateral_change", "next_hour"))
-    assert row.defined
+    assert row.r is not None
     assert abs(row.r - 1.0) < 1e-9
 
 
@@ -311,11 +312,7 @@ def test_perfectly_predictive_price_change_gives_r_one():
         [-0.01, 0.015, 0.02, -0.02, 0.005, -0.005, 0.01],
         [0.03, -0.03, 0.01, 0.02, -0.01, 0.015, -0.02],
     ]
-    series = PriceSeries()
-    day0 = BASE - BASE % 86_400
-    for i in range(-2, 8):
-        series.add_point("USDT", day0 + i * 86_400, F(1))
-
+    points = daily_usdt_points(8)
     price = F(200)
     records = []
     run_hours = {}
@@ -326,7 +323,7 @@ def test_perfectly_predictive_price_change_gives_r_one():
     total_hours = 5 * 24
     changes = {}
     for h in range(-4, total_hours + 4):
-        series.add_point("ETH", BASE + h * HOUR, price)
+        points.append(("ETH", BASE + h * HOUR, *price.as_integer_ratio()))
         delta = run_hours.get(h + 1)
         step = F(str(delta)) if delta is not None else F(0)
         changes[h] = step
@@ -337,9 +334,9 @@ def test_perfectly_predictive_price_change_gives_r_one():
             share = F(1, 2) + (F(str(deltas[i - 1])) if i > 0 else F(0))
             records.append(flow(BASE + (day * 24 + i) * HOUR,
                                 100 * share, 100 * (1 - share)))
-    results = lagged_correlations(records, series)
+    results = lagged_correlations(records, PriceSeries(points))
     row = next(r for r in results if (r.var1, r.lag) == ("price_change", "next_hour"))
-    assert row.defined
+    assert row.r is not None
     assert abs(row.r - 1.0) < 1e-6
 
 

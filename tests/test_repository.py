@@ -109,6 +109,31 @@ def test_perfbench_imports_resolve_in_dfcflow():
     assert missing == []
 
 
+def test_methods_perfbench_calls_resolve_in_dfcflow():
+    # run.py's SETUP_PROBE and layers.py's micro-benchmarks call these on
+    # the values they build; a rename would otherwise surface only in a
+    # benchmark run
+    from dfcflow.cli import PipelineConfig
+    from dfcflow.cluster import DisjointSet
+    from dfcflow.ingest import RawLog
+    from dfcflow.ledger import GroupLedger
+    from dfcflow.market import PriceSeries
+
+    run_py = (REPO_ROOT / "perfbench" / "run.py").read_text(encoding="utf-8")
+    assert "PipelineConfig.from_file(sys.argv[1]).load_registry()" in run_py
+    called = {
+        PipelineConfig: ("from_file", "load_registry"),
+        PriceSeries: ("price_at", "span", "keys"),
+        GroupLedger: ("apply",),
+        DisjointSet: ("add", "union"),
+        RawLog: ("from_json_obj", "to_json_line"),
+    }
+    missing = [f"{cls.__name__}.{name}" for cls, names in called.items()
+               for name in names if not hasattr(cls, name)]
+    assert missing == []
+    assert isinstance(inspect.getattr_static(PriceSeries, "keys"), property)
+
+
 @pytest.mark.parametrize("demo", sorted(p.name for p in (REPO_ROOT / "demos").glob("*.py")))
 def test_demo_runs_from_a_checkout(tmp_path, demo):
     # no PYTHONPATH and a foreign working directory: the demo finds src/ itself

@@ -47,11 +47,10 @@ def partition():
 
 
 def prices():
-    series = PriceSeries()
-    for i in range(3):
-        series.add_point("ETH", T0 + i * HOUR, F(20_000 + i, 100))
-        series.add_point("USDT", T0 + i * DAY, F(1, 3) + i)
-    return series
+    return PriceSeries(point for i in range(3) for point in (
+        ("ETH", T0 + i * HOUR, 20_000 + i, 100),
+        ("USDT", T0 + i * DAY, *(F(1, 3) + i).as_integer_ratio()),
+    ))
 
 
 def same(value):
@@ -152,7 +151,7 @@ def test_records_are_immutable_and_compare_field_by_field(record):
     with pytest.raises(AttributeError):
         record.note = "extra"
     assert record == type(record)(*record)
-    assert record != record._replace(**{name: None})
+    assert record != tuple.__new__(type(record), (None, *record[1:]))
 
 
 def integer_cell_forms(text):

@@ -65,6 +65,8 @@ def main(golden: Path = GOLDEN) -> None:
     run = PipelineRun(cfg, quiet=True)
     run.keep(events=decoded.events, approvals=decoded.approvals)
     stage_compare_clusters(run)
+    for write in run.take_writes():
+        write()
 
     for name in ("monthly_dfc.csv", "protocol_breakdown.csv", "correlations.csv",
                  "summary.csv", "cluster_comparison.csv"):
