@@ -59,10 +59,10 @@ ledger.apply(event("swap", 1, protocol="Uniswap", currency_sent="DAI", currency_
                    amount_sent=100 * SCALE, amount_received=100 * SCALE))
 print(f"S1: wallet debt {shown(ledger.wallet_debt)}  (taint followed the swap)")
 
-ledger.apply(event("collateral_deposit", 2, currency="USDC", amount=50 * SCALE))
+deposit = ledger.apply(event("collateral_deposit", 2, currency="USDC", amount=50 * SCALE))
 print(f"S2: wallet debt {shown(ledger.wallet_debt)}, "
       f"platform debt {shown(ledger.platform_debt)}")
-print(f"debt-financed deposit flow: {format_fixed(ledger.flow_log[0].debt_usd)}")
+print(f"debt-financed deposit flow: {format_fixed(deposit.debt_usd)}")
 
 print("\n=== the same deposit under all three heuristics ===")
 initial = {"DAI": (F(100), F(0)), "USDC": (F(0), F(100))}

@@ -1,28 +1,24 @@
 """Forked workers for the work of `dfcflow all` that no later stage waits
 for, so that it runs on another core.
 
-`run_stages` forks a price reader before `ingest`, while the heap is
-still small, and swaps it in as the run's prices loader: `track` takes
-the `PriceSeries` from it through a pipe.  After each stage it takes the
-checkpoint writes the stage queued: those of `ingest`, `decode` and
-`track` go to forked writers, the rest it writes at once, as
-`cli.run_inline` does.  The first writer is forked after `decode` and
-carries the checkpoints of `ingest` too, so that no child shares the
-pages of the `RawLog`s while `decode` reads them; the second is forked
-after `track`.  Children share the stage values copy-on-write (spawned
-workers would have to pickle them, which costs nearly as much as the
-write); only results and errors are pickled.  Each fork is preceded by
-`gc.freeze()`, so that the parent's collector never writes to, and so
-never copies a page of, the objects it shares with a child;
-`run_stages` unfreezes when it returns.
+`cli.run_stages` imports this module only for a run of several stages,
+and forks only where `can_fork()`.  It forks a price reader before
+`ingest`, while the heap is still small, and `track` takes the
+`PriceSeries` from it through a pipe.  The checkpoint writes that
+`ingest`, `decode` and `track` queue go to forked writers running
+`write_all`: the first is forked after `decode` and carries the
+checkpoints of `ingest` too, so that no child shares the pages of the
+`RawLog`s while `decode` reads them; the second is forked after `track`.
+Children share the stage values copy-on-write (spawned workers would
+have to pickle them, which costs nearly as much as the write); only
+results and errors are pickled.  Each fork is preceded by `gc.freeze()`,
+so that the parent's collector never writes to, and so never copies a
+page of, the objects it shares with a child; the runner unfreezes it.
 
-Errors surface as they would inline: a worker's exception is re-raised
-in the parent, a writer's error counts against the stage whose
-checkpoint failed, and the earliest failed stage wins.  Every writer is
-joined before `run_stages` returns, and its status lines are printed
-then, in stage order; a price reader whose result was never taken is
-killed and reaped.  `dfcflow.cli` imports this module for `all` only,
-and runs `all` inline when `can_fork()` is false.
+A worker's exception is re-raised in the parent, and `write_all` gives
+the stage of the write that failed, so errors surface as they would
+inline.  `Worker.stop` kills and reaps a worker whose result was never
+taken.
 """
 
 from __future__ import annotations
@@ -36,13 +32,6 @@ import threading
 # imported before the price reader forks, so that the child need not
 # import it and the parent can unpickle its `PriceSeries`
 from . import market  # noqa: F401
-from .errors import DfcError
-
-# the stages whose checkpoints a forked writer writes
-WRITER_STAGES = frozenset({"ingest", "decode", "track"})
-# the stages whose checkpoints wait for the writer of the next stage:
-# `decode` reads every `RawLog`, and no child should share those pages then
-CARRIED_STAGES = frozenset({"ingest"})
 
 
 def can_fork() -> bool:
@@ -61,7 +50,7 @@ class Worker:
         start_read, start_write = os.pipe()
         reply_read, reply_write = os.pipe()
         # the collector would write to every object the child shares, and
-        # each write copies a page; `run_stages` unfreezes when it returns
+        # each write copies a page; the runner unfreezes it
         gc.freeze()
         try:
             self.pid = os.fork()
@@ -127,7 +116,7 @@ def _serve(start: int, reply: int, fn, args) -> None:
         os._exit(status)
 
 
-def _write_all(writes: list) -> tuple[list[str], tuple[str, Exception] | None]:
+def write_all(writes: list) -> tuple[list[str], tuple[str, Exception] | None]:
     """Run `writes`, (stage, write) pairs, in order: the status lines of
     those that finished, and the stage and error of the one that stopped
     the rest, if any."""
@@ -139,53 +128,3 @@ def _write_all(writes: list) -> tuple[list[str], tuple[str, Exception] | None]:
             return lines, (stage, exc)
     return lines, None
 
-
-def run_stages(run, stages, functions) -> tuple[str, DfcError] | None:
-    """Run `stages` in order, as `cli.run_inline` does, with the price file
-    and the checkpoints of `WRITER_STAGES` in forked workers.
-
-    Gives the earliest failed stage and its error, or None; an error that
-    is not a `DfcError` is re-raised, as inline, once every writer has
-    been joined.
-    """
-    writers: list[tuple[str, Worker]] = []  # each with the first stage it writes for
-    pending: list = []  # (stage, write) pairs that the next writer takes
-    prices = None
-    failure = written = None  # the failed stage, the earliest failed writer
-    try:
-        prices = Worker(run.cfg.load_prices)
-        run.load_prices = prices.result
-        for stage in stages:
-            try:
-                functions[stage](run)
-                if stage in WRITER_STAGES:
-                    pending += [(stage, write) for write in run.take_writes()]
-                else:
-                    for write in run.take_writes():
-                        run.say(write())
-            except BaseException as exc:  # re-raised below unless a DfcError
-                failure = stage, exc
-                break
-            if pending and stage not in CARRIED_STAGES:
-                writers.append((pending[0][0], Worker(_write_all, pending)))
-                pending = []
-        if pending:
-            writers.append((pending[0][0], Worker(_write_all, pending)))
-        for first, writer in writers:
-            try:
-                lines, error = writer.result()
-            except BaseException as exc:  # re-raised below unless a DfcError
-                lines, error = [], (first, exc)
-            if written is None:
-                for line in lines:
-                    run.say(line)
-                written = error
-    finally:  # a no-op for the workers already joined
-        for worker in (prices, *(writer for _, writer in writers)):
-            if worker is not None:
-                worker.stop()
-        gc.unfreeze()
-    failure = written or failure
-    if failure is not None and not isinstance(failure[1], DfcError):
-        raise failure[1]
-    return failure

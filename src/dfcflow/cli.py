@@ -6,32 +6,34 @@ invocation; each returns its typed result (the kept logs, the
 ingest through report, then `compare-clusters`, handing results from
 stage to stage in memory and loading the registry, prices and deny-list
 once; a single-stage invocation reads its inputs back from the previous
-stage's checkpoints.  Either way every stage leaves its checkpoints, in
-the CSV/JSONL formats of docs/file_formats.md, so runs are resumable and
-auditable.  A stage queues them with `PipelineRun.write`; its runner
-writes them with `write_checkpoint` once the stage returns, `run_inline`
-at once and `background.run_stages` (`all`, where it can fork) partly
-from forked writers.  An unchanged output is a cache hit, left
-untouched.  Stage failures exit with distinct codes (config 2, ingest
-3, decode 4, cluster 5, ledger 6, report 7); a config key that is
-neither a `PipelineConfig` field nor `comment` is a config error.
+stage's checkpoints.  Either way every stage leaves its outputs, in the
+CSV/JSONL formats of docs/file_formats.md, so runs are resumable and
+auditable.  `OUTPUTS` gives each output's file, stage, writer and reader;
+a stage takes a checkpoint with `PipelineRun.get` and hands its results
+on with `PipelineRun.put`, which queues their writes.  `run_stages` runs
+every command and writes the queues with `write_checkpoint`.  Stage
+failures exit with distinct codes (config 2, ingest 3, decode 4, cluster
+5, ledger 6, report 7); a config key that is neither a `PipelineConfig`
+field nor `comment` is a config error.
 
 At import this module loads only what config parsing and `ingest` from
 a fixture need (`ingest`, `registry`, `errors`, `util`); each stage
-function and `PipelineRun` accessor imports the stage modules it uses,
-so `dfcflow ingest` and a config check never compile decode, cluster,
-ledger, market or report, and only an `ingest` from an RPC endpoint
-loads `rpc`.  Records are named tuples and holders plain classes, so no
-command pays at start-up for a class-building library.
+function and `PipelineRun.get` imports the stage modules it uses, and
+only a forked run loads `background`, so `dfcflow ingest` never compiles
+decode, cluster, ledger, market or report, nor imports `pickle`.
+Records are named tuples and holders plain classes, so no command pays
+at start-up for a class-building library.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import gc
 import json
 import sys
 from functools import partial
+from importlib import import_module
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -45,24 +47,45 @@ if TYPE_CHECKING:
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-STAGE_EXIT_CODES = {
-    "ingest": 3,
-    "decode": 4,
-    "cluster": 5,
-    "track": 6,
-    "report": 7,
-    "compare-clusters": 5,
-    "fetch-prices": 3,
+# each command: its help text and the exit code of its failure
+COMMANDS = {
+    "ingest": ("acquire and filter raw logs", 3),
+    "decode": ("decode logs into canonical events", 4),
+    "cluster": ("group addresses into user groups", 5),
+    "track": ("run the debt-taint ledger", 6),
+    "report": ("write the report tables", 7),
+    "all": ("run every stage in order", None),
+    "compare-clusters": ("compare link pairs with ERC-20 self-approvals", 5),
+    "fetch-prices": ("pull candles into the price-file format", 3),
 }
 
-CHECKPOINTS = {
-    "logs": "logs.jsonl",
-    "events": "events.csv",
-    "vaults": "vaults.csv",
-    "approvals": "approvals.csv",
-    "partition": "partition.csv",
-    "flows": "flows.csv",
+
+# each output: its file in the output directory, the stage that writes it,
+# its writer and, for a checkpoint that later stages read, its reader, the
+# functions named as `module.attribute` of `dfcflow`
+OUTPUTS = {
+    "logs": ("logs.jsonl", "ingest", "ingest.save_fixture", "ingest.load_fixture"),
+    "events": ("events.csv", "decode", "decode.write_events_csv", "decode.read_events_csv"),
+    "vaults": ("vaults.csv", "decode", "decode.write_vaults_csv", "decode.read_vaults_csv"),
+    "approvals": ("approvals.csv", "decode", "decode.write_approvals_csv",
+                  "decode.read_approvals_csv"),
+    "partition": ("partition.csv", "cluster", "cluster.write_partition_csv",
+                  "cluster.read_partition_csv"),
+    "flows": ("flows.csv", "track", "ledger.write_flows_csv", "ledger.read_flows_csv"),
+    "monthly": ("monthly_dfc.csv", "report", "report.write_monthly_csv", None),
+    "breakdown": ("protocol_breakdown.csv", "report", "report.write_breakdown_csv", None),
+    "correlations": ("correlations.csv", "report", "report.write_correlations_csv", None),
+    "summary": ("summary.csv", "report", "report.write_summary_csv", None),
+    "comparison": ("cluster_comparison.csv", "compare-clusters",
+                   "cluster.write_comparison_csv", None),
 }
+
+
+def _lookup(name: str):
+    """`dfcflow.module.attribute`, looked up at each use (so a wrapper set
+    on the module attribute is the one called)."""
+    module, attr = name.split(".")
+    return getattr(import_module(f"{__package__}.{module}"), attr)
 
 
 class PipelineConfig(NamedTuple):
@@ -146,9 +169,6 @@ class PipelineConfig(NamedTuple):
             rpc_window=integer("rpc_window", 1, ingest.DEFAULT_WINDOW_SIZE),
         )
 
-    def checkpoint(self, name: str) -> Path:
-        return self.output / CHECKPOINTS[name]
-
     def block_range(self) -> ingest.BlockRange:
         return ingest.BlockRange(self.from_block, self.to_block)
 
@@ -172,15 +192,14 @@ class PipelineConfig(NamedTuple):
 
 class PipelineRun:
     """The state of one invocation: its config, whether it prints, the
-    values its stages have produced or loaded, and the checkpoint writes
-    queued for its runner.  An input accessor gives the value a stage
-    already produced, or reads it once from its checkpoint (the registry,
-    prices and deny-list from the configured file)."""
+    values its stages have produced or loaded, and the file writes queued
+    for its runner.  The registry, prices and deny-list are read once,
+    from the configured files."""
 
     def __init__(self, cfg: PipelineConfig, quiet: bool = False):
         self.cfg = cfg
         self.quiet = quiet
-        # `dfcflow all` swaps in the result of its price reader
+        # a forked `run_stages` swaps in the result of its price reader
         self.load_prices = cfg.load_prices
         self._values: dict[str, object] = {}
         self._writes: list = []
@@ -189,17 +208,10 @@ class PipelineRun:
         if not self.quiet:
             print(message)
 
-    def keep(self, **values) -> None:
-        """Hand stage results to later stages of this invocation."""
-        self._values.update(values)
-
     def _once(self, name: str, load):
         if name not in self._values:
             self._values[name] = load()
         return self._values[name]
-
-    def _read(self, name: str, read, stage: str):
-        return self._once(name, lambda: read(_require(self.cfg.checkpoint(name), stage)))
 
     def registry(self) -> ContractRegistry:
         return self._once("registry", self.cfg.load_registry)
@@ -210,36 +222,26 @@ class PipelineRun:
     def denylist(self) -> frozenset[str]:
         return self._once("denylist", self.cfg.load_denylist)
 
-    def logs(self) -> list[ingest.RawLog]:
-        return self._read("logs", ingest.load_fixture, "ingest")
+    def get(self, name: str):
+        """The checkpoint `OUTPUTS[name]`: the value a stage of this run
+        put, or else one read of its file."""
+        if name not in self._values:
+            file, stage, _, reader = OUTPUTS[name]
+            path = self.cfg.output / file
+            if not path.exists():
+                raise MissingCheckpointError(path, stage)
+            self._values[name] = _lookup(reader)(path)
+        return self._values[name]
 
-    def events(self) -> list[decode.CanonicalEvent]:
-        from . import decode
-
-        return self._read("events", decode.read_events_csv, "decode")
-
-    def vault_triples(self) -> list[decode.VaultTriple]:
-        from . import decode
-
-        return self._read("vaults", decode.read_vaults_csv, "decode")
-
-    def approvals(self) -> list[decode.ApprovalEvent]:
-        from . import decode
-
-        return self._read("approvals", decode.read_approvals_csv, "decode")
-
-    def partition(self) -> cluster.Partition:
-        from . import cluster
-
-        return self._read("partition", cluster.read_partition_csv, "cluster")
-
-    def flow_records(self) -> list[ledger.FlowRecord]:
-        from . import ledger
-
-        return self._read("flows", ledger.read_flows_csv, "track")
+    def put(self, name: str, value) -> None:
+        """Hand `value` to later stages as the output `OUTPUTS[name]`, and
+        queue the write of its file."""
+        self._values[name] = value
+        file, _, writer, _ = OUTPUTS[name]
+        self.write(self.cfg.output / file, _lookup(writer), value)
 
     def write(self, path: Path, writer, *args) -> None:
-        """Queue a checkpoint for the runner to write with `write_checkpoint`
+        """Queue a file for the runner to write with `write_checkpoint`
         once the stage returns."""
         self._writes.append(partial(write_checkpoint, path, writer, *args))
 
@@ -253,26 +255,27 @@ class PipelineRun:
 def write_checkpoint(path: Path, writer, *args) -> str:
     """Render `writer(tmp, *args)` into the `.tmp` sibling of `path`.
     When `path` already holds the same bytes, leave it untouched;
-    otherwise move the new file into place.  Gives the status line."""
-    path.parent.mkdir(parents=True, exist_ok=True)
+    otherwise move the new file into place.  Gives the status line.
+    An `OSError` becomes a `DfcError` naming `path`, and no failure
+    leaves the `.tmp` behind."""
     tmp = path.with_name(path.name + ".tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         writer(tmp, *args)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+        filecmp.clear_cache()  # its cache keys on size and mtime, not content
+        if path.exists() and filecmp.cmp(path, tmp, shallow=False):
+            tmp.unlink()
+            return f"{path.name}: cache hit (unchanged)"
+        tmp.replace(path)
+        return f"{path.name}: written"
+    except BaseException as exc:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass  # the error raised below names the path
+        if isinstance(exc, OSError):
+            raise DfcError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
-    filecmp.clear_cache()  # its cache keys on size and mtime, not content
-    if path.exists() and filecmp.cmp(path, tmp, shallow=False):
-        tmp.unlink()
-        return f"{path.name}: cache hit (unchanged)"
-    tmp.replace(path)
-    return f"{path.name}: written"
-
-
-def _require(path: Path, stage: str) -> Path:
-    if not path.exists():
-        raise MissingCheckpointError(path, stage)
-    return path
 
 
 def stage_ingest(run: PipelineRun) -> list[ingest.RawLog]:
@@ -291,31 +294,28 @@ def stage_ingest(run: PipelineRun) -> list[ingest.RawLog]:
         )
     kept = ingest.filter_logs(logs, registry, block_range)
     run.say(f"ingest: {len(kept)} of {len(logs)} logs kept")
-    run.write(cfg.checkpoint("logs"), ingest.save_fixture, kept)
-    run.keep(logs=kept)
+    run.put("logs", kept)
     return kept
 
 
 def stage_decode(run: PipelineRun) -> decode.DecodeResult:
     from . import decode
 
-    cfg = run.cfg
     registry = run.registry()
-    result = decode.decode_stream(run.logs(), registry)
+    result = decode.decode_stream(run.get("logs"), registry)
     stats = ", ".join(f"{k}={v}" for k, v in sorted(result.stats.items()))
     run.say(f"decode: {len(result.events)} events ({stats})")
-    run.write(cfg.checkpoint("events"), decode.write_events_csv, result.events)
-    run.write(cfg.checkpoint("vaults"), decode.write_vaults_csv, result.vault_triples)
-    run.write(cfg.checkpoint("approvals"), decode.write_approvals_csv, result.approvals)
-    run.keep(events=result.events, vaults=result.vault_triples, approvals=result.approvals)
+    run.put("events", result.events)
+    run.put("vaults", result.vault_triples)
+    run.put("approvals", result.approvals)
     return result
 
 
 def stage_cluster(run: PipelineRun) -> cluster.Partition:
     from . import cluster
 
-    events = run.events()
-    triples = run.vault_triples()
+    events = run.get("events")
+    triples = run.get("vaults")
     denylist = run.denylist()
     activity = cluster.address_protocol_map(events)
     partition = cluster.group_addresses(triples, activity)
@@ -325,31 +325,29 @@ def stage_cluster(run: PipelineRun) -> cluster.Partition:
         f"cluster: {len(final.eligible)} eligible groups "
         f"({len(final.groups)} total, {len(pairs)} link pairs)"
     )
-    run.write(run.cfg.checkpoint("partition"), cluster.write_partition_csv, final)
-    run.keep(partition=final)
+    run.put("partition", final)
     return final
 
 
 def stage_track(run: PipelineRun) -> ledger.LedgerRun:
     from . import ledger, market
 
-    events = run.events()
-    partition = run.partition()
+    events = run.get("events")
+    partition = run.get("partition")
     registry = run.registry()
     valuer = market.make_valuer(run.prices(), registry.currencies)
     result = ledger.run_ledger(events, partition, valuer)
     stats = ", ".join(f"{k}={v}" for k, v in sorted(result.stats.items()))
     run.say(f"track: {len(result.flow_records)} flow records ({stats})")
-    run.write(run.cfg.checkpoint("flows"), ledger.write_flows_csv, result.flow_records)
-    run.keep(flows=result.flow_records)
+    run.put("flows", result.flow_records)
     return result
 
 
 def stage_report(run: PipelineRun) -> None:
     from . import report
 
-    records = run.flow_records()
-    events = run.events()
+    records = run.get("flows")
+    events = run.get("events")
     registry = run.registry()
     prices = run.prices()
     monthly = report.monthly_dfc_rows(records)
@@ -357,18 +355,17 @@ def stage_report(run: PipelineRun) -> None:
     correlations = report.lagged_correlations(records, prices)
     summary = report.summary_stats(events, prices, registry.currencies)
     run.say(f"report: {len(monthly)} months, {len(correlations)} correlation rows")
-    out = run.cfg.output
-    run.write(out / "monthly_dfc.csv", report.write_monthly_csv, monthly)
-    run.write(out / "protocol_breakdown.csv", report.write_breakdown_csv, breakdown)
-    run.write(out / "correlations.csv", report.write_correlations_csv, correlations)
-    run.write(out / "summary.csv", report.write_summary_csv, summary)
+    run.put("monthly", monthly)
+    run.put("breakdown", breakdown)
+    run.put("correlations", correlations)
+    run.put("summary", summary)
 
 
 def stage_compare_clusters(run: PipelineRun) -> None:
     from . import cluster
 
-    approvals = run.approvals()
-    events = run.events()
+    approvals = run.get("approvals")
+    events = run.get("events")
     registry = run.registry()
     denylist = run.denylist()
     known_contracts = frozenset(
@@ -386,7 +383,7 @@ def stage_compare_clusters(run: PipelineRun) -> None:
         ("heuristic_pairs", len(heuristic_pairs)),
         ("overlap_pairs", len(overlap)),
     ]
-    run.write(run.cfg.output / "cluster_comparison.csv", cluster.write_comparison_csv, rows)
+    run.put("comparison", rows)
 
 
 def cmd_fetch_prices(run: PipelineRun) -> None:
@@ -397,9 +394,8 @@ def cmd_fetch_prices(run: PipelineRun) -> None:
         raise ConfigError("config has no price_fetch section")
     series = market.fetch_prices(cfg.price_fetch)
     target = cfg.prices if cfg.prices is not None else cfg.output / "prices.csv"
-    target.parent.mkdir(parents=True, exist_ok=True)
-    series.to_csv(target)
-    run.say(f"fetch-prices: wrote {target}")
+    run.say(f"fetch-prices: {', '.join(sorted(series.keys))} prices for {target}")
+    run.write(target, series.to_csv)
 
 
 STAGE_FUNCTIONS = {
@@ -429,16 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--to-block", type=int, dest="to_block")
     common.add_argument("--quiet", action="store_true")
 
-    for name, help_text in (
-        ("ingest", "acquire and filter raw logs"),
-        ("decode", "decode logs into canonical events"),
-        ("cluster", "group addresses into user groups"),
-        ("track", "run the debt-taint ledger"),
-        ("report", "write the report tables"),
-        ("all", "run every stage in order"),
-        ("compare-clusters", "compare link pairs with ERC-20 self-approvals"),
-        ("fetch-prices", "pull candles into the price-file format"),
-    ):
+    for name, (help_text, _) in COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
@@ -460,31 +447,77 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     stages = ALL_STAGES if args.command == "all" else (args.command,)
-    run_stages = run_inline
-    if args.command == "all":
-        from . import background
-
-        if background.can_fork():
-            run_stages = background.run_stages
-    failure = run_stages(PipelineRun(cfg, args.quiet), stages, STAGE_FUNCTIONS)
+    failure = run_stages(PipelineRun(cfg, args.quiet), stages)
     if failure is None:
         return EXIT_OK
     stage, exc = failure
     print(f"{stage}: error: {exc}", file=sys.stderr)
-    return STAGE_EXIT_CODES[stage]
+    return COMMANDS[stage][1]
 
 
-def run_inline(run: PipelineRun, stages, functions) -> tuple[str, DfcError] | None:
-    """Run `stages` in order, each followed by its checkpoint writes; the
-    first to fail and its error, or None."""
-    for stage in stages:
-        try:
-            functions[stage](run)
-            for write in run.take_writes():
-                run.say(write())
-        except DfcError as exc:
-            return stage, exc
-    return None
+# the stages whose writes a forked run hands to a writer process
+WRITER_STAGES = frozenset({"ingest", "decode", "track"})
+# the stages whose writes wait for the writer of the next stage: `decode`
+# reads every `RawLog`, and no child should share those pages then
+CARRIED_STAGES = frozenset({"ingest"})
+
+
+def run_stages(run: PipelineRun, stages) -> tuple[str, DfcError] | None:
+    """Run `stages` in order, each followed by the writes it queued.
+
+    A run of several stages, where `background.can_fork()`, forks a price
+    reader first and hands the writes of `WRITER_STAGES` to forked
+    writers; otherwise each stage's writes are made when it returns.
+    Gives the earliest failed stage and its error, or None; an error that
+    is not a `DfcError` is re-raised once every worker has been joined.
+    """
+    background = None
+    if len(stages) > 1:
+        from . import background
+
+        if not background.can_fork():
+            background = None
+    writers: list = []  # (the first stage it writes for, forked writer), in stage order
+    pending: list = []  # (stage, write) pairs that the next writer takes
+    prices = failure = written = None  # the failed stage, the earliest failed writer
+    try:
+        if background is not None:
+            prices = background.Worker(run.cfg.load_prices)
+            run.load_prices = prices.result
+        for stage in stages:
+            try:
+                STAGE_FUNCTIONS[stage](run)
+                if background is not None and stage in WRITER_STAGES:
+                    pending += [(stage, write) for write in run.take_writes()]
+                else:
+                    for write in run.take_writes():
+                        run.say(write())
+            except BaseException as exc:  # re-raised below unless a DfcError
+                failure = stage, exc
+                break
+            if pending and stage not in CARRIED_STAGES:
+                writers.append((pending[0][0], background.Worker(background.write_all, pending)))
+                pending = []
+        if pending:
+            writers.append((pending[0][0], background.Worker(background.write_all, pending)))
+        for first, writer in writers:
+            try:
+                lines, error = writer.result()
+            except BaseException as exc:  # re-raised below unless a DfcError
+                lines, error = [], (first, exc)
+            if written is None:
+                for line in lines:
+                    run.say(line)
+                written = error
+    finally:  # a no-op for the workers already joined
+        for worker in (prices, *(writer for _, writer in writers)):
+            if worker is not None:
+                worker.stop()
+        gc.unfreeze()  # each fork froze it
+    failure = written or failure
+    if failure is not None and not isinstance(failure[1], DfcError):
+        raise failure[1]
+    return failure
 
 
 if __name__ == "__main__":

@@ -21,17 +21,10 @@ class ConfigError(DfcError):
     """Invalid pipeline or registry configuration."""
 
 
-class FixtureParseError(DfcError):
-    """A fixture line could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, line_number: int, message: str):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
 class TableError(DfcError):
-    """A CSV file could not be read: it is missing or unreadable, lacks a
-    column, or has a bad row.  Names the file and, where known, the line."""
+    """An input file could not be read: it is missing or unreadable, or a
+    CSV file lacks a column, or a row or fixture line is bad.  Names the
+    file and, where known, the line."""
 
     def __init__(self, path, message: str, line: int | None = None):
         where = f"{path}, line {line}" if line is not None else str(path)

@@ -19,7 +19,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ConflictingLogError, FixtureParseError
+from .errors import ConflictingLogError, TableError
 from .registry import ContractRegistry
 from .util import parse_hex, to_hex
 
@@ -150,18 +150,20 @@ def load_fixture(path: str | Path) -> list[RawLog]:
     """Parse a fixture file into logs, preserving file order.
 
     A record repeated verbatim is kept (`filter_logs` drops the repeat); a
-    different record at a position already seen is a parse error on its
-    line.
+    different record at a position already seen is an error on its line.
+    An unreadable file or a line that does not parse raises `TableError`,
+    naming the file and line.
     """
     logs = []
     first_line: dict[tuple[int, int], tuple[int, RawLog]] = {}
     raw_decode = json.JSONDecoder().raw_decode
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+    lineno = None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 try:
                     obj, end = raw_decode(line)
                 except ValueError:
@@ -169,16 +171,19 @@ def load_fixture(path: str | Path) -> list[RawLog]:
                 if end != len(line):
                     obj = json.loads(line)  # raises json's own message
                 log = RawLog.from_json_obj(obj)
-            except (ValueError, TypeError, KeyError) as exc:
-                raise FixtureParseError(lineno, str(exc)) from exc
-            seen_line, seen = first_line.setdefault(log.order_key, (lineno, log))
-            if seen is not log and seen != log:
-                raise FixtureParseError(
-                    lineno,
-                    f"log at (block {log.block_number}, log index {log.log_index}) "
-                    f"differs from the one on line {seen_line}",
-                )
-            logs.append(log)
+                seen_line, seen = first_line.setdefault(log.order_key, (lineno, log))
+                if seen is not log and seen != log:
+                    raise ValueError(
+                        f"log at (block {log.block_number}, log index {log.log_index}) "
+                        f"differs from the one on line {seen_line}"
+                    )
+                logs.append(log)
+    except OSError as exc:
+        raise TableError(path, f"cannot read: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:  # decoded a chunk ahead, so the line is unknown
+        raise TableError(path, f"not UTF-8: {exc.reason}") from exc
+    except (ValueError, TypeError, KeyError) as exc:
+        raise TableError(path, str(exc), lineno) from exc
     return logs
 
 

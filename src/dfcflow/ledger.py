@@ -112,14 +112,13 @@ class FlowRecord(NamedTuple):
 
 
 class GroupLedger:
-    """Running debt balances and flow log for one address group."""
+    """Running debt balances for one address group."""
 
     def __init__(self, group: str, valuer: Valuer):
         self.group = group
         self._valuer = valuer
         self.wallet_debt: dict[str, int] = defaultdict(int)
         self.platform_debt: dict[tuple[str, str], int] = defaultdict(int)
-        self.flow_log: list[FlowRecord] = []
         self._last_key: tuple[int, int] | None = None
 
     def apply(self, e: CanonicalEvent) -> FlowRecord | None:
@@ -175,7 +174,6 @@ class GroupLedger:
                 self.group, timestamp, block_number, protocol, currency, kind, moved, kept,
                 valuer(currency, moved, timestamp), valuer(currency, kept, timestamp),
             ))
-            self.flow_log.append(record)
         else:
             raise LedgerError(f"unknown event kind {kind!r}")
 

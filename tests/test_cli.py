@@ -9,10 +9,13 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from dfcflow import ingest, synth
-from dfcflow.cli import PipelineConfig, PipelineRun, main
+from dfcflow.cli import PipelineConfig, PipelineRun, main, write_checkpoint
+from dfcflow.errors import DfcError
+from dfcflow.market import HOUR, PriceSeries
 from dfcflow.registry import ContractRegistry
 
 from tests.conftest import DATA_DIR, GOLDEN_DIR, REGISTRY_PATH, REPO_ROOT
+from tests.test_market import T0, candle_server  # noqa: F401 (a fixture)
 from tools.gen_fixture import generate_fixture, main as gen_fixture_main
 
 REPORT_FILES = (
@@ -150,8 +153,10 @@ def test_cli_import_loads_no_scipy_numpy_or_requests(tmp_path):
     assert unwanted.isdisjoint(after_ingest)
     assert "dfcflow.ingest" in after_import and (tmp_path / "out" / "logs.jsonl").exists()
     # nor a library that only start-up would pay for: the RPC client, the
-    # class-building library and what it imports, or exact arithmetic
-    unused = {"dataclasses", "inspect", "fractions", "decimal", "dfcflow.rpc"}
+    # class-building library and what it imports, exact arithmetic, or the
+    # forked workers of a run of several stages and their pickling
+    unused = {"dataclasses", "inspect", "fractions", "decimal", "dfcflow.rpc",
+              "dfcflow.background", "pickle"}
     assert sorted(unused & (after_import | after_ingest)) == []
 
 
@@ -191,6 +196,53 @@ def test_write_compares_checkpoints_by_content(tmp_path):
     assert [write() for write in run.take_writes()] == ["big.bin: written"]
     assert path.read_bytes() == new
     assert sorted(p.name for p in path.parent.iterdir()) == ["big.bin"]
+
+
+def test_failed_write_names_the_path_and_leaves_no_tmp(tmp_path):
+    path = tmp_path / "flows.csv"
+
+    def writer(target):
+        target.write_text("partial")
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(DfcError) as err:
+        write_checkpoint(path, writer)
+    assert str(err.value) == f"cannot write {path}: No space left on device"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_checkpoint_fails_its_stage_cleanly(tmp_path, capsys):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, out)
+    assert run("ingest", "--config", config, "--quiet") == 0
+    (out / "vaults.csv").mkdir()
+    capsys.readouterr()
+    assert run("decode", "--config", config, "--quiet") == 4
+    assert capsys.readouterr().err == (
+        f"decode: error: cannot write {out / 'vaults.csv'}: Is a directory\n")
+    assert sorted(p.name for p in out.iterdir()) == ["events.csv", "logs.jsonl", "vaults.csv"]
+
+
+@pytest.mark.parametrize("blocked", (False, True), ids=["written", "unwritable"])
+def test_fetch_prices_writes_through_the_checkpoint_path(tmp_path, capsys, candle_server,
+                                                        blocked):
+    target = tmp_path / "prices.csv"
+    if blocked:
+        target.mkdir()
+    config = write_config(tmp_path, tmp_path / "out", prices=str(target), price_fetch={
+        "url_template": candle_server + "/candles/{key}", "key_map": {"BTC": "BTC-USD"},
+    })
+    code = run("fetch-prices", "--config", config)
+    out, err = capsys.readouterr()
+    if blocked:
+        assert code == 3
+        assert err == f"fetch-prices: error: cannot write {target}: Is a directory\n"
+    else:
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [f"fetch-prices: BTC prices for {target}",
+                                    "prices.csv: written"]
+        assert PriceSeries.from_csv(target).price_at("BTC", T0 + HOUR) == 9001
+    assert not (tmp_path / "prices.csv.tmp").exists()
 
 
 def test_make_goldens_reproduces_the_checked_in_goldens(tmp_path):
@@ -439,10 +491,12 @@ def rename_kind(row):
     # line 17 is an Aave debt_repay on behalf of another address
     ("events.csv", 17, set_cell(6, lambda _: "0x26b338382fe142af7f310453a524c5d7cc32b0c4"),
      "cluster", 5, "on_behalf_of equals actor '0x26b338382fe142af7f310453a524c5d7cc32b0c4'"),
+    ("logs.jsonl", 3, lambda row: row.replace('"timestamp":', '"timestamp":-'), "decode", 4,
+     "timestamp must be a non-negative integer"),
 ], ids=["events-header", "flows-amount", "prices-cell", "prices-missing", "denylist-missing",
         "events-negative-deposit", "events-negative-withdrawal", "events-negative-swap",
         "prices-unknown-key", "prices-not-positive", "flows-negative-usd", "flows-unknown-kind",
-        "events-on-behalf-of-actor"])
+        "events-on-behalf-of-actor", "logs-negative-timestamp"])
 def test_bad_csv_fails_its_stage_naming_file_and_line(tmp_path, capsys, name, line, edit,
                                                       stage, code, message):
     out = tmp_path / "out"

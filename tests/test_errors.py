@@ -16,7 +16,6 @@ def subclasses(cls):
 EXAMPLES = [
     errors.DfcError("base"),
     errors.ConfigError("config field 'registry' is required"),
-    errors.FixtureParseError(7, "not JSON"),
     errors.TableError(Path("out/prices.csv"), "invalid timestamp '+1'", 5),
     errors.TableError("denylist.csv", "cannot read: No such file or directory"),
     errors.ConflictingLogError("two different logs at (block 1, log index 0)"),

@@ -3,7 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dfcflow.errors import ConflictingLogError, FixtureParseError
+from dfcflow.errors import ConflictingLogError, TableError
 from dfcflow.ingest import (
     BlockRange,
     RawLog,
@@ -50,17 +50,29 @@ def test_single_line_round_trips_byte_identically(tmp_path):
 def test_five_topics_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(make_line() + "\n" + make_line(n_topics=5) + "\n")
-    with pytest.raises(FixtureParseError) as err:
+    with pytest.raises(TableError) as err:
         load_fixture(path)
-    assert err.value.line_number == 2
+    assert err.value.line == 2
+
+
+def test_bytes_that_are_not_utf8_name_the_file_but_no_line(tmp_path):
+    # the text layer decodes a chunk ahead of the line being parsed
+    lines = [make_line(log_index=i).encode() for i in range(100)]
+    lines[90] = lines[90].replace(b'"data":"0x', b'"data":"\xff0x')
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(TableError) as err:
+        load_fixture(path)
+    assert err.value.line is None
+    assert str(err.value) == f"{path}: not UTF-8: invalid start byte"
 
 
 def test_odd_length_hex_is_a_parse_error(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(make_line(data="0x123") + "\n")
-    with pytest.raises(FixtureParseError) as err:
+    with pytest.raises(TableError) as err:
         load_fixture(path)
-    assert err.value.line_number == 1
+    assert err.value.line == 1
     assert "odd-length" in str(err.value)
 
 
@@ -75,9 +87,9 @@ def test_whitespace_inside_hex_is_a_parse_error(tmp_path, field, value):
     obj[field] = value
     path = tmp_path / "bad.jsonl"
     path.write_text(make_line(log_index=1) + "\n" + json.dumps(obj) + "\n")
-    with pytest.raises(FixtureParseError) as err:
+    with pytest.raises(TableError) as err:
         load_fixture(path)
-    assert err.value.line_number == 2
+    assert err.value.line == 2
     assert "invalid hex string" in str(err.value)
 
 
@@ -90,17 +102,17 @@ def test_whitespace_inside_hex_is_a_parse_error(tmp_path, field, value):
 def test_invalid_json_keeps_the_json_message(tmp_path, text, message):
     path = tmp_path / "bad.jsonl"
     path.write_text(make_line() + "\n" + text + "\n")
-    with pytest.raises(FixtureParseError) as err:
+    with pytest.raises(TableError) as err:
         load_fixture(path)
-    assert str(err.value) == f"line 2: {message}"
+    assert str(err.value) == f"{path}, line 2: {message}"
 
 
 def test_invalid_json_names_the_line(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(make_line() + "\n{not json\n")
-    with pytest.raises(FixtureParseError) as err:
+    with pytest.raises(TableError) as err:
         load_fixture(path)
-    assert err.value.line_number == 2
+    assert err.value.line == 2
 
 
 def test_missing_field_is_a_parse_error(tmp_path):
@@ -108,7 +120,7 @@ def test_missing_field_is_a_parse_error(tmp_path):
     del obj["tx_hash"]
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(obj) + "\n")
-    with pytest.raises(FixtureParseError):
+    with pytest.raises(TableError):
         load_fixture(path)
 
 
@@ -119,9 +131,9 @@ def test_boolean_integer_field_is_a_parse_error(tmp_path, field):
     obj[field] = True
     path = tmp_path / "bad.jsonl"
     path.write_text(make_line(log_index=1) + "\n" + json.dumps(obj) + "\n")
-    with pytest.raises(FixtureParseError) as err:
+    with pytest.raises(TableError) as err:
         load_fixture(path)
-    assert err.value.line_number == 2
+    assert err.value.line == 2
     assert f"{field} must be a non-negative integer" in str(err.value)
 
 
@@ -198,9 +210,9 @@ def test_conflicting_fixture_record_names_both_lines(tmp_path):
         make_line(log_index=0), make_line(log_index=1), "",
         make_line(log_index=0), make_line(log_index=1, timestamp=1_588_598_521),
     ]) + "\n")
-    with pytest.raises(FixtureParseError, match="line 2") as err:
+    with pytest.raises(TableError, match="line 2") as err:
         load_fixture(path)
-    assert err.value.line_number == 5
+    assert err.value.line == 5
 
 
 @pytest.mark.parametrize("change, conflict", [
@@ -219,9 +231,9 @@ def test_a_different_log_at_a_seen_position_is_a_parse_error(tmp_path, change, c
         first, _, repeat = load_fixture(path)
         assert repeat == first
         return
-    with pytest.raises(FixtureParseError, match="differs from the one on line 1") as err:
+    with pytest.raises(TableError, match="differs from the one on line 1") as err:
         load_fixture(path)
-    assert err.value.line_number == 3
+    assert err.value.line == 3
 
 
 WHITESPACE = " \t\n\r\x0b\x0c"

@@ -104,11 +104,10 @@ def test_three_state_scenario_matches_first_out_table():
                     amount_sent=100, amount_received=100))
     assert ledger.wallet_debt["DAI"] == 0
     assert ledger.wallet_debt["USDC"] == 100 * U  # S1: all taint moved to beta
-    ledger.apply(ev("collateral_deposit", 2, currency="USDC", amount=50,
-                    protocol="Compound"))
+    record = ledger.apply(ev("collateral_deposit", 2, currency="USDC", amount=50,
+                             protocol="Compound"))
     assert ledger.wallet_debt["USDC"] == 50 * U
     assert ledger.platform_debt[("Compound", "USDC")] == 50 * U
-    record = ledger.flow_log[0]
     assert (record.debt_token, record.nondebt_token) == (50 * U, 0)
     assert record.debt_usd == 50 * U
 
@@ -137,21 +136,17 @@ def test_withdraw_reverses_deposit_direction():
     ledger = apply_all([
         ev("debt_create", 0, amount=100),
         ev("collateral_deposit", 1, amount=60),
-        ev("collateral_withdraw", 2, amount=80),
     ])
+    withdraw = ledger.apply(ev("collateral_withdraw", 2, amount=80))
     # 60 tainted units went in; withdrawing 80 brings back at most 60
     assert ledger.platform_debt[("Aave", "DAI")] == 0
     assert ledger.wallet_debt["DAI"] == 100 * U
-    withdraw = ledger.flow_log[1]
     assert (withdraw.debt_token, withdraw.nondebt_token) == (60 * U, 20 * U)
 
 
 def test_deposit_split_conserves_amount_exactly():
-    ledger = apply_all([
-        ev("debt_create", 0, amount=F(100, 3)),
-        ev("collateral_deposit", 1, amount=F(50, 7)),
-    ])
-    record = ledger.flow_log[0]
+    ledger = apply_all([ev("debt_create", 0, amount=F(100, 3))])
+    record = ledger.apply(ev("collateral_deposit", 1, amount=F(50, 7)))
     assert record.debt_token + record.nondebt_token == units(F(50, 7))
 
 
@@ -345,6 +340,7 @@ def test_stream_invariants(events):
     created = {c: 0 for c in CURRENCIES}
     repaid_effective = {c: 0 for c in CURRENCIES}
     saw_swap = False
+    records = []
     for e in events:
         if e.kind == "debt_repay":
             before = ledger.wallet_debt[e.currency]
@@ -356,12 +352,12 @@ def test_stream_invariants(events):
             if e.amount_sent > 0:
                 pct = min(F(1), ledger.wallet_debt[e.currency_sent] / e.amount_sent)
                 assert F(0) <= pct <= F(1)
-        ledger.apply(e)
+        records.append(ledger.apply(e))
         for balance in ledger.wallet_debt.values():
             assert balance >= 0
         for balance in ledger.platform_debt.values():
             assert balance >= 0
-    for record in ledger.flow_log:
+    for record in filter(None, records):
         assert record.debt_token + record.nondebt_token > 0 or record.debt_token == 0
         assert record.debt_token >= 0 and record.nondebt_token >= 0
     if not saw_swap:

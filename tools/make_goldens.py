@@ -10,7 +10,9 @@ Run from the repository root:  python3 tools/make_goldens.py [output-dir]
 The output directory defaults to tests/golden/.
 """
 
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,7 +21,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from dfcflow import cluster, decode, ingest, market, report
-from dfcflow.cli import PipelineConfig, PipelineRun, stage_compare_clusters
+from dfcflow.cli import PipelineConfig, PipelineRun, run_stages
 from dfcflow.ledger import FlowRecord
 from dfcflow.registry import ContractRegistry
 
@@ -59,14 +61,16 @@ def main(golden: Path = GOLDEN) -> None:
                              report.summary_stats(decoded.events, prices,
                                                   registry.currencies))
 
-    # the comparison harness output is part of the golden set too
-    cfg = PipelineConfig.from_file(ROOT / "config" / "pipeline.fixture.json",
-                                   overrides={"output": str(golden)})
-    run = PipelineRun(cfg, quiet=True)
-    run.keep(events=decoded.events, approvals=decoded.approvals)
-    stage_compare_clusters(run)
-    for write in run.take_writes():
-        write()
+    # the comparison harness output is part of the golden set too; the
+    # pipeline writes it, next to the checkpoints it reads
+    with tempfile.TemporaryDirectory() as out:
+        cfg = PipelineConfig.from_file(ROOT / "config" / "pipeline.fixture.json",
+                                       overrides={"output": out})
+        failure = run_stages(PipelineRun(cfg, quiet=True),
+                             ("ingest", "decode", "compare-clusters"))
+        if failure is not None:
+            sys.exit(f"{failure[0]}: error: {failure[1]}")
+        shutil.copyfile(Path(out) / "cluster_comparison.csv", golden / "cluster_comparison.csv")
 
     for name in ("monthly_dfc.csv", "protocol_breakdown.csv", "correlations.csv",
                  "summary.csv", "cluster_comparison.csv"):
