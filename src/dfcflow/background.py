@@ -3,10 +3,10 @@ for, so that it runs on another core.
 
 `cli.run_stages` imports this module only for a run of several stages,
 and forks only where `can_fork()`.  It forks a price reader before
-`ingest`, while the heap is still small, and `track` takes the
-`PriceSeries` from it through a pipe.  The checkpoint writes that
-`ingest`, `decode` and `track` queue go to forked writers running
-`write_all`: the first is forked after `decode` and carries the
+`ingest`, while the heap is still small, and the runner takes the
+`PriceSeries` from it through a pipe when `track` needs it.  The
+checkpoint writes of `ingest`, `decode` and `track` go to forked writers
+running `write_all`: the first is forked after `decode` and carries the
 checkpoints of `ingest` too, so that no child shares the pages of the
 `RawLog`s while `decode` reads them; the second is forked after `track`.
 Children share the stage values copy-on-write (spawned workers would

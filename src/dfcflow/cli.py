@@ -1,24 +1,25 @@
 """Pipeline orchestration: checkpointed stages behind one config file.
 
-Stages are plain functions over a `PipelineRun`, the state of one
-invocation; each returns its typed result (the kept logs, the
-`DecodeResult`, the `Partition`, the `LedgerRun`).  `dfcflow all` runs
-ingest through report, then `compare-clusters`, handing results from
-stage to stage in memory and loading the registry, prices and deny-list
-once; a single-stage invocation reads its inputs back from the previous
-stage's checkpoints.  Either way every stage leaves its outputs, in the
-CSV/JSONL formats of docs/file_formats.md, so runs are resumable and
-auditable.  `OUTPUTS` gives each output's file, stage, writer and reader;
-a stage takes a checkpoint with `PipelineRun.get` and hands its results
-on with `PipelineRun.put`, which queues their writes.  `run_stages` runs
-every command and writes the queues with `write_checkpoint`.  Stage
+A stage is a plain function over typed values: it takes its inputs as
+arguments and returns its status line followed by its outputs (the kept
+logs; the events, vault triples and approvals; the `Partition`; the flow
+records; the report rows).  Its `COMMANDS` row names its inputs, each
+`cfg`, a file-backed value of `INPUTS` (registry, prices, deny-list) or
+a checkpoint of `OUTPUTS`, which gives each output's file, stage, writer
+and reader.  `run_stages` runs every command: it reads each input at
+most once, calls the stage and writes its outputs with
+`write_checkpoint`.  `dfcflow all` runs ingest through report, then
+`compare-clusters`, handing outputs from stage to stage in memory; a
+single stage reads its checkpoint inputs back from their files.  Either
+way every stage leaves its outputs, in the CSV/JSONL formats of
+docs/file_formats.md, so runs are resumable and auditable.  Stage
 failures exit with distinct codes (config 2, ingest 3, decode 4, cluster
 5, ledger 6, report 7); a config key that is neither a `PipelineConfig`
 field nor `comment` is a config error.
 
 At import this module loads only what config parsing and `ingest` from
 a fixture need (`ingest`, `registry`, `errors`, `util`); each stage
-function and `PipelineRun.get` imports the stage modules it uses, and
+function and checkpoint reader imports the stage modules it uses, and
 only a forked run loads `background`, so `dfcflow ingest` never compiles
 decode, cluster, ledger, market or report, nor imports `pickle`.
 Records are named tuples and holders plain classes, so no command pays
@@ -47,22 +48,25 @@ if TYPE_CHECKING:
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-# each command: its help text and the exit code of its failure
+# each command: its help text, the exit code of its failure and the values
+# its stage takes, in order; a value is `cfg`, an `INPUTS` key or an output
 COMMANDS = {
-    "ingest": ("acquire and filter raw logs", 3),
-    "decode": ("decode logs into canonical events", 4),
-    "cluster": ("group addresses into user groups", 5),
-    "track": ("run the debt-taint ledger", 6),
-    "report": ("write the report tables", 7),
-    "all": ("run every stage in order", None),
-    "compare-clusters": ("compare link pairs with ERC-20 self-approvals", 5),
-    "fetch-prices": ("pull candles into the price-file format", 3),
+    "ingest": ("acquire and filter raw logs", 3, ("cfg", "registry")),
+    "decode": ("decode logs into canonical events", 4, ("registry", "logs")),
+    "cluster": ("group addresses into user groups", 5, ("events", "vaults", "denylist")),
+    "track": ("run the debt-taint ledger", 6, ("events", "partition", "registry", "prices")),
+    "report": ("write the report tables", 7, ("flows", "events", "registry", "prices")),
+    "all": ("run every stage in order", None, ()),
+    "compare-clusters": ("compare link pairs with ERC-20 self-approvals", 5,
+                         ("approvals", "events", "registry", "denylist")),
+    "fetch-prices": ("pull candles into the price-file format", 3, ("cfg",)),
 }
 
 
-# each output: its file in the output directory, the stage that writes it,
+# each output: its file in the output directory, the stage that gives it,
 # its writer and, for a checkpoint that later stages read, its reader, the
-# functions named as `module.attribute` of `dfcflow`
+# functions named as `module.attribute` of `dfcflow`; a stage returns its
+# outputs in this order
 OUTPUTS = {
     "logs": ("logs.jsonl", "ingest", "ingest.save_fixture", "ingest.load_fixture"),
     "events": ("events.csv", "decode", "decode.write_events_csv", "decode.read_events_csv"),
@@ -190,66 +194,13 @@ class PipelineConfig(NamedTuple):
         return cluster.load_denylist(self.denylist)
 
 
-class PipelineRun:
-    """The state of one invocation: its config, whether it prints, the
-    values its stages have produced or loaded, and the file writes queued
-    for its runner.  The registry, prices and deny-list are read once,
-    from the configured files."""
-
-    def __init__(self, cfg: PipelineConfig, quiet: bool = False):
-        self.cfg = cfg
-        self.quiet = quiet
-        # a forked `run_stages` swaps in the result of its price reader
-        self.load_prices = cfg.load_prices
-        self._values: dict[str, object] = {}
-        self._writes: list = []
-
-    def say(self, message: str) -> None:
-        if not self.quiet:
-            print(message)
-
-    def _once(self, name: str, load):
-        if name not in self._values:
-            self._values[name] = load()
-        return self._values[name]
-
-    def registry(self) -> ContractRegistry:
-        return self._once("registry", self.cfg.load_registry)
-
-    def prices(self) -> market.PriceSeries:
-        return self._once("prices", self.load_prices)
-
-    def denylist(self) -> frozenset[str]:
-        return self._once("denylist", self.cfg.load_denylist)
-
-    def get(self, name: str):
-        """The checkpoint `OUTPUTS[name]`: the value a stage of this run
-        put, or else one read of its file."""
-        if name not in self._values:
-            file, stage, _, reader = OUTPUTS[name]
-            path = self.cfg.output / file
-            if not path.exists():
-                raise MissingCheckpointError(path, stage)
-            self._values[name] = _lookup(reader)(path)
-        return self._values[name]
-
-    def put(self, name: str, value) -> None:
-        """Hand `value` to later stages as the output `OUTPUTS[name]`, and
-        queue the write of its file."""
-        self._values[name] = value
-        file, _, writer, _ = OUTPUTS[name]
-        self.write(self.cfg.output / file, _lookup(writer), value)
-
-    def write(self, path: Path, writer, *args) -> None:
-        """Queue a file for the runner to write with `write_checkpoint`
-        once the stage returns."""
-        self._writes.append(partial(write_checkpoint, path, writer, *args))
-
-    def take_writes(self) -> list:
-        """The writes queued since the last call, in order; each writes one
-        file and gives its status line."""
-        writes, self._writes = self._writes, []
-        return writes
+# the values a stage may take that are read from a configured file, once
+# per run, by the `PipelineConfig` method given
+INPUTS = {
+    "registry": PipelineConfig.load_registry,
+    "prices": PipelineConfig.load_prices,
+    "denylist": PipelineConfig.load_denylist,
+}
 
 
 def write_checkpoint(path: Path, writer, *args) -> str:
@@ -278,9 +229,11 @@ def write_checkpoint(path: Path, writer, *args) -> str:
         raise
 
 
-def stage_ingest(run: PipelineRun) -> list[ingest.RawLog]:
-    cfg = run.cfg
-    registry = run.registry()
+def _counts(stats: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
+
+
+def stage_ingest(cfg: PipelineConfig, registry: ContractRegistry) -> tuple:
     block_range = cfg.block_range()
     if cfg.fixture is not None:
         if not cfg.fixture.exists():
@@ -293,109 +246,82 @@ def stage_ingest(run: PipelineRun) -> list[ingest.RawLog]:
             cfg.rpc_endpoint, block_range, registry, window_size=cfg.rpc_window
         )
     kept = ingest.filter_logs(logs, registry, block_range)
-    run.say(f"ingest: {len(kept)} of {len(logs)} logs kept")
-    run.put("logs", kept)
-    return kept
+    return f"ingest: {len(kept)} of {len(logs)} logs kept", kept
 
 
-def stage_decode(run: PipelineRun) -> decode.DecodeResult:
+def stage_decode(registry: ContractRegistry, logs: list[ingest.RawLog]) -> tuple:
     from . import decode
 
-    registry = run.registry()
-    result = decode.decode_stream(run.get("logs"), registry)
-    stats = ", ".join(f"{k}={v}" for k, v in sorted(result.stats.items()))
-    run.say(f"decode: {len(result.events)} events ({stats})")
-    run.put("events", result.events)
-    run.put("vaults", result.vault_triples)
-    run.put("approvals", result.approvals)
-    return result
+    result = decode.decode_stream(logs, registry)
+    return (f"decode: {len(result.events)} events ({_counts(result.stats)})",
+            result.events, result.vault_triples, result.approvals)
 
 
-def stage_cluster(run: PipelineRun) -> cluster.Partition:
+def stage_cluster(events: list[decode.CanonicalEvent], triples: list[decode.VaultTriple],
+                  denylist: frozenset[str]) -> tuple:
     from . import cluster
 
-    events = run.get("events")
-    triples = run.get("vaults")
-    denylist = run.denylist()
     activity = cluster.address_protocol_map(events)
     partition = cluster.group_addresses(triples, activity)
     pairs = cluster.extract_heuristic_pairs(events, denylist)
     final = cluster.apply_heuristic_pairs(partition, pairs, activity)
-    run.say(
-        f"cluster: {len(final.eligible)} eligible groups "
-        f"({len(final.groups)} total, {len(pairs)} link pairs)"
-    )
-    run.put("partition", final)
-    return final
+    return (f"cluster: {len(final.eligible)} eligible groups "
+            f"({len(final.groups)} total, {len(pairs)} link pairs)", final)
 
 
-def stage_track(run: PipelineRun) -> ledger.LedgerRun:
+def stage_track(events: list[decode.CanonicalEvent], partition: cluster.Partition,
+                registry: ContractRegistry, prices: market.PriceSeries) -> tuple:
     from . import ledger, market
 
-    events = run.get("events")
-    partition = run.get("partition")
-    registry = run.registry()
-    valuer = market.make_valuer(run.prices(), registry.currencies)
+    valuer = market.make_valuer(prices, registry.currencies)
     result = ledger.run_ledger(events, partition, valuer)
-    stats = ", ".join(f"{k}={v}" for k, v in sorted(result.stats.items()))
-    run.say(f"track: {len(result.flow_records)} flow records ({stats})")
-    run.put("flows", result.flow_records)
-    return result
+    return (f"track: {len(result.flow_records)} flow records ({_counts(result.stats)})",
+            result.flow_records)
 
 
-def stage_report(run: PipelineRun) -> None:
+def stage_report(records: list[ledger.FlowRecord], events: list[decode.CanonicalEvent],
+                 registry: ContractRegistry, prices: market.PriceSeries) -> tuple:
     from . import report
 
-    records = run.get("flows")
-    events = run.get("events")
-    registry = run.registry()
-    prices = run.prices()
     monthly = report.monthly_dfc_rows(records)
     breakdown = report.protocol_breakdown(records)
     correlations = report.lagged_correlations(records, prices)
     summary = report.summary_stats(events, prices, registry.currencies)
-    run.say(f"report: {len(monthly)} months, {len(correlations)} correlation rows")
-    run.put("monthly", monthly)
-    run.put("breakdown", breakdown)
-    run.put("correlations", correlations)
-    run.put("summary", summary)
+    line = f"report: {len(monthly)} months, {len(correlations)} correlation rows"
+    return line, monthly, breakdown, correlations, summary
 
 
-def stage_compare_clusters(run: PipelineRun) -> None:
+def stage_compare_clusters(approvals: list[decode.ApprovalEvent],
+                           events: list[decode.CanonicalEvent], registry: ContractRegistry,
+                           denylist: frozenset[str]) -> tuple:
     from . import cluster
 
-    approvals = run.get("approvals")
-    events = run.get("events")
-    registry = run.registry()
-    denylist = run.denylist()
     known_contracts = frozenset(
         to_hex(a) for a in registry.addresses
     ) | frozenset(to_hex(t) for t in registry.tokens)
     approval_pairs = cluster.self_approval_pairs(approvals, denylist, known_contracts)
     heuristic_pairs = cluster.extract_heuristic_pairs(events, denylist)
     overlap = {p.unordered for p in approval_pairs} & {p.unordered for p in heuristic_pairs}
-    run.say(
-        f"compare-clusters: {len(approval_pairs)} approval pairs, "
-        f"{len(heuristic_pairs)} heuristic pairs, {len(overlap)} overlapping"
-    )
     rows = [
         ("self_approval_pairs", len(approval_pairs)),
         ("heuristic_pairs", len(heuristic_pairs)),
         ("overlap_pairs", len(overlap)),
     ]
-    run.put("comparison", rows)
+    return (f"compare-clusters: {len(approval_pairs)} approval pairs, "
+            f"{len(heuristic_pairs)} heuristic pairs, {len(overlap)} overlapping", rows)
 
 
-def cmd_fetch_prices(run: PipelineRun) -> None:
+def cmd_fetch_prices(cfg: PipelineConfig) -> tuple:
+    """Its price file is no checkpoint of `OUTPUTS`, so it writes it here
+    and gives the write's status line under its own."""
     from . import market
 
-    cfg = run.cfg
     if not cfg.price_fetch:
         raise ConfigError("config has no price_fetch section")
     series = market.fetch_prices(cfg.price_fetch)
     target = cfg.prices if cfg.prices is not None else cfg.output / "prices.csv"
-    run.say(f"fetch-prices: {', '.join(sorted(series.keys))} prices for {target}")
-    run.write(target, series.to_csv)
+    line = f"fetch-prices: {', '.join(sorted(series.keys))} prices for {target}"
+    return (f"{line}\n{write_checkpoint(target, series.to_csv)}",)
 
 
 STAGE_FUNCTIONS = {
@@ -425,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--to-block", type=int, dest="to_block")
     common.add_argument("--quiet", action="store_true")
 
-    for name, (help_text, _) in COMMANDS.items():
+    for name, (help_text, *_) in COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 
@@ -447,7 +373,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     stages = ALL_STAGES if args.command == "all" else (args.command,)
-    failure = run_stages(PipelineRun(cfg, args.quiet), stages)
+    failure = run_stages(cfg, stages, args.quiet)
     if failure is None:
         return EXIT_OK
     stage, exc = failure
@@ -462,15 +388,36 @@ WRITER_STAGES = frozenset({"ingest", "decode", "track"})
 CARRIED_STAGES = frozenset({"ingest"})
 
 
-def run_stages(run: PipelineRun, stages) -> tuple[str, DfcError] | None:
-    """Run `stages` in order, each followed by the writes it queued.
+def run_stages(cfg: PipelineConfig, stages, quiet: bool = False) -> tuple[str, DfcError] | None:
+    """Run `stages` in order: call each with the values its `COMMANDS`
+    row names, print its status line, and write each of its outputs to
+    its `OUTPUTS` file with `write_checkpoint`.  A value is read at most
+    once per run: an `INPUTS` value by its loader, a checkpoint that no
+    stage of the run gave by its `OUTPUTS` reader.
 
     A run of several stages, where `background.can_fork()`, forks a price
-    reader first and hands the writes of `WRITER_STAGES` to forked
-    writers; otherwise each stage's writes are made when it returns.
-    Gives the earliest failed stage and its error, or None; an error that
-    is not a `DfcError` is re-raised once every worker has been joined.
+    reader first, whose result stands in for the `prices` loader, and
+    hands the writes of `WRITER_STAGES` to forked writers; otherwise each
+    stage's outputs are written when it returns.  Gives the earliest
+    failed stage and its error, or None; an error that is not a
+    `DfcError` is re-raised once every worker has been joined.
     """
+    say = (lambda line: None) if quiet else print
+    loaders = {name: partial(load, cfg) for name, load in INPUTS.items()}
+    values = {"cfg": cfg}
+
+    def value(name: str):
+        if name not in values:
+            if name in loaders:
+                values[name] = loaders[name]()
+            else:
+                file, stage, _, reader = OUTPUTS[name]
+                path = cfg.output / file
+                if not path.exists():
+                    raise MissingCheckpointError(path, stage)
+                values[name] = _lookup(reader)(path)
+        return values[name]
+
     background = None
     if len(stages) > 1:
         from . import background
@@ -482,16 +429,22 @@ def run_stages(run: PipelineRun, stages) -> tuple[str, DfcError] | None:
     prices = failure = written = None  # the failed stage, the earliest failed writer
     try:
         if background is not None:
-            prices = background.Worker(run.cfg.load_prices)
-            run.load_prices = prices.result
+            prices = background.Worker(cfg.load_prices)
+            loaders["prices"] = prices.result
         for stage in stages:
             try:
-                STAGE_FUNCTIONS[stage](run)
+                line, *outputs = STAGE_FUNCTIONS[stage](*map(value, COMMANDS[stage][2]))
+                say(line)
+                names = [name for name, row in OUTPUTS.items() if row[1] == stage]
+                values.update(zip(names, outputs, strict=True))
+                writes = [(stage, partial(write_checkpoint, cfg.output / OUTPUTS[name][0],
+                                          _lookup(OUTPUTS[name][2]), values[name]))
+                          for name in names]
                 if background is not None and stage in WRITER_STAGES:
-                    pending += [(stage, write) for write in run.take_writes()]
+                    pending += writes
                 else:
-                    for write in run.take_writes():
-                        run.say(write())
+                    for _, write in writes:
+                        say(write())
             except BaseException as exc:  # re-raised below unless a DfcError
                 failure = stage, exc
                 break
@@ -507,7 +460,7 @@ def run_stages(run: PipelineRun, stages) -> tuple[str, DfcError] | None:
                 lines, error = [], (first, exc)
             if written is None:
                 for line in lines:
-                    run.say(line)
+                    say(line)
                 written = error
     finally:  # a no-op for the workers already joined
         for worker in (prices, *(writer for _, writer in writers)):

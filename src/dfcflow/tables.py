@@ -3,7 +3,8 @@
 Files are UTF-8 with `\\n` line endings and a header row.  A reader finds
 its columns by name in the header, so extra columns and any column order
 are accepted, and it skips blank lines.  A missing or unreadable file, a
-missing column or a bad row raises `TableError`, naming the file and line.
+missing column or a bad row raises `TableError`, naming the file and line;
+a byte that is not UTF-8 names the file only.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ class Table:
                 reader = csv.reader(fh)
                 try:
                     return self._convert(reader)
+                except UnicodeDecodeError as exc:  # decoded a chunk ahead, so the line is unknown
+                    raise TableError(path, f"not UTF-8: {exc.reason}") from exc
                 except (ValueError, ArithmeticError, csv.Error) as exc:
                     raise TableError(path, str(exc), max(reader.line_num, 1)) from exc
         except OSError as exc:

@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import json
 import socket
 import subprocess
@@ -8,8 +9,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from dfcflow import ingest, synth
-from dfcflow.cli import PipelineConfig, PipelineRun, main, write_checkpoint
+from dfcflow import cli, ingest, synth
+from dfcflow.cli import main, write_checkpoint
 from dfcflow.errors import DfcError
 from dfcflow.market import HOUR, PriceSeries
 from dfcflow.registry import ContractRegistry
@@ -179,7 +180,6 @@ def test_rerun_reports_cache_hit(tmp_path, capsys):
 
 
 def test_write_compares_checkpoints_by_content(tmp_path):
-    run = PipelineRun(PipelineConfig.from_file(write_config(tmp_path, tmp_path / "out")))
     path = tmp_path / "out" / "big.bin"
     # more than one 1 MiB comparison chunk, the two versions differing in the last byte
     old, new = b"x" * (3 << 19) + b"a", b"x" * (3 << 19) + b"b"
@@ -187,15 +187,49 @@ def test_write_compares_checkpoints_by_content(tmp_path):
     def writer(target, data):
         target.write_bytes(data)
 
-    run.write(path, writer, old)
-    run.write(path, writer, old)
-    assert not path.parent.exists()  # queued until the runner takes the writes
-    assert [write() for write in run.take_writes()] == [
-        "big.bin: written", "big.bin: cache hit (unchanged)"]
-    run.write(path, writer, new)
-    assert [write() for write in run.take_writes()] == ["big.bin: written"]
+    assert write_checkpoint(path, writer, old) == "big.bin: written"
+    assert write_checkpoint(path, writer, old) == "big.bin: cache hit (unchanged)"
+    assert write_checkpoint(path, writer, new) == "big.bin: written"
     assert path.read_bytes() == new
     assert sorted(p.name for p in path.parent.iterdir()) == ["big.bin"]
+
+
+def test_every_stage_input_is_a_known_value():
+    known = {"cfg", *cli.INPUTS, *cli.OUTPUTS}
+    assert [(stage, name) for stage, (_, _, inputs) in cli.COMMANDS.items()
+            for name in inputs if name not in known] == []
+
+
+def test_each_checkpoint_input_is_given_by_an_earlier_stage():
+    given = set()
+    for stage in cli.ALL_STAGES:
+        assert {name for name in cli.COMMANDS[stage][2] if name in cli.OUTPUTS} <= given, stage
+        given |= {name for name, row in cli.OUTPUTS.items() if row[1] == stage}
+    assert given == set(cli.OUTPUTS)
+
+
+def test_stage_function_arity_matches_its_row():
+    assert {stage: len(inspect.signature(fn).parameters)
+            for stage, fn in cli.STAGE_FUNCTIONS.items()} == {
+        stage: len(cli.COMMANDS[stage][2]) for stage in cli.STAGE_FUNCTIONS}
+
+
+@pytest.mark.parametrize("command", ("decode", "all"))
+def test_stage_outputs_are_written_after_the_stage_returns(tmp_path, monkeypatch, command):
+    out = tmp_path / "out"
+    config = write_config(tmp_path, out)
+    assert run("ingest", "--config", config, "--quiet") == 0
+    decode_stage, seen = cli.STAGE_FUNCTIONS["decode"], []
+
+    def stage(*inputs):
+        result = decode_stage(*inputs)
+        seen.append(sorted(p.name for p in out.iterdir()))
+        return result
+
+    monkeypatch.setitem(cli.STAGE_FUNCTIONS, "decode", stage)
+    assert run(command, "--config", config, "--quiet") == 0
+    assert seen == [["logs.jsonl"]]
+    assert {"events.csv", "vaults.csv", "approvals.csv"} <= {p.name for p in out.iterdir()}
 
 
 def test_failed_write_names_the_path_and_leaves_no_tmp(tmp_path):

@@ -60,6 +60,10 @@ def test_trace_child_hooks_resolve_in_dfcflow():
         if not isinstance(inspect.getattr_static(cls, attr, None), classmethod):
             missing.append(f"{module}.{cls_name}.{attr}")
     assert missing == []
+    # it wraps each stage function in place, and the runner indexes the table at each call
+    cli = importlib.import_module("dfcflow.cli")
+    assert sorted(stage for stage, fn in cli.STAGE_FUNCTIONS.items() if callable(fn)) == sorted(
+        set(cli.COMMANDS) - {"all"})
 
 
 def test_tests_import_only_stdlib_dfcflow_and_the_test_extra():

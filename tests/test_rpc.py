@@ -476,6 +476,10 @@ def test_timestamp_failure_resumes_at_its_window_batch(mock_node, registry, node
 @pytest.mark.parametrize("field, value, message", [
     ("blockNumber", None, "eth_getLogs entry: blockNumber is not a hex quantity: None"),
     ("blockNumber", "0xzz", "eth_getLogs entry: blockNumber is not a hex quantity: '0xzz'"),
+    # int(text, 16) would take each of these
+    ("blockNumber", "0x1_b4", "eth_getLogs entry: blockNumber is not a hex quantity: '0x1_b4'"),
+    ("blockNumber", "0x1b4\n", "eth_getLogs entry: blockNumber is not a hex quantity: '0x1b4\\n'"),
+    ("blockNumber", "0x\u0661", "eth_getLogs entry: blockNumber is not a hex quantity: '0x\u0661'"),
     ("logIndex", None, "log of block {block}: logIndex is not a hex quantity: None"),
     ("transactionHash", "0x" + "zz" * 32, "log {index} of block {block}: transactionHash: invalid hex"),
     ("transactionHash", "0x1234", "log {index} of block {block}: transactionHash: expected 32 bytes"),
@@ -483,11 +487,13 @@ def test_timestamp_failure_resumes_at_its_window_batch(mock_node, registry, node
     ("data", "0xabc", "log {index} of block {block}: data: odd-length hex string"),
     ("data", None, "log {index} of block {block}: data: expected 0x-prefixed hex string"),
     ("topics", "0x00", "log {index} of block {block}: topics is not a list: '0x00'"),
+    ("topics", ["0x" + "00" * 32] * 5, "log {index} of block {block}: 5 topics, at most 4 allowed"),
     ("timestamp", "noon", "block {block}: timestamp is not a hex quantity: 'noon'"),
 ], ids=[
-    "blockNumber-null", "blockNumber-not-hex", "logIndex-null", "transactionHash-not-hex",
-    "transactionHash-short", "address-null", "data-odd-length", "data-null",
-    "topics-not-a-list", "timestamp-not-hex",
+    "blockNumber-null", "blockNumber-not-hex", "blockNumber-underscore",
+    "blockNumber-trailing-newline", "blockNumber-non-ascii-digit", "logIndex-null",
+    "transactionHash-not-hex", "transactionHash-short", "address-null", "data-odd-length", "data-null",
+    "topics-not-a-list", "topics-five", "timestamp-not-hex",
 ])
 def test_malformed_log_or_block_is_a_server_error(
     mock_node, registry, narrow_range, node_logs, field, value, message

@@ -129,6 +129,20 @@ def test_bad_row_names_the_file_and_line(tmp_path, read, text, error):
     assert str(info.value) == f"{path}, {error}"
 
 
+def test_byte_not_utf8_names_the_file_but_no_line(tmp_path):
+    # the reader decodes a chunk ahead of the row it parses, so a line
+    # number would name an earlier row
+    path = tmp_path / "vaults.csv"
+    row = VAULT_ROW.encode()
+    # the 0xff on line 1502
+    path.write_bytes(b"user,proxy,urn\n" + (row + b"\n") * 1500 + row[:-1] + b"\xff\n"
+                     + (row + b"\n") * 100)
+    with pytest.raises(TableError) as info:
+        decode.read_vaults_csv(path)
+    assert str(info.value) == f"{path}: not UTF-8: invalid start byte"
+    assert info.value.line is None
+
+
 @pytest.mark.parametrize("record", [
     RawLog(10_000_001, b"\x01" * 32, 0, b"\x02" * 20, (b"\x03" * 32,), b"", T0),
     events()[0],

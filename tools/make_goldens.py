@@ -21,7 +21,7 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from dfcflow import cluster, decode, ingest, market, report
-from dfcflow.cli import PipelineConfig, PipelineRun, run_stages
+from dfcflow.cli import PipelineConfig, run_stages
 from dfcflow.ledger import FlowRecord
 from dfcflow.registry import ContractRegistry
 
@@ -66,8 +66,7 @@ def main(golden: Path = GOLDEN) -> None:
     with tempfile.TemporaryDirectory() as out:
         cfg = PipelineConfig.from_file(ROOT / "config" / "pipeline.fixture.json",
                                        overrides={"output": out})
-        failure = run_stages(PipelineRun(cfg, quiet=True),
-                             ("ingest", "decode", "compare-clusters"))
+        failure = run_stages(cfg, ("ingest", "decode", "compare-clusters"), quiet=True)
         if failure is not None:
             sys.exit(f"{failure[0]}: error: {failure[1]}")
         shutil.copyfile(Path(out) / "cluster_comparison.csv", golden / "cluster_comparison.csv")
