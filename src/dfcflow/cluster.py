@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .decode import DEBT_REPAY, SWAP, ApprovalEvent, CanonicalEvent, VaultTriple
+from .errors import TableError
 from .tables import Table
 
 _REPAY_SOURCE = {
@@ -330,9 +331,27 @@ def write_partition_csv(path: str | Path, partition: Partition) -> None:
 
 
 def read_partition_csv(path: str | Path) -> Partition:
+    """`write_partition_csv`'s file back.  A member listed twice, a member
+    smaller than its representative, or rows of one group that disagree on
+    `protocols_touched` name their line; a representative that is not a
+    member of its own group names the file."""
     members: dict[str, set[str]] = defaultdict(set)
     protos: dict[str, frozenset[str]] = {}
-    for rep, member, touched in PARTITION.read(path):
+    rep_of: dict[str, str] = {}
+
+    def row(rep: str, member: str, touched: str) -> None:
+        if member in rep_of:
+            raise ValueError(f"member {member} listed under {rep_of[member]} and {rep}")
+        if member < rep:
+            raise ValueError(f"member {member} is smaller than its representative {rep}")
+        touched = frozenset(p for p in touched.split(";") if p)
+        if protos.setdefault(rep, touched) != touched:
+            raise ValueError(f"group {rep} has two different protocols_touched")
+        rep_of[member] = rep
         members[rep].add(member)
-        protos[rep] = frozenset(p for p in touched.split(";") if p)
+
+    Table(PARTITION.columns, from_row=row).read(path)
+    for rep, group in members.items():
+        if rep not in group:
+            raise TableError(path, f"representative {rep} is not a member of its group")
     return Partition({rep: frozenset(m) for rep, m in members.items()}, protos)

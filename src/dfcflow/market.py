@@ -8,12 +8,14 @@ silently valuing events with week-old prices.
 
 A series is built once, by its constructor, from points in any order;
 `from_csv`, `fetch_prices` and `synth.generate_prices` all build through
-it.  Each key's prices are held as integer units over one scale, the
-least common denominator of that key's prices, so building and lookups
-make no `Fraction` per point.  Prices are exact `Fraction`s at the API.
-`value_usd` takes a token amount and returns a USD value, both as
-fixed-point `int` counts of 1/`util.SCALE` units, floored to a whole
-unit (the rounding rule of `dfcflow.ledger`).
+it.  A price is a decimal of at most 36 places, in the grammar of every
+numeric cell (`util.parse_fixed`), whether read from the price file or
+from a fetched candle.  Each key's prices are held as integer units over
+one scale, the least common denominator of that key's prices (10**4 for
+prices of four decimals), so building and lookups make no `Fraction`;
+only `price_at` returns one.  `value_usd` takes a token amount and
+returns a USD value, both as fixed-point `int` counts of 1/`util.SCALE`
+units, floored to a whole unit (the rounding rule of `dfcflow.ledger`).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from pathlib import Path
 from .errors import ConfigError, PriceFetchError, TableError, ValuationError
 from .registry import Currency
 from .tables import Table
-from .util import format_exact, parse_ratio, uint_cell_error
+from .util import PLACES, SCALE, format_fixed, parse_fixed, uint_cell_error
 
 HOUR = 3600
 DAY = 86400
@@ -55,8 +57,9 @@ class PriceSeries:
 
     def __init__(self, points=()):
         """A series of `(key, timestamp, numerator, denominator)` points, in
-        any order.  An unknown key, a price that is not positive or a
-        repeated timestamp raises ConfigError."""
+        any order.  An unknown key, a price that is not positive or not a
+        decimal of at most 36 places (its denominator does not divide
+        `util.SCALE`) or a repeated timestamp raises ConfigError."""
         columns: dict[str, tuple[list[int], list[int], list[int]]] = {}
         for key, timestamp, numerator, denominator in points:
             column = columns.get(key) or columns.setdefault(key, ([], [], []))
@@ -80,6 +83,11 @@ class PriceSeries:
                 for timestamp, numerator in zip(ts_list, numerators):
                     _check_point(key, timestamp, numerator)
             distinct = set(denominators)
+            for den in distinct:
+                if den <= 0 or SCALE % den:
+                    timestamp = ts_list[denominators.index(den)]
+                    raise ConfigError(f"{key} price at {timestamp} is not a decimal of"
+                                      f" at most {PLACES} places (denominator {den})")
             scale = math.lcm(*distinct)
             units = numerators
             if len(distinct) > 1:
@@ -140,7 +148,7 @@ class PriceSeries:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PriceSeries":
-        """Price file: columns price_key,timestamp,price_usd (exact decimal).
+        """Price file: columns price_key,timestamp,price_usd (a decimal).
 
         Rows may come in any order.  An unknown key or a non-positive price
         names its line; a repeated timestamp names the file.
@@ -152,7 +160,7 @@ class PriceSeries:
 
     def to_csv(self, path: str | Path) -> None:
         PRICES.write(path, (
-            (key, ts, format_exact(Fraction(units, self._scales[key])))
+            (key, ts, format_fixed(units * (SCALE // self._scales[key])))
             for key in sorted(self._timestamps)
             for ts, units in zip(self._timestamps[key], self._units[key])
         ))
@@ -162,12 +170,13 @@ def _price_row(key: str, timestamp: str, price: str) -> tuple[str, int, int, int
     if not (timestamp.isdigit() and timestamp.isascii()):
         raise uint_cell_error(timestamp=timestamp)
     timestamp = int(timestamp)
+    # parse_fixed's test without the sign, keeping the cell's own scale
     whole, dot, frac = price.partition(".")
-    if whole.isdigit() and frac.isdigit() and price.isascii():
-        # a plain decimal cell, as format_exact writes most prices
+    if (whole.isdigit() and price.isascii() and len(frac) <= PLACES
+            and (frac.isdigit() or not dot)):
         num, den = int(whole + frac), 10 ** len(frac)
-    else:
-        num, den = parse_ratio(price)
+    else:  # parse_fixed raises its error, or reads a negative price
+        num, den = parse_fixed(price), SCALE
     # a ValueError, so the table reader names the line
     _check_point(key, timestamp, num, ValueError)
     return key, timestamp, num, den
@@ -182,9 +191,12 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
     Config keys: url_template (with {key}, {start}, {end} placeholders),
     key_map (price key -> endpoint symbol), start, end (UTC seconds),
     optional timestamp_field / price_field (indexes into each candle row,
-    defaults 0 and 3), optional delay_seconds between requests.  The
-    requests and their errors (PriceFetchError, naming the key and the
-    URL) are described under prices.csv in docs/file_formats.md.
+    integers >= 0, defaults 0 and 3), optional delay_seconds between
+    requests (a number >= 0); a bad one raises ConfigError before any
+    request.  A candle is read as a price-file row: its timestamp must be
+    a JSON integer and `str` of its price a price cell.  The requests and
+    their errors (PriceFetchError, naming the key and the URL) are
+    described under prices.csv in docs/file_formats.md.
     """
     template = fetch_config.get("url_template")
     key_map = fetch_config.get("key_map")
@@ -193,6 +205,14 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
     ts_field = fetch_config.get("timestamp_field", 0)
     price_field = fetch_config.get("price_field", 3)
     delay = fetch_config.get("delay_seconds", 0)
+    unknown = sorted(set(key_map) - GRANULARITY.keys())
+    if unknown:
+        raise ConfigError(f"unknown price key {unknown[0]!r}")
+    for name, value in (("timestamp_field", ts_field), ("price_field", price_field)):
+        if type(value) is not int or value < 0:
+            raise ConfigError(f"price_fetch {name} must be an integer >= 0, got {value!r}")
+    if type(delay) not in (int, float) or not 0 <= delay < math.inf:
+        raise ConfigError(f"price_fetch delay_seconds must be a number >= 0, got {delay!r}")
     start = fetch_config.get("start")
     end = fetch_config.get("end")
     # loaded only when prices are fetched
@@ -213,11 +233,11 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
         if not isinstance(candles, list):
             raise PriceFetchError(f"{key} candles from {url}: reply is not a list")
         try:
-            points.extend(
-                (key, int(candle[ts_field]),
-                 *Fraction(str(candle[price_field])).as_integer_ratio())
-                for candle in candles
-            )
+            for candle in candles:
+                timestamp = candle[ts_field]
+                if type(timestamp) is not int:
+                    raise ValueError(f"timestamp {timestamp!r} is not an integer")
+                points.append(_price_row(key, str(timestamp), str(candle[price_field])))
         except (LookupError, TypeError, ValueError) as exc:
             raise PriceFetchError(f"{key} candles from {url}: bad candle: {exc}") from exc
         if delay:

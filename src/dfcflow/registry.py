@@ -90,20 +90,18 @@ class ContractRegistry:
         currencies: dict[str, Currency],
         tokens: dict[bytes, str],  # token address -> currency symbol
         rules: dict[tuple[bytes, bytes], EventRule],  # (contract, topic0) -> rule
-        contract_protocol: dict[bytes, str],  # contract -> protocol
     ):
         self.currencies = currencies
         self.tokens = tokens
         self.rules = rules
-        self.contract_protocol = contract_protocol
         # (contract, topic0) -> compiled decoder, built by `dfcflow.decode` on first use
         self.decoders: dict = {}
 
     def __eq__(self, other):
         if not isinstance(other, ContractRegistry):
             return NotImplemented
-        return ((self.currencies, self.tokens, self.rules, self.contract_protocol)
-                == (other.currencies, other.tokens, other.rules, other.contract_protocol))
+        return ((self.currencies, self.tokens, self.rules)
+                == (other.currencies, other.tokens, other.rules))
 
     @property
     def addresses(self) -> frozenset[bytes]:
@@ -140,15 +138,15 @@ class ContractRegistry:
         tokens = _parse_tokens(doc.get("tokens"), currencies)
 
         rules: dict[tuple[bytes, bytes], EventRule] = {}
-        contract_protocol: dict[bytes, str] = {}
+        contracts: set[bytes] = set()
         for protocol, pdoc in (doc.get("protocols") or {}).items():
             if protocol not in PROTOCOLS:
                 raise ConfigError(f"unknown protocol {protocol!r}")
             for addr_hex, cdoc in (pdoc.get("contracts") or {}).items():
                 contract = _addr(addr_hex, where=f"{protocol} contract")
-                if contract in contract_protocol:
+                if contract in contracts:
                     raise ConfigError(f"contract {addr_hex} listed twice")
-                contract_protocol[contract] = protocol
+                contracts.add(contract)
                 for edoc in cdoc.get("events", []):
                     rule = _parse_event_rule(protocol, contract, edoc, currencies)
                     key = (contract, rule.topic0)
@@ -164,12 +162,7 @@ class ContractRegistry:
                 raise ConfigError("approval rule collides with a protocol rule")
             rules[key] = rule
 
-        return cls(
-            currencies=currencies,
-            tokens=tokens,
-            rules=rules,
-            contract_protocol=contract_protocol,
-        )
+        return cls(currencies=currencies, tokens=tokens, rules=rules)
 
 
 def _addr(value, *, where: str) -> bytes:

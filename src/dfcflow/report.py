@@ -2,14 +2,13 @@
 
 The monthly table, protocol breakdown and summary sum the ledger's
 fixed-point USD values (`int` counts of 1/`util.SCALE` dollars) as plain
-ints; a cell becomes an exact `Fraction` only to be rounded for display
-(USD in whole millions or cents, percentages to one decimal, ties to
-even, by the formatters below, so repeated runs emit byte-identical
-files).  The correlation layer is statistical and works in floats, each
-one an int true division, which rounds correctly: it builds per-hour and
-per-day series of collateral change, price change and debt percentage,
-then correlates each variable with the debt percentage of the following
-period.
+ints, and round them for display in ints too: USD in whole millions or
+cents, percentages to one decimal, ties to even, by `_decimal`, so
+repeated runs emit byte-identical files.  The correlation layer is
+statistical and works in floats, each one an int true division, which
+rounds correctly: it builds per-hour and per-day series of collateral
+change, price change and debt percentage, then correlates each variable
+with the debt percentage of the following period.
 
 "Collateral change" is realized as net USD collateral flow (deposits
 minus withdrawals) per period; the source material leaves the term
@@ -25,7 +24,6 @@ import math
 import sys
 from collections import defaultdict
 from datetime import datetime, timezone
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .decode import COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW, SWAP, CanonicalEvent
@@ -49,12 +47,6 @@ class MonthlyDfcRow(NamedTuple):
     @property
     def total_usd(self) -> int:
         return self.debt_usd + self.nondebt_usd
-
-    @property
-    def debt_pct(self) -> Fraction | None:
-        if self.total_usd == 0:
-            return None
-        return Fraction(100 * self.debt_usd, self.total_usd)
 
 
 class CorrelationResult(NamedTuple):
@@ -128,22 +120,16 @@ def monthly_dfc_rows(records: Sequence[FlowRecord]) -> list[MonthlyDfcRow]:
     ]
 
 
-def protocol_breakdown(records: Sequence[FlowRecord]) -> list[tuple[str, str, Fraction | None]]:
-    """(month, protocol, debt_pct) cells; None where a protocol took no
-    deposits that month."""
+def protocol_breakdown(records: Sequence[FlowRecord]) -> list[tuple[str, str, int, int]]:
+    """(month, protocol, debt_usd, total_usd) cells of deposit sums; both
+    are 0 where a protocol took no deposits that month."""
     protocols = sorted({r.protocol for r in records})
     debt, nondebt = _deposit_sums(records, by_protocol=True)
-    cells = []
-    for month in _span_months(records):
-        for protocol in protocols:
-            key = (month, protocol)
-            pct = None
-            if key in debt:
-                total = debt[key] + nondebt[key]
-                if total > 0:
-                    pct = Fraction(100 * debt[key], total)
-            cells.append((month, protocol, pct))
-    return cells
+    return [
+        (month, protocol, debt[month, protocol], debt[month, protocol] + nondebt[month, protocol])
+        for month in _span_months(records)
+        for protocol in protocols
+    ]
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> tuple[float, float]:
@@ -340,48 +326,25 @@ def summary_stats(
 
 # --- CSV writers --------------------------------------------------------------
 
-def round_half_even(x: Fraction, places: int = 0) -> Fraction:
-    """Round an exact rational to `places` decimal digits, ties to even."""
-    scale = 10**places
-    scaled = x * scale
-    n, r = divmod(scaled.numerator, scaled.denominator)
-    # divmod keeps 0 <= r < den for negative n too, so the same tie rule works
-    double = 2 * r
-    if double > scaled.denominator or (double == scaled.denominator and n % 2 != 0):
-        n += 1
-    return Fraction(n, scale)
-
-
-def format_places(x: Fraction, places: int) -> str:
-    """Fixed-point rendering with exactly `places` fractional digits."""
-    sign = "-" if x < 0 else ""
-    rounded = round_half_even(abs(x), places)
-    units = rounded.numerator * (10**places // rounded.denominator)
-    digits = str(units).rjust(places + 1, "0")
-    if places == 0:
-        return sign + digits
-    return sign + f"{digits[:-places]}.{digits[-places:]}"
-
-
-def format_usd(units: int, places: int) -> str:
-    """A fixed-point USD count at `places` fractional digits, ties to even."""
-    return format_places(Fraction(units, SCALE), places)
-
-
-def format_usd_millions(units: int) -> str:
-    """Whole-number USD millions, matching the monthly report presentation."""
-    return format_places(Fraction(units, SCALE * 1_000_000), 0)
-
-
-def _pct(pct: Fraction | None) -> str:
-    return format_places(pct, 1) if pct is not None else ""
+def _decimal(num: int, den: int, places: int) -> str:
+    """`num / den` with exactly `places` decimals, rounded half to even and
+    signed `-` for a negative `num` (so -0.01 at one place is `-0.0`);
+    an empty cell where `den` is 0, a share of nothing."""
+    if not den:
+        return ""
+    scaled, rest = divmod(abs(num) * 10**places, den)
+    if 2 * rest > den or (2 * rest == den and scaled % 2):
+        scaled += 1
+    digits = str(scaled).rjust(places + 1, "0")
+    sign = "-" if num < 0 else ""
+    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else sign + digits
 
 
 def _summary_row(item: tuple[str, dict[str, int]]) -> tuple:
     stat, per_protocol = item
     values = (per_protocol[protocol] for protocol in PROTOCOLS)
     if stat.endswith("_usd"):
-        return (stat, *(format_usd(value, 2) for value in values))
+        return (stat, *(_decimal(value, SCALE, 2) for value in values))
     return (stat, *values)
 
 
@@ -389,15 +352,15 @@ write_monthly_csv = Table(
     ("month", "debt_usd_millions", "nondebt_usd_millions", "total_usd_millions", "debt_pct"),
     lambda row: (
         row.month,
-        format_usd_millions(row.debt_usd),
-        format_usd_millions(row.nondebt_usd),
-        format_usd_millions(row.total_usd),
-        _pct(row.debt_pct),
+        _decimal(row.debt_usd, SCALE * 1_000_000, 0),
+        _decimal(row.nondebt_usd, SCALE * 1_000_000, 0),
+        _decimal(row.total_usd, SCALE * 1_000_000, 0),
+        _decimal(100 * row.debt_usd, row.total_usd, 1),
     ),
 ).write
 write_breakdown_csv = Table(
     ("month", "protocol", "debt_pct"),
-    lambda cell: (cell[0], cell[1], _pct(cell[2])),
+    lambda cell: (cell[0], cell[1], _decimal(100 * cell[2], cell[3], 1)),
 ).write
 write_correlations_csv = Table(
     ("var1", "lag", "R", "p_value", "stars", "n"),

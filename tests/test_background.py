@@ -112,7 +112,8 @@ FAILURES = {
         "cluster: error: {tmp}/absent.csv: cannot read"),
     "track-bad-price-cell": (
         bad_price_cell, 6,
-        "track: error: {tmp}/prices.csv, line 5: Invalid literal for Fraction: 'abc'"),
+        "track: error: {tmp}/prices.csv, line 5:"
+        " invalid amount 'abc': expected [-]digits[.digits], at most 36 decimals"),
     "track-missing-price-file": (
         lambda tmp_path: {"prices": str(tmp_path / "absent.csv")}, 6,
         "track: error: {tmp}/absent.csv: cannot read"),

@@ -506,7 +506,7 @@ def rename_kind(row):
     ("flows.csv", 3, set_cell(-1, lambda _: "abc"), "report", 7,
      "invalid amount 'abc': expected [-]digits[.digits], at most 36 decimals"),
     ("prices.csv", 5, set_cell(-1, lambda _: "abc"), "track", 6,
-     "Invalid literal for Fraction: 'abc'"),
+     "invalid amount 'abc': expected [-]digits[.digits], at most 36 decimals"),
     ("prices.csv", None, None, "track", 6, "cannot read"),
     ("denylist.csv", None, None, "cluster", 5, "cannot read"),
     # line 6 is a deposit, line 2 a withdrawal and line 5 a swap

@@ -15,6 +15,7 @@ from dfcflow.cluster import (
     write_partition_csv,
 )
 from dfcflow.decode import ApprovalEvent, CanonicalEvent, VaultTriple
+from dfcflow.errors import TableError
 
 from tests.conftest import eligible_family, group_family, units
 from tests.oracles import brute_force_grouping
@@ -195,6 +196,29 @@ def test_partition_is_immutable_and_equals_its_checkpoint(tmp_path):
     for name in ("groups", "group_protocols", "addr_to_rep", "eligible"):
         with pytest.raises(AttributeError):
             setattr(partition, name, getattr(partition, name))
+
+
+A, B, C = addr(1), addr(2), addr(3)
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    ([(A, A, "Aave;Maker"), (A, B, "Aave;Maker"), (C, B, "")], 4,
+     f"member {B} listed under {A} and {C}"),
+    ([(B, B, "Aave"), (B, A, "Aave")], 3,
+     f"member {A} is smaller than its representative {B}"),
+    ([(A, A, "Aave;Maker"), (A, B, "Aave")], 3,
+     f"group {A} has two different protocols_touched"),
+    ([(A, B, "Aave")], None, f"representative {A} is not a member of its group"),
+], ids=["member-twice", "member-below-representative", "protocols-differ",
+        "representative-not-member"])
+def test_corrupt_partition_checkpoint_is_rejected(tmp_path, rows, line, message):
+    path = tmp_path / "partition.csv"
+    path.write_text("representative,member,protocols_touched\n"
+                    + "".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(TableError) as info:
+        read_partition_csv(path)
+    assert (str(info.value), info.value.line) == (
+        f"{path}, line {line}: {message}" if line else f"{path}: {message}", line)
 
 
 def test_extract_heuristic_pairs_sources_and_denylist():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from dfcflow.errors import ConfigError, PriceFetchError, TableError, ValuationError
 from dfcflow.market import DAY, HOUR, PriceSeries, fetch_prices, make_valuer
 from dfcflow.registry import Currency
-from dfcflow.util import SCALE, parse_ratio
+from dfcflow.util import SCALE, parse_fixed
 
 F = Fraction
 T0 = 1_600_000_000 - (1_600_000_000 % HOUR)  # aligned to an hour
@@ -127,8 +127,19 @@ def test_csv_round_trip_sorts_rows(tmp_path):
     assert PriceSeries.from_csv(out).price_at("ETH", T0 + HOUR) == F("101.25")
 
 
+def test_price_that_is_not_a_short_decimal_is_rejected():
+    message = f"ETH price at {T0 + HOUR} is not a decimal of at most 36 places"
+    for den in (3, 10**37, 0, -10):
+        with pytest.raises(ConfigError, match=f"^{message} \\(denominator {den}\\)$"):
+            PriceSeries([point("ETH", T0, "1.5"), ("ETH", T0 + HOUR, 1, den)])
+    # any mix of decimals of up to 36 places is one key's least common scale
+    series = PriceSeries([point("ETH", T0, "1.5"), ("ETH", T0 + HOUR, 1, 2**36)])
+    assert series.price_at("ETH", T0 + HOUR) == F(1, 2**36)
+
+
 @pytest.mark.parametrize("cell", [
     "\u0661\u0662.\u0665", "\u00b2", "+1.5", " 1.5", "1_0.5", ".5", "5.",
+    "1/3", "-4/6", "1e5", "1." + "0" * 36 + "1",
 ])
 def test_price_cell_outside_the_written_forms_is_a_bad_row(tmp_path, cell):
     path = tmp_path / "prices.csv"
@@ -137,26 +148,30 @@ def test_price_cell_outside_the_written_forms_is_a_bad_row(tmp_path, cell):
     with pytest.raises(TableError) as info:
         PriceSeries.from_csv(path)
     assert info.value.line == 3
-    assert str(info.value) == f"{path}, line 3: Invalid literal for Fraction: {cell!r}"
+    assert str(info.value) == (f"{path}, line 3: invalid amount {cell!r}:"
+                               " expected [-]digits[.digits], at most 36 decimals")
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text("0123456789.-+/ _e\u00b2\u0661", min_size=1, max_size=8))
-def test_price_cell_reads_as_parse_ratio_reads_it(tmp_path_factory, cell):
+@example(cell="0." + "0" * 35 + "1")
+@example(cell="1." + "0" * 36 + "1")
+@example(cell="-0")
+def test_price_cell_reads_as_parse_fixed_reads_it(tmp_path_factory, cell):
     path = tmp_path_factory.mktemp("prices") / "prices.csv"
     path.write_text(f"price_key,timestamp,price_usd\nETH,{T0},{cell}\n", encoding="utf-8")
     try:
-        num, den = parse_ratio(cell)
-    except (ValueError, ZeroDivisionError) as exc:
+        units = parse_fixed(cell)
+    except ValueError as exc:
         with pytest.raises(TableError, match="line 2: ") as info:
             PriceSeries.from_csv(path)
         assert str(info.value).endswith(str(exc))
         return
-    if num <= 0:
-        with pytest.raises(TableError, match="line 2: "):
+    if units <= 0:
+        with pytest.raises(TableError, match=f"line 2: ETH price at {T0} is not positive$"):
             PriceSeries.from_csv(path)
     else:
-        assert PriceSeries.from_csv(path).price_at("ETH", T0) == F(num, den)
+        assert PriceSeries.from_csv(path).price_at("ETH", T0) == F(units, SCALE)
 
 
 def test_make_valuer_uses_price_key_mapping():
@@ -166,15 +181,15 @@ def test_make_valuer_uses_price_key_mapping():
     assert valuer("WETH", 3 * SCALE, T0) == 750 * SCALE
 
 
-# positive prices over mixed denominators: decimals, thirds, sevenths
+# positive decimal prices over mixed denominators, up to 36 places
 positive_prices = st.builds(
-    F, st.integers(1, 10**12), st.sampled_from([1, 2, 3, 7, 10, 100, 10**4, 10**8]))
+    F, st.integers(1, 10**12), st.sampled_from([1, 2, 8, 10, 100, 10**4, 10**8, 10**36]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(prices=st.lists(positive_prices, min_size=1, max_size=12),
        amount=st.integers(min_value=0))
-@example(prices=[F("100.5"), F("101.25"), F(1, 3), F("99.0001")], amount=7 * SCALE // 2)
+@example(prices=[F("100.5"), F("101.25"), F(1, 8), F("99.0001")], amount=7 * SCALE // 2)
 def test_integer_series_agrees_with_fraction_reference(prices, amount):
     series = hourly_series(prices)
     weth = Currency("WETH", 18, "ETH")
@@ -196,12 +211,31 @@ def test_integer_series_agrees_with_fraction_reference(prices, amount):
                 assert ratio == float(close_price / open_price)
 
 
+# symbol -> the candles of one malformed or unusual reply
+ODD_CANDLES = {
+    "DECIMAL-USD": [[T0, 1, 2, 210.25, 4, 5], [T0 + HOUR, 1, 2, "0.1", 4, 5]],
+    "FRACTIONAL-TIME": [[1600000000.7, 1, 2, 3, 4, 5]],
+    "BOOLEAN-TIME": [[True, 1, 2, 3, 4, 5]],
+    "STRING-TIME": [[str(T0), 1, 2, 3, 4, 5]],
+    "NEGATIVE-TIME": [[-1, 1, 2, 3, 4, 5]],
+    "EXPONENT-PRICE": [[T0, 1, 2, 1e-05, 4, 5]],
+    "LONG-PRICE": [[T0, 1, 2, "0." + "0" * 36 + "1", 4, 5]],
+    "RATIO-PRICE": [[T0, 1, 2, "1/3", 4, 5]],
+    "ZERO-PRICE": [[T0, 1, 2, 0, 4, 5]],
+}
+
+
 class _CandleHandler(BaseHTTPRequestHandler):
+    requested: list[str] = []  # every path served, by any server
+
     def do_GET(self):
         # /candles/<SYMBOL>?start=..&end=..
+        self.requested.append(self.path)
         symbol = self.path.split("/")[2].split("?")[0]
-        base = {"BTC-USD": 9000, "ETH-USD": 210, "TWICE-USD": 1}[symbol]
-        candles = [[T0 + i * HOUR, 1, 2, base + i, 4, 5] for i in range(3)]
+        candles = ODD_CANDLES.get(symbol)
+        if candles is None:
+            base = {"BTC-USD": 9000, "ETH-USD": 210, "TWICE-USD": 1}[symbol]
+            candles = [[T0 + i * HOUR, 1, 2, base + i, 4, 5] for i in range(3)]
         if symbol == "TWICE-USD":  # every candle sent twice
             candles += candles
         body = json.dumps(candles).encode()
@@ -260,3 +294,69 @@ def test_candle_that_does_not_parse_names_the_key_and_url(candle_server):
             "key_map": {"BTC": "BTC-USD"},
             "price_field": 9,  # each candle has six entries
         })
+
+
+def test_fetched_prices_are_read_as_price_cells(candle_server):
+    series = fetch_prices({"url_template": candle_server + "/candles/{key}",
+                           "key_map": {"ETH": "DECIMAL-USD"}})
+    assert series.price_at("ETH", T0) == F("210.25")
+    assert series.price_at("ETH", T0 + HOUR) == F("0.1")  # the JSON text, not the binary float
+
+
+GRAMMAR = "expected [-]digits[.digits], at most 36 decimals"
+# symbol in ODD_CANDLES -> the error its candle gives
+CANDLE_ERRORS = {
+    "FRACTIONAL-TIME": "timestamp 1600000000.7 is not an integer",
+    "BOOLEAN-TIME": "timestamp True is not an integer",
+    "STRING-TIME": f"timestamp '{T0}' is not an integer",
+    "NEGATIVE-TIME": "invalid timestamp '-1': expected ASCII digits",
+    "EXPONENT-PRICE": f"invalid amount '1e-05': {GRAMMAR}",
+    "LONG-PRICE": f"invalid amount '0.{'0' * 36}1': {GRAMMAR}",
+    "RATIO-PRICE": f"invalid amount '1/3': {GRAMMAR}",
+    "ZERO-PRICE": f"ETH price at {T0} is not positive",
+}
+
+
+@pytest.mark.parametrize("symbol", sorted(CANDLE_ERRORS))
+def test_candle_outside_the_price_grammar_names_the_key_and_url(candle_server, symbol):
+    with pytest.raises(PriceFetchError) as info:
+        fetch_prices({"url_template": candle_server + "/candles/{key}",
+                      "key_map": {"ETH": symbol}})
+    assert str(info.value) == (f"ETH candles from {candle_server}/candles/{symbol}:"
+                               f" bad candle: {CANDLE_ERRORS[symbol]}")
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("delay_seconds", -1, "a number >= 0"),
+    ("delay_seconds", "1", "a number >= 0"),
+    ("delay_seconds", True, "a number >= 0"),
+    ("delay_seconds", float("nan"), "a number >= 0"),
+    ("delay_seconds", float("inf"), "a number >= 0"),
+    ("timestamp_field", -1, "an integer >= 0"),
+    ("timestamp_field", 1.0, "an integer >= 0"),
+    ("price_field", "3", "an integer >= 0"),
+    ("price_field", False, "an integer >= 0"),
+])
+def test_fetch_settings_are_checked_before_any_request(candle_server, field, value, expected):
+    served = len(_CandleHandler.requested)
+    with pytest.raises(ConfigError) as info:
+        fetch_prices({"url_template": candle_server + "/candles/{key}",
+                      "key_map": {"BTC": "BTC-USD", "ETH": "ETH-USD"}, field: value})
+    assert str(info.value) == f"price_fetch {field} must be {expected}, got {value!r}"
+    assert len(_CandleHandler.requested) == served
+
+
+def test_unknown_fetched_price_key_is_rejected_before_any_request(candle_server):
+    served = len(_CandleHandler.requested)
+    with pytest.raises(ConfigError, match="^unknown price key 'DOGE'$"):
+        fetch_prices({"url_template": candle_server + "/candles/{key}",
+                      "key_map": {"BTC": "BTC-USD", "DOGE": "DOGE-USD"}})
+    assert len(_CandleHandler.requested) == served
+
+
+def test_fetch_waits_the_configured_delay(candle_server, monkeypatch):
+    slept = []
+    monkeypatch.setattr("dfcflow.market.time.sleep", slept.append)
+    fetch_prices({"url_template": candle_server + "/candles/{key}",
+                  "key_map": {"BTC": "BTC-USD", "ETH": "ETH-USD"}, "delay_seconds": 0.25})
+    assert slept == [0.25, 0.25]

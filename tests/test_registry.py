@@ -54,8 +54,8 @@ def test_shipped_registry_satisfies_invariants():
         elif rule.kind in ("collateral_deposit", "collateral_withdraw",
                            "debt_create", "debt_repay"):
             assert rule.protocol in ("Aave", "Compound", "Maker")
-    for protocol in registry.contract_protocol.values():
-        assert protocol in PROTOCOLS
+    for rule in registry.rules.values():
+        assert rule.protocol in PROTOCOLS or rule.kind == "approval"
     # every token resolves to a defined currency with a valid price key
     for token, symbol in registry.tokens.items():
         currency = registry.currencies[symbol]
@@ -69,6 +69,23 @@ def test_shipped_registry_signature_strings_are_documented():
         for contract in protocol["contracts"].values():
             for event in contract["events"]:
                 assert event["signature"], "topic0 constants must carry signatures"
+
+
+def test_shipped_registry_topics_hash_their_signatures():
+    # tools/keccak256.py derived the constants; Maker's DSNote join/exit
+    # logs carry the function selector, left-aligned, instead of an event topic
+    from tools.keccak256 import event_topic, selector_topic
+
+    with open(REGISTRY_PATH, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    events = [(protocol, event) for protocol, pdoc in doc["protocols"].items()
+              for cdoc in pdoc["contracts"].values() for event in cdoc["events"]]
+    assert len(events) == 46
+    for protocol, event in events + [("ERC20", doc["approvals"])]:
+        signature = event["signature"]
+        dsnote = protocol == "Maker" and signature.startswith(("join(", "exit("))
+        topic = (selector_topic if dsnote else event_topic)(signature)
+        assert event["topic0"] == topic, signature
 
 
 def test_minimal_doc_loads():

@@ -14,8 +14,10 @@ from dfcflow.report import (
     MonthlyDfcRow,
     lagged_correlations,
     monthly_dfc_rows,
+    _decimal,
     pearson,
     protocol_breakdown,
+    write_breakdown_csv,
     write_monthly_csv,
 )
 from dfcflow.util import SCALE
@@ -51,7 +53,7 @@ def test_monthly_row_basic_percentage():
     (row,) = rows
     assert row.month == "2020-05"
     assert row.total_usd == 246 * M * SCALE
-    assert row.debt_pct == F(100 * 3, 246)  # prints as 1.2
+    assert (row.debt_usd, row.nondebt_usd) == (3 * M * SCALE, 243 * M * SCALE)  # 1.2%
 
 
 def test_monthly_csv_prints_like_the_summary_table(tmp_path):
@@ -79,7 +81,6 @@ def test_zero_deposit_month_emits_zeros_and_null_pct(tmp_path):
     rows = monthly_dfc_rows(records)
     assert [r.month for r in rows] == ["2020-05", "2020-06", "2020-07"]
     assert rows[1].total_usd == 0
-    assert rows[1].debt_pct is None
     path = tmp_path / "monthly.csv"
     write_monthly_csv(path, rows)
     assert path.read_text().splitlines()[2] == "2020-06,0,0,0,"
@@ -106,17 +107,19 @@ def test_row_sums_equal_ledger_total_exactly():
 def test_breakdown_single_protocol_equals_aggregate():
     records = [flow(month_ts(2020, 5), 30, 70)]
     cells = protocol_breakdown(records)
-    assert cells == [("2020-05", "Compound", F(30))]
+    assert cells == [("2020-05", "Compound", 30 * SCALE, 100 * SCALE)]
 
 
-def test_breakdown_null_cell_for_protocol_without_deposits():
+def test_breakdown_null_cell_for_protocol_without_deposits(tmp_path):
     records = [
         flow(month_ts(2020, 5), 30, 70, protocol="Compound"),
         flow(month_ts(2020, 5), 10, 10, protocol="Aave", kind="collateral_withdraw"),
     ]
     cells = protocol_breakdown(records)
-    assert ("2020-05", "Aave", None) in cells
-    assert ("2020-05", "Compound", F(30)) in cells
+    assert cells == [("2020-05", "Aave", 0, 0), ("2020-05", "Compound", 30 * SCALE, 100 * SCALE)]
+    path = tmp_path / "breakdown.csv"
+    write_breakdown_csv(path, cells)
+    assert path.read_text().splitlines()[1:] == ["2020-05,Aave,", "2020-05,Compound,30.0"]
 
 
 def test_breakdown_is_per_protocol():
@@ -124,9 +127,9 @@ def test_breakdown_is_per_protocol():
         flow(month_ts(2020, 5), 20, 80, protocol="Aave"),
         flow(month_ts(2020, 5), 60, 40, protocol="Compound"),
     ]
-    cells = dict(((m, p), pct) for m, p, pct in protocol_breakdown(records))
-    assert cells[("2020-05", "Aave")] == F(20)
-    assert cells[("2020-05", "Compound")] == F(60)
+    cells = {(m, p): (debt, total) for m, p, debt, total in protocol_breakdown(records)}
+    assert cells[("2020-05", "Aave")] == (20 * SCALE, 100 * SCALE)
+    assert cells[("2020-05", "Compound")] == (60 * SCALE, 100 * SCALE)
 
 
 def test_deposits_either_side_of_a_month_boundary_keep_their_months():
@@ -137,8 +140,31 @@ def test_deposits_either_side_of_a_month_boundary_keep_their_months():
         MonthlyDfcRow("2020-08", 8 * SCALE, 10 * SCALE),
     ]
     assert protocol_breakdown(records) == [
-        ("2020-07", "Compound", F(100, 3)), ("2020-08", "Compound", F(800, 18)),
+        ("2020-07", "Compound", 1 * SCALE, 3 * SCALE),
+        ("2020-08", "Compound", 8 * SCALE, 18 * SCALE),
     ]
+
+
+def _decimal_reference(num, den, places):
+    """`Fraction` rounding, half to even, with the sign of `num`."""
+    digits = f"{round(F(abs(num), den) * 10**places):0{places + 1}d}"
+    text = f"{digits[:-places]}.{digits[-places:]}" if places else digits
+    return "-" + text if num < 0 else text
+
+
+@given(st.integers(-10**40, 10**40), st.integers(1, 10**40), st.integers(0, 3))
+def test_decimal_rounds_like_fraction(num, den, places):
+    assert _decimal(num, den, places) == _decimal_reference(num, den, places)
+
+
+def test_decimal_ties_go_to_even_and_keep_the_sign():
+    for num in range(-400, 401):
+        for den in (1, 2, 4, 8, 20, 40, 200, 2 * SCALE):
+            for places in (0, 1, 2):
+                assert _decimal(num, den, places) == _decimal_reference(num, den, places)
+    assert [_decimal(n, 2, 0) for n in (1, 3, 5, -1, -3)] == ["0", "2", "2", "-0", "-2"]
+    assert _decimal(-1, 100, 1) == "-0.0"
+    assert _decimal(5, 0, 1) == ""
 
 
 # --- pearson --------------------------------------------------------------------
@@ -327,7 +353,8 @@ def test_perfectly_predictive_price_change_gives_r_one():
         delta = run_hours.get(h + 1)
         step = F(str(delta)) if delta is not None else F(0)
         changes[h] = step
-        price = price * (1 + step)
+        # a price is a decimal of at most 36 places, so the compounded path is rounded
+        price = round(price * (1 + step), 12)
 
     for day, deltas in enumerate(day_deltas):
         for i in range(len(deltas) + 1):

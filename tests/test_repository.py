@@ -36,6 +36,9 @@ def test_cited_docs_exist_and_only_tables_imports_csv():
     assert sorted(doc for doc in cited if not (REPO_ROOT / doc).is_file()) == []
 
     assert _importers("csv") == ["dfcflow/tables.py"]
+    # numeric cells are decimals and the report rounds in ints: only
+    # `PriceSeries.price_at` and the synthetic generators build a Fraction
+    assert _importers("fractions") == ["dfcflow/market.py", "dfcflow/synth.py"]
 
 
 def test_no_source_file_imports_requests():

@@ -1,5 +1,3 @@
-from fractions import Fraction as F
-
 import pytest
 
 from dfcflow import cluster, decode, ledger, synth
@@ -49,7 +47,7 @@ def partition():
 def prices():
     return PriceSeries(point for i in range(3) for point in (
         ("ETH", T0 + i * HOUR, 20_000 + i, 100),
-        ("USDT", T0 + i * DAY, *(F(1, 3) + i).as_integer_ratio()),
+        ("USDT", T0 + i * DAY, i * U + 1, U),  # all 36 decimals
     ))
 
 

@@ -1,8 +1,9 @@
 """Minimal keccak-256 (legacy 0x01 padding, as used by Ethereum).
 
 Development tool only: used to derive the event-topic constants checked into
-config/registry.json. Not imported by the package. hashlib's sha3_256 uses
-NIST padding (0x06) and produces different digests, hence this file.
+config/registry.json, and by tests/test_registry.py to check them. Not
+imported by the package. hashlib's sha3_256 uses NIST padding (0x06) and
+produces different digests, hence this file.
 
 Self-checks at import time against four independently published event topics.
 """
