@@ -381,11 +381,9 @@ def main(argv=None) -> int:
     return COMMANDS[stage][1]
 
 
-# the stages whose writes a forked run hands to a writer process
+# the stages whose writes a forked run hands to a writer of their own,
+# forked as soon as the stage returns
 WRITER_STAGES = frozenset({"ingest", "decode", "track"})
-# the stages whose writes wait for the writer of the next stage: `decode`
-# reads every `RawLog`, and no child should share those pages then
-CARRIED_STAGES = frozenset({"ingest"})
 
 
 def run_stages(cfg: PipelineConfig, stages, quiet: bool = False) -> tuple[str, DfcError] | None:
@@ -397,10 +395,12 @@ def run_stages(cfg: PipelineConfig, stages, quiet: bool = False) -> tuple[str, D
 
     A run of several stages, where `background.can_fork()`, forks a price
     reader first, whose result stands in for the `prices` loader, and
-    hands the writes of `WRITER_STAGES` to forked writers; otherwise each
-    stage's outputs are written when it returns.  Gives the earliest
-    failed stage and its error, or None; an error that is not a
-    `DfcError` is re-raised once every worker has been joined.
+    forks one writer for each stage of `WRITER_STAGES` when it returns;
+    the writers are joined, and their status lines printed, after the
+    last stage.  Otherwise each stage's outputs are written when it
+    returns.  Gives the earliest failed stage and its error, or None; an
+    error that is not a `DfcError` is re-raised once every worker has
+    been joined.
     """
     say = (lambda line: None) if quiet else print
     loaders = {name: partial(load, cfg) for name, load in INPUTS.items()}
@@ -424,8 +424,7 @@ def run_stages(cfg: PipelineConfig, stages, quiet: bool = False) -> tuple[str, D
 
         if not background.can_fork():
             background = None
-    writers: list = []  # (the first stage it writes for, forked writer), in stage order
-    pending: list = []  # (stage, write) pairs that the next writer takes
+    writers: list = []  # (stage, its forked writer), in stage order
     prices = failure = written = None  # the failed stage, the earliest failed writer
     try:
         if background is not None:
@@ -437,31 +436,27 @@ def run_stages(cfg: PipelineConfig, stages, quiet: bool = False) -> tuple[str, D
                 say(line)
                 names = [name for name, row in OUTPUTS.items() if row[1] == stage]
                 values.update(zip(names, outputs, strict=True))
-                writes = [(stage, partial(write_checkpoint, cfg.output / OUTPUTS[name][0],
-                                          _lookup(OUTPUTS[name][2]), values[name]))
+                writes = [partial(write_checkpoint, cfg.output / OUTPUTS[name][0],
+                                  _lookup(OUTPUTS[name][2]), values[name])
                           for name in names]
                 if background is not None and stage in WRITER_STAGES:
-                    pending += writes
+                    writers.append((stage, background.Worker(background.write_all, writes)))
                 else:
-                    for _, write in writes:
+                    for write in writes:
                         say(write())
             except BaseException as exc:  # re-raised below unless a DfcError
                 failure = stage, exc
                 break
-            if pending and stage not in CARRIED_STAGES:
-                writers.append((pending[0][0], background.Worker(background.write_all, pending)))
-                pending = []
-        if pending:
-            writers.append((pending[0][0], background.Worker(background.write_all, pending)))
-        for first, writer in writers:
+        for stage, writer in writers:
             try:
                 lines, error = writer.result()
             except BaseException as exc:  # re-raised below unless a DfcError
-                lines, error = [], (first, exc)
+                lines, error = [], exc
             if written is None:
                 for line in lines:
                     say(line)
-                written = error
+                if error is not None:
+                    written = stage, error
     finally:  # a no-op for the workers already joined
         for worker in (prices, *(writer for _, writer in writers)):
             if worker is not None:

@@ -188,12 +188,13 @@ PRICES = Table(("price_key", "timestamp", "price_usd"), from_row=_price_row)
 def fetch_prices(fetch_config: dict) -> PriceSeries:
     """Pull candles from a configured HTTP endpoint into a PriceSeries.
 
-    Config keys: url_template (with {key}, {start}, {end} placeholders),
-    key_map (price key -> endpoint symbol), start, end (UTC seconds),
-    optional timestamp_field / price_field (indexes into each candle row,
-    integers >= 0, defaults 0 and 3), optional delay_seconds between
-    requests (a number >= 0); a bad one raises ConfigError before any
-    request.  A candle is read as a price-file row: its timestamp must be
+    Config keys: url_template (a string whose only fields are {key},
+    {start} and {end}), key_map (price key -> endpoint symbol), start and
+    end (UTC seconds, integers >= 0, required when the template names
+    them), optional timestamp_field / price_field (indexes into each
+    candle row, integers >= 0, defaults 0 and 3), optional delay_seconds
+    between requests (a number >= 0); a bad one raises ConfigError before
+    any request.  A candle is read as a price-file row: its timestamp must be
     a JSON integer and `str` of its price a price cell.  The requests and
     their errors (PriceFetchError, naming the key and the URL) are
     described under prices.csv in docs/file_formats.md.
@@ -202,27 +203,44 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
     key_map = fetch_config.get("key_map")
     if not template or not isinstance(key_map, dict):
         raise ConfigError("price fetch config needs url_template and key_map")
+    # loaded only when prices are fetched
+    import http.client
+    import string
+    import urllib.error
+    import urllib.request
+
+    try:
+        fields = {name for _, name, _, _ in string.Formatter().parse(template)
+                  if name is not None}
+    except (TypeError, ValueError):  # not a string, or unbalanced braces
+        fields = None
+    if fields is None or not fields <= {"key", "start", "end"}:
+        raise ConfigError("price_fetch url_template must be a string naming only"
+                          f" {{key}}, {{start}} and {{end}}, got {template!r}")
     ts_field = fetch_config.get("timestamp_field", 0)
     price_field = fetch_config.get("price_field", 3)
     delay = fetch_config.get("delay_seconds", 0)
+    start = fetch_config.get("start")
+    end = fetch_config.get("end")
     unknown = sorted(set(key_map) - GRANULARITY.keys())
     if unknown:
         raise ConfigError(f"unknown price key {unknown[0]!r}")
-    for name, value in (("timestamp_field", ts_field), ("price_field", price_field)):
+    integers = [("timestamp_field", ts_field), ("price_field", price_field)]
+    integers += [(name, value) for name, value in (("start", start), ("end", end))
+                 if name in fields]
+    for name, value in integers:
         if type(value) is not int or value < 0:
             raise ConfigError(f"price_fetch {name} must be an integer >= 0, got {value!r}")
     if type(delay) not in (int, float) or not 0 <= delay < math.inf:
         raise ConfigError(f"price_fetch delay_seconds must be a number >= 0, got {delay!r}")
-    start = fetch_config.get("start")
-    end = fetch_config.get("end")
-    # loaded only when prices are fetched
-    import http.client
-    import urllib.error
-    import urllib.request
+    try:  # a format spec can still fail, as in {key:d}
+        urls = [(key, template.format(key=key_map[key], start=start, end=end))
+                for key in sorted(key_map)]
+    except (LookupError, ValueError) as exc:
+        raise ConfigError(f"price_fetch url_template {template!r} cannot be filled: {exc}") from exc
 
     points: list[tuple[str, int, int, int]] = []
-    for key in sorted(key_map):
-        url = template.format(key=key_map[key], start=start, end=end)
+    for key, url in urls:
         try:
             with urllib.request.urlopen(url, timeout=30) as response:
                 candles = json.loads(response.read())

@@ -50,7 +50,7 @@ class Locator(NamedTuple):
         if not isinstance(obj, dict) or len(obj) != 1:
             raise ConfigError(f"{where}: locator must be {{\"topic\": i}} or {{\"data\": offset}}")
         (source, index), = obj.items()
-        if source not in ("topic", "data") or not isinstance(index, int) or index < 0:
+        if source not in ("topic", "data") or type(index) is not int or index < 0:
             raise ConfigError(f"{where}: bad locator {obj!r}")
         if source == "topic" and index > 3:
             raise ConfigError(f"{where}: topic index {index} out of range 0..3")
@@ -134,20 +134,30 @@ class ContractRegistry:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ContractRegistry":
+        doc = _object(doc, where="registry")
         currencies = _parse_currencies(doc.get("currencies"))
         tokens = _parse_tokens(doc.get("tokens"), currencies)
 
         rules: dict[tuple[bytes, bytes], EventRule] = {}
         contracts: set[bytes] = set()
-        for protocol, pdoc in (doc.get("protocols") or {}).items():
+        pdocs = _object(doc.get("protocols"), where="protocols", optional=True)
+        for protocol, pdoc in pdocs.items():
             if protocol not in PROTOCOLS:
                 raise ConfigError(f"unknown protocol {protocol!r}")
-            for addr_hex, cdoc in (pdoc.get("contracts") or {}).items():
+            pdoc = _object(pdoc, where=f"protocols.{protocol}")
+            cdocs = _object(pdoc.get("contracts"), where=f"protocols.{protocol}.contracts",
+                            optional=True)
+            for addr_hex, cdoc in cdocs.items():
                 contract = _addr(addr_hex, where=f"{protocol} contract")
                 if contract in contracts:
                     raise ConfigError(f"contract {addr_hex} listed twice")
                 contracts.add(contract)
-                for edoc in cdoc.get("events", []):
+                where = f"{protocol} contract {addr_hex}"
+                events = _object(cdoc, where=where).get("events", [])
+                if not isinstance(events, list):
+                    raise ConfigError(f"{where}: events must be a JSON array")
+                for i, edoc in enumerate(events):
+                    edoc = _object(edoc, where=f"{where} event {i}")
                     rule = _parse_event_rule(protocol, contract, edoc, currencies)
                     key = (contract, rule.topic0)
                     if key in rules:
@@ -165,6 +175,16 @@ class ContractRegistry:
         return cls(currencies=currencies, tokens=tokens, rules=rules)
 
 
+def _object(obj, *, where: str, optional: bool = False) -> dict:
+    """`obj`, which must be a JSON object; an `optional` one may be absent
+    and then reads as empty."""
+    if optional and obj is None:
+        return {}
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {json.dumps(obj, default=repr):.40}")
+    return obj
+
+
 def _addr(value, *, where: str) -> bytes:
     try:
         return parse_hex(value, expected_bytes=20)
@@ -180,15 +200,16 @@ def _topic(value, *, where: str) -> bytes:
 
 
 def _parse_currencies(obj) -> dict[str, Currency]:
-    if not obj:
+    if not _object(obj, where="currencies", optional=True):
         raise ConfigError("registry is missing the currencies table")
     out = {}
     for symbol, cdoc in obj.items():
         if symbol not in CURRENCIES:
             raise ConfigError(f"currency {symbol!r} is outside the supported set")
+        cdoc = _object(cdoc, where=f"currencies.{symbol}")
         decimals = cdoc.get("decimals")
         price_key = cdoc.get("price_key")
-        if not isinstance(decimals, int) or not 0 <= decimals <= 18:
+        if type(decimals) is not int or not 0 <= decimals <= 18:  # not true/false
             raise ConfigError(f"{symbol}: decimals must be an integer in [0, 18]")
         if price_key not in PRICE_KEYS:
             raise ConfigError(f"{symbol}: unknown price key {price_key!r}")
@@ -198,8 +219,8 @@ def _parse_currencies(obj) -> dict[str, Currency]:
 
 def _parse_tokens(obj, currencies) -> dict[bytes, str]:
     out = {}
-    for addr_hex, symbol in (obj or {}).items():
-        if symbol not in currencies:
+    for addr_hex, symbol in _object(obj, where="tokens", optional=True).items():
+        if not isinstance(symbol, str) or symbol not in currencies:
             raise ConfigError(f"token {addr_hex} maps to undefined currency {symbol!r}")
         out[_addr(addr_hex, where="token")] = symbol
     return out
@@ -271,7 +292,7 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
     token_loc = currency.get("token")
     if (fixed is None) == (token_loc is None):
         raise ConfigError(f"{where}: currency rule needs exactly one of fixed/token")
-    if fixed is not None and fixed not in currencies:
+    if fixed is not None and (not isinstance(fixed, str) or fixed not in currencies):
         raise ConfigError(f"{where}: fixed currency {fixed!r} not in currency table")
     return EventRule(
         **base,
@@ -288,9 +309,9 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
 
 
 def _approval_rules(obj, tokens) -> list[EventRule]:
-    if not obj:
-        return []
     where = "approvals"
+    if not _object(obj, where=where, optional=True):
+        return []
     topic0 = _topic(obj.get("topic0"), where=where)
     signature = obj.get("signature", "")
     owner = Locator.from_json(obj.get("owner"), where=f"{where}.owner")

@@ -9,7 +9,7 @@ import threading
 
 import pytest
 
-from dfcflow import background
+from dfcflow import background, cli
 from dfcflow.cli import main
 
 from tests.conftest import DATA_DIR
@@ -18,15 +18,16 @@ from tests.test_cli import ALL_OUTPUTS, write_config
 MODES = ("fork", "inline")
 
 
-def run_all(monkeypatch, capsys, config, mode):
-    """`dfcflow all` in `mode`: its exit code, stdout and stderr.  Fails if
-    a child process of the run is left."""
+def run_all(monkeypatch, capsys, config, mode, forks=None):
+    """`dfcflow all` in `mode`: its exit code, stdout and stderr.  Each fork
+    appends "fork" to `forks`.  Fails if a child process of the run is
+    left."""
     capsys.readouterr()
-    forks = []
+    forks = [] if forks is None else forks
     fork = os.fork
 
     def counting_fork():
-        forks.append(None)
+        forks.append("fork")
         return fork()
 
     with monkeypatch.context() as patch:
@@ -54,6 +55,22 @@ def test_fork_and_inline_write_the_same_bytes_and_lines(tmp_path, monkeypatch, c
     assert sorted(p.name for p in (tmp_path / "fork").iterdir()) == sorted(ALL_OUTPUTS)
     for name in ALL_OUTPUTS:
         assert (tmp_path / "fork" / name).read_bytes() == (tmp_path / "inline" / name).read_bytes()
+
+
+def test_one_price_reader_and_one_writer_per_writer_stage(tmp_path, monkeypatch, capsys):
+    events, decode = [], cli.STAGE_FUNCTIONS["decode"]
+
+    def stage(*inputs):
+        events.append("decode")
+        return decode(*inputs)
+
+    monkeypatch.setitem(cli.STAGE_FUNCTIONS, "decode", stage)
+    config = write_config(tmp_path, tmp_path / "out")
+    code, _, err = run_all(monkeypatch, capsys, config, "fork", events)
+    assert code == 0 and err == ""
+    assert cli.WRITER_STAGES == {"ingest", "decode", "track"}
+    # the price reader and ingest's writer, then the writers of decode and track
+    assert events == ["fork", "fork", "decode", "fork", "fork"]
 
 
 @pytest.mark.parametrize("enabled", (True, False))

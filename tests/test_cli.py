@@ -16,7 +16,7 @@ from dfcflow.market import HOUR, PriceSeries
 from dfcflow.registry import ContractRegistry
 
 from tests.conftest import DATA_DIR, GOLDEN_DIR, REGISTRY_PATH, REPO_ROOT
-from tests.test_market import T0, candle_server  # noqa: F401 (a fixture)
+from tests.test_market import T0, _CandleHandler, candle_server  # noqa: F401 (a fixture)
 from tools.gen_fixture import generate_fixture, main as gen_fixture_main
 
 REPORT_FILES = (
@@ -228,7 +228,9 @@ def test_stage_outputs_are_written_after_the_stage_returns(tmp_path, monkeypatch
 
     monkeypatch.setitem(cli.STAGE_FUNCTIONS, "decode", stage)
     assert run(command, "--config", config, "--quiet") == 0
-    assert seen == [["logs.jsonl"]]
+    # under `all`, ingest's forked writer may be renewing `logs.jsonl` meanwhile
+    assert len(seen) == 1 and "logs.jsonl" in seen[0]
+    assert set(seen[0]) <= {"logs.jsonl", "logs.jsonl.tmp"}
     assert {"events.csv", "vaults.csv", "approvals.csv"} <= {p.name for p in out.iterdir()}
 
 
@@ -485,6 +487,19 @@ def test_unreachable_candle_endpoint_fails_fetch_prices(tmp_path, capsys, reply,
     assert err.count("\n") == 1
     assert err.startswith(f"fetch-prices: error: BTC candles from {url}/BTC-USD: ")
     assert reason in err
+    assert not (tmp_path / "out" / "prices.csv").exists()
+
+
+def test_bad_candle_template_fails_fetch_prices_with_one_line(tmp_path, capsys, candle_server):
+    served = len(_CandleHandler.requested)
+    config = write_config(tmp_path, tmp_path / "out", prices=None, price_fetch={
+        "url_template": candle_server + "/candles/{key}?start={start}",
+        "key_map": {"BTC": "BTC-USD"},
+    })
+    assert run("fetch-prices", "--config", config, "--quiet") == 3
+    assert capsys.readouterr().err == (
+        "fetch-prices: error: price_fetch start must be an integer >= 0, got None\n")
+    assert len(_CandleHandler.requested) == served
     assert not (tmp_path / "out" / "prices.csv").exists()
 
 

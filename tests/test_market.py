@@ -336,13 +336,29 @@ def test_candle_outside_the_price_grammar_names_the_key_and_url(candle_server, s
     ("timestamp_field", 1.0, "an integer >= 0"),
     ("price_field", "3", "an integer >= 0"),
     ("price_field", False, "an integer >= 0"),
+    ("start", None, "an integer >= 0"),
+    ("start", True, "an integer >= 0"),
+    ("end", -1, "an integer >= 0"),
+    ("end", str(T0), "an integer >= 0"),
+    *(("url_template", template, "a string naming only {key}, {start} and {end}")
+      for template in (5, "/candles/{symbol}", "/candles/{key", "/candles/{0}",
+                       "/candles/{key.upper}")),
 ])
 def test_fetch_settings_are_checked_before_any_request(candle_server, field, value, expected):
     served = len(_CandleHandler.requested)
     with pytest.raises(ConfigError) as info:
-        fetch_prices({"url_template": candle_server + "/candles/{key}",
-                      "key_map": {"BTC": "BTC-USD", "ETH": "ETH-USD"}, field: value})
+        fetch_prices({"url_template": candle_server + "/candles/{key}?start={start}&end={end}",
+                      "key_map": {"BTC": "BTC-USD", "ETH": "ETH-USD"},
+                      "start": T0, "end": T0 + 3 * HOUR, field: value})
     assert str(info.value) == f"price_fetch {field} must be {expected}, got {value!r}"
+    assert len(_CandleHandler.requested) == served
+
+
+def test_template_whose_format_spec_fails_is_rejected_before_any_request(candle_server):
+    served = len(_CandleHandler.requested)
+    with pytest.raises(ConfigError, match="^price_fetch url_template .* cannot be filled: "):
+        fetch_prices({"url_template": candle_server + "/candles/{key:d}",
+                      "key_map": {"BTC": "BTC-USD"}})
     assert len(_CandleHandler.requested) == served
 
 

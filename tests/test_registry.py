@@ -5,10 +5,12 @@ import pickle
 import pytest
 
 from dfcflow import decode, ingest
+from dfcflow.cli import main
 from dfcflow.errors import ConfigError
 from dfcflow.registry import ContractRegistry, CURRENCIES, PROTOCOLS
 
 from tests.conftest import DATA_DIR, REGISTRY_PATH, topics_for
+from tests.test_cli import write_config
 
 POOL = "0x" + "aa" * 20
 TOKEN = "0x" + "bb" * 20
@@ -279,3 +281,65 @@ def test_approvals_section_generates_per_token_rules():
     token = bytes.fromhex(TOKEN[2:])
     rule = registry.rules.get((token, bytes.fromhex("33" * 32)))
     assert rule is not None and rule.kind == "approval"
+
+
+CONTRACT = ("protocols", "Aave", "contracts", POOL)
+EVENT = CONTRACT + ("events", 0)
+
+
+def replaced(value, *path):
+    """The minimal doc with `value` at `path`; no path replaces the doc."""
+    def make():
+        doc = minimal_doc()
+        if not path:
+            return value
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return doc
+    return make
+
+
+# name -> (a doc with one part of the wrong JSON shape or type, the start
+# of its error)
+MALFORMED = {
+    "document": (replaced([1]), "registry must be a JSON object, got [1]"),
+    "currencies": (replaced([1], "currencies"), "currencies must be a JSON object"),
+    "currency": (replaced(18, "currencies", "DAI"), "currencies.DAI must be a JSON object"),
+    "tokens": (replaced([TOKEN], "tokens"), "tokens must be a JSON object"),
+    "protocols": (replaced([], "protocols"), "protocols must be a JSON object"),
+    "protocol": (replaced([], "protocols", "Aave"), "protocols.Aave must be a JSON object"),
+    "contracts": (replaced([POOL], *CONTRACT[:3]), "protocols.Aave.contracts must be a JSON"),
+    "contract": (replaced("cDAI", *CONTRACT), f"Aave contract {POOL} must be a JSON object"),
+    "events": (replaced({}, *CONTRACT, "events"), f"Aave contract {POOL}: events must be"),
+    "event": (replaced("Borrow", *EVENT), f"Aave contract {POOL} event 0 must be a JSON"),
+    "approvals": (replaced([1], "approvals"), "approvals must be a JSON object, got [1]"),
+    "token-symbol": (replaced(["DAI"], "tokens", TOKEN), f"token {TOKEN} maps to undefined"),
+    "fixed-currency": (replaced({"fixed": ["DAI"]}, *EVENT, "currency"),
+                       "Aave/Borrow(...): fixed currency ['DAI'] not in"),
+    "decimals-bool": (replaced(True, "currencies", "DAI", "decimals"),
+                      "DAI: decimals must be an integer"),
+    "topic-bool": (replaced({"topic": True}, *EVENT, "actor"),
+                   "Aave/Borrow(...).actor: bad locator {'topic': True}"),
+    "data-bool": (replaced({"data": False}, *EVENT, "amount"),
+                  "Aave/Borrow(...).amount: bad locator {'data': False}"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_registry_is_a_config_error(name):
+    make, start = MALFORMED[name]
+    with pytest.raises(ConfigError) as err:
+        ContractRegistry.from_dict(make())
+    assert str(err.value).startswith(start)
+
+
+def test_malformed_registry_fails_ingest_with_one_line(tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps(MALFORMED["approvals"][0]()))
+    config = write_config(tmp_path, tmp_path / "out", registry=str(registry))
+    assert main(["ingest", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == (
+        "ingest: error: approvals must be a JSON object, got [1]\n")
