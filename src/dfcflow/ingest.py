@@ -13,6 +13,7 @@ two logs compare equal field by field.
 
 from __future__ import annotations
 
+import binascii
 import json
 from itertools import islice
 from operator import itemgetter
@@ -37,10 +38,18 @@ FIXTURE_FIELDS = (
     "log_index",
 )
 
+_fixture_fields = itemgetter(*FIXTURE_FIELDS)
+_unhex = binascii.a2b_hex  # unlike bytes.fromhex, it rejects whitespace
+_new_log = tuple.__new__  # a RawLog from a tuple, past NamedTuple's Python `__new__`
+
+# the JSON name of a type `json.loads` gives, for errors
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number",
+               bool: "boolean", type(None): "null"}
+
 
 def decode_hex_fields(tx_hash, address, topics, data):
-    """(tx_hash, address, topics, data) of one log as bytes, from one
-    `bytes.fromhex` over the joined hex bodies.
+    """(tx_hash, address, topics, data) of one log as bytes, each field
+    decoded once with `binascii.a2b_hex`.
 
     Gives None unless every field is a 0x-prefixed string of its size (32
     bytes, 20 bytes, 32 bytes per topic, whole bytes of data) holding only
@@ -48,23 +57,17 @@ def decode_hex_fields(tx_hash, address, topics, data):
     for the error message.
     """
     try:
-        if not (len(tx_hash) == 66 and len(address) == 42 and len(data) % 2 == 0
+        if not (len(tx_hash) == 66 and len(address) == 42
                 and tx_hash[:2] == address[:2] == data[:2] == "0x"):
             return None
-        bodies = [tx_hash[2:], address[2:]]
+        words = []
         for topic in topics:
             if len(topic) != 66 or topic[:2] != "0x":
                 return None
-            bodies.append(topic[2:])
-        bodies.append(data[2:])
-        joined = "".join(bodies)
-        raw = bytes.fromhex(joined)
-    except (KeyError, TypeError, ValueError):  # a field that is not a string, or not hex
+            words.append(_unhex(topic[2:]))
+        return _unhex(tx_hash[2:]), _unhex(address[2:]), tuple(words), _unhex(data[2:])
+    except (TypeError, ValueError):  # a field that is not a string, or not hex
         return None
-    if 2 * len(raw) != len(joined):  # fromhex skipped whitespace
-        return None
-    end = 52 + 32 * len(topics)
-    return raw[:32], raw[32:52], tuple([raw[i:i + 32] for i in range(52, end, 32)]), raw[end:]
 
 
 class RawLog(NamedTuple):
@@ -104,17 +107,23 @@ class RawLog(NamedTuple):
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RawLog":
-        missing = [f for f in FIXTURE_FIELDS if f not in obj]
-        if missing:
-            raise ValueError(f"missing fields {missing}")
-        topics = obj["topics"]
+        """The log of one fixture object.  The checks run in a fixed order
+        and the first that fails names the fault."""
+        if not isinstance(obj, dict):
+            kind = _JSON_TYPES.get(type(obj), type(obj).__name__)
+            raise ValueError(f"a log must be a JSON object, got {kind}")
+        try:
+            block_number, timestamp, tx_hash, address, topics, data, log_index = (
+                _fixture_fields(obj))
+        except KeyError:
+            missing = [f for f in FIXTURE_FIELDS if f not in obj]
+            raise ValueError(f"missing fields {missing}") from None
         if not isinstance(topics, list) or len(topics) > 4:
             raise ValueError("topics must be a list of at most 4 items")
         for name in ("block_number", "timestamp", "log_index"):
             # JSON true/false are ints to Python; reject them here
             if type(obj[name]) is not int or obj[name] < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        tx_hash, address, data = obj["tx_hash"], obj["address"], obj["data"]
         fields = decode_hex_fields(tx_hash, address, topics, data)
         if fields is None:  # field by field, for parse_hex's error message
             fields = (
@@ -124,8 +133,8 @@ class RawLog(NamedTuple):
                 parse_hex(data),
             )
         tx_hash, address, topics, data = fields
-        return cls(obj["block_number"], tx_hash, obj["log_index"], address, topics, data,
-                   obj["timestamp"])
+        return _new_log(cls, (block_number, tx_hash, log_index, address, topics, data,
+                              timestamp))
 
 
 class BlockRange(NamedTuple("BlockRange", [("start", int), ("end", int)])):

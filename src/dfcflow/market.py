@@ -25,13 +25,16 @@ import math
 import operator
 import time
 from bisect import bisect_right
-from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, PriceFetchError, TableError, ValuationError
 from .registry import Currency
 from .tables import Table
 from .util import PLACES, SCALE, format_fixed, parse_fixed, uint_cell_error
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 HOUR = 3600
 DAY = 86400
@@ -135,6 +138,8 @@ class PriceSeries:
 
     def price_at(self, key: str, timestamp: int) -> Fraction:
         """Latest price at or before `timestamp`, within the staleness bound."""
+        from fractions import Fraction  # here alone: no stage calls price_at
+
         return Fraction(self.units_at(key, timestamp), self._scales[key])
 
     def value_usd(self, amount: int, currency: Currency, timestamp: int) -> int:

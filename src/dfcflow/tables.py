@@ -5,11 +5,17 @@ its columns by name in the header, so extra columns and any column order
 are accepted, and it skips blank lines.  A missing or unreadable file, a
 missing column or a bad row raises `TableError`, naming the file and line;
 a byte that is not UTF-8 names the file only.
+
+`csv.reader` reads every file.  The writer joins with commas a row of
+one cell per column whose `%s` text holds no `,`, `"`, CR, LF or NUL and
+no `None`, the form `dfcflow`'s own rows take, and hands any other
+row to `csv.writer`; both give the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -34,10 +40,21 @@ class Table:
 
     def write(self, path: str | Path, values: Iterable) -> None:
         rows = values if self.to_row is None else map(self.to_row, values)
+        template = ",".join(["%s"] * len(self.columns))
+        commas = len(self.columns) - 1
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.columns)
-            writer.writerows(rows)
+            write = fh.write
+            for cells in map(tuple, chain([self.columns], rows)):
+                try:
+                    line = template % cells
+                except TypeError:  # not one cell per column
+                    line = ""
+                if (line and line.count(",") == commas and '"' not in line and "\n" not in line
+                        and "\r" not in line and "\0" not in line and "None" not in line):
+                    write(line + "\n")
+                else:
+                    writer.writerow(cells)
 
     def read(self, path: str | Path) -> list:
         try:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import inspect
 import json
 import socket
@@ -9,11 +10,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from dfcflow import cli, ingest, synth
+from dfcflow import cli, ingest, synth, tables
 from dfcflow.cli import main, write_checkpoint
 from dfcflow.errors import DfcError
 from dfcflow.market import HOUR, PriceSeries
 from dfcflow.registry import ContractRegistry
+from dfcflow.util import to_hex
 
 from tests.conftest import DATA_DIR, GOLDEN_DIR, REGISTRY_PATH, REPO_ROOT
 from tests.test_market import T0, _CandleHandler, candle_server  # noqa: F401 (a fixture)
@@ -97,6 +99,37 @@ def test_all_then_staged_identical_on_generated_link_pairs(tmp_path):
     assert int(comparison["heuristic_pairs"]) > 0
 
 
+def write_with_csv_module(table, path, values):
+    """`Table.write` by csv.writer alone."""
+    rows = values if table.to_row is None else map(table.to_row, values)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.columns)
+        writer.writerows(rows)
+
+
+def test_checkpoints_are_the_csv_and_json_modules_renderings(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert run("all", "--config", write_config(tmp_path, out), "--quiet") == 0
+    lines = (out / "logs.jsonl").read_text(encoding="utf-8").splitlines()
+    logs = ingest.load_fixture(out / "logs.jsonl")
+    assert len(lines) == len(logs) > 0
+    for line, log in zip(lines, logs):
+        obj = {"block_number": log.block_number, "timestamp": log.timestamp,
+               "tx_hash": to_hex(log.tx_hash), "address": to_hex(log.contract_address),
+               "topics": [to_hex(topic) for topic in log.topics], "data": to_hex(log.data),
+               "log_index": log.log_index}
+        assert line == json.dumps(obj, separators=(",", ":"))
+    # each CSV checkpoint, read back and written again by csv.writer
+    monkeypatch.setattr(tables.Table, "write", write_with_csv_module)
+    for file, _, writer, reader in cli.OUTPUTS.values():
+        if file in CHECKPOINT_FILES and file.endswith(".csv"):
+            expected = tmp_path / file
+            cli._lookup(writer)(expected, cli._lookup(reader)(out / file))
+            assert (out / file).read_bytes() == expected.read_bytes(), file
+            assert len(expected.read_bytes().splitlines()) > 1, file
+
+
 def test_repeated_fixture_lines_are_dropped_at_ingest(tmp_path):
     lines = (DATA_DIR / "fixture_logs.jsonl").read_text().splitlines()
     for lineno in (400, 200, 50):
@@ -164,7 +197,8 @@ def test_cli_import_loads_no_scipy_numpy_or_requests(tmp_path):
 def test_all_on_a_fixture_loads_neither_rpc_nor_dataclasses(tmp_path):
     _, after_all = loaded_modules(tmp_path, "all")
     assert "dfcflow.report" in after_all and (tmp_path / "out" / "summary.csv").exists()
-    unused = {"dataclasses", "inspect", "dfcflow.rpc", "http.client"}
+    # `fractions` only for `PriceSeries.price_at`, which no stage calls
+    unused = {"dataclasses", "inspect", "dfcflow.rpc", "http.client", "fractions"}
     assert sorted(unused & after_all) == []
 
 

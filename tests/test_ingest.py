@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfcflow.errors import ConflictingLogError, TableError
 from dfcflow.ingest import (
+    FIXTURE_FIELDS,
     BlockRange,
     RawLog,
     filter_logs,
@@ -98,6 +100,12 @@ def test_whitespace_inside_hex_is_a_parse_error(tmp_path, field, value):
     ("{} {}", "Extra data: line 1 column 4 (char 3)"),
     ("[1] x", "Extra data: line 1 column 5 (char 4)"),
     ("nul", "Expecting value: line 1 column 1 (char 0)"),
+    # JSON, but not an object
+    ("5", "a log must be a JSON object, got number"),
+    ("null", "a log must be a JSON object, got null"),
+    ('"block_number timestamp tx_hash address topics data log_index"',
+     "a log must be a JSON object, got string"),
+    ("[1,2]", "a log must be a JSON object, got array"),
 ])
 def test_invalid_json_keeps_the_json_message(tmp_path, text, message):
     path = tmp_path / "bad.jsonl"
@@ -370,3 +378,131 @@ def test_json_line_is_compact_json_dumps(block, timestamp, log_index, tx_hash, a
     assert line == json.dumps(obj, separators=(",", ":"))
     assert RawLog.from_json_obj(json.loads(line)) == log
     assert serialize_fixture([log, log]) == line + "\n" + line + "\n"
+
+
+WORD = "0x" + "ab" * 32
+# each kind of change to a valid fixture object: the changed fields, or
+# (for "object") what stands in for the whole object
+LINE_CHANGES = {
+    "none": [{}],
+    "negative": [{"block_number": -1}, {"timestamp": -1}, {"log_index": -1}],
+    "not-an-int": [{field: value} for field in ("block_number", "timestamp", "log_index")
+                   for value in (True, False, 1.0, "1", None)] + [{"timestamp": 2**70}],
+    "missing": [{field: None} for field in FIXTURE_FIELDS],  # deleted, not set
+    "topics": [{"topics": value} for value in (
+        None, "0x", {}, {WORD: 1}, 7, [WORD] * 5, [WORD, "0x" + "ab" * 31], [WORD, WORD + "ab"],
+        [WORD, 7], [[WORD]])],
+    "size": [{"tx_hash": "0x" + "ab" * 31}, {"tx_hash": WORD + "ab"}, {"address": "0x" + "ab" * 19},
+             {"address": "0x" + "ab" * 21}, {"data": "0xabc"}],
+    "prefix": [{field: prefix + body} for field, body in (
+        ("tx_hash", "ab" * 32), ("address", "ab" * 20), ("data", "abcd"), ("topics", ""))
+        for prefix in ("0X", "00", "x0", "")],  # a topic's: the prefix of a one-topic list
+    "hex": [{field: value} for field, value in (
+        ("tx_hash", "0x" + "ab" * 31 + "  "), ("address", "0x" + "gg" * 20),
+        ("data", "0xab cd"), ("data", "0x\u0663\u0663"), ("topics", ["0x" + "00" * 31 + "\t\t"]),
+        ("data", 7), ("address", None), ("tx_hash", ["0x"]))],
+    "drawn-hex": [],  # hex_values draws the field
+    "object": [5, None, "x", [1, 2], list(FIXTURE_FIELDS), 1.5, True],
+}
+
+
+@st.composite
+def fixture_lines(draw, position, change):
+    """One fixture line at `position` (its log index, and its block past
+    10,000,000, so that no two lines conflict) with a `change` of
+    LINE_CHANGES; written compact in `save_fixture`'s key order, with the
+    keys reordered, with an extra key, with whitespace around it and
+    between its tokens, with the hex digits in upper case, or malformed."""
+    obj = json.loads(make_line(block=10_000_000 + position, log_index=position))
+    obj.update(tx_hash=to_hex(draw(st.binary(min_size=32, max_size=32))),
+               address=to_hex(draw(st.binary(min_size=20, max_size=20))),
+               topics=[to_hex(draw(st.binary(min_size=32, max_size=32)))
+                       for _ in range(draw(st.integers(0, 4)))],
+               data=to_hex(draw(st.binary(max_size=40))))
+    if change == "object":
+        obj = draw(st.sampled_from(LINE_CHANGES[change]))
+    elif change == "drawn-hex":
+        field, value = draw(st.sampled_from([
+            ("tx_hash", hex_values(32)), ("address", hex_values(20)), ("data", hex_values()),
+            ("topics", st.lists(hex_values(32), max_size=5))]))
+        obj[field] = draw(value)
+    else:
+        for field, value in draw(st.sampled_from(LINE_CHANGES[change])).items():
+            if change == "missing":
+                del obj[field]
+            elif change == "prefix" and field == "topics":
+                obj["topics"] = [value + "ab" * 32]
+            else:
+                obj[field] = value
+    form = draw(st.sampled_from(["compact", "reordered", "extra", "upper", "padded",
+                                 "malformed"]))
+    if form == "reordered" and isinstance(obj, dict):
+        obj = dict(draw(st.permutations(list(obj.items()))))
+    elif form == "extra" and isinstance(obj, dict):
+        obj["removed"] = draw(st.sampled_from([None, 1, "0x", []]))
+    if form == "padded":
+        text = json.dumps(obj, separators=(" , ", " : "))
+        return draw(st.text(" \t\r", max_size=2)) + text + draw(st.text(" \t\r", max_size=2))
+    text = json.dumps(obj, separators=(",", ":"))
+    if form == "upper":  # the hex digits, past each 0x
+        return re.sub(r'"0x[0-9a-f]+"', lambda hex_string: hex_string[0].upper().replace("0X", "0x"),
+                      text)
+    if form == "malformed":
+        cut = draw(st.integers(0, len(text)))
+        return text[:cut] + draw(st.sampled_from(["", "}", ",", "x", "}}", "]"])) + text[cut:]
+    return text
+
+
+JSON_TYPES = {list: "array", str: "string", int: "number", float: "number", bool: "boolean",
+              type(None): "null"}
+
+
+def raw_log_rule_by_rule(obj) -> RawLog:
+    """A fixture object checked one documented rule at a time, in order,
+    then read field by field with parse_hex."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a log must be a JSON object, got {JSON_TYPES[type(obj)]}")
+    missing = [f for f in FIXTURE_FIELDS if f not in obj]
+    if missing:
+        raise ValueError(f"missing fields {missing}")
+    if not isinstance(obj["topics"], list) or len(obj["topics"]) > 4:
+        raise ValueError("topics must be a list of at most 4 items")
+    for name in ("block_number", "timestamp", "log_index"):
+        if type(obj[name]) is not int or obj[name] < 0:
+            raise ValueError(f"{name} must be a non-negative integer")
+    return raw_log_per_field(obj)
+
+
+def load_fixture_per_line(path):
+    """`load_fixture` as json.loads and `raw_log_rule_by_rule`, line by
+    line: the logs, or the error's message and line."""
+    logs = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    logs.append(raw_log_rule_by_rule(json.loads(line.strip())))
+                except ValueError as exc:
+                    return str(exc), lineno
+    return logs
+
+
+@pytest.mark.parametrize("change", sorted(LINE_CHANGES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), size=st.integers(1, 4))
+def test_load_fixture_matches_a_rule_by_rule_reader(tmp_path_factory, change, data, size):
+    """Valid lines around one line with the change."""
+    changed = data.draw(st.integers(0, size - 1))
+    lines = [data.draw(fixture_lines(position, change if position == changed else "none"))
+             for position in range(size)]
+    path = tmp_path_factory.mktemp("fixture") / "logs.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    expected = load_fixture_per_line(path)
+    try:
+        got = load_fixture(path)
+    except TableError as exc:
+        got = str(exc).removeprefix(f"{path}, line {exc.line}: "), exc.line
+    else:
+        assert all(type(log) is RawLog for log in got)
+    assert got == expected
+

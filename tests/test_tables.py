@@ -1,4 +1,10 @@
+import contextlib
+import csv
+import io
+from operator import itemgetter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dfcflow import cluster, decode, ledger, synth
 from dfcflow.cluster import HeuristicPair, address_protocol_map, group_addresses
@@ -9,6 +15,7 @@ from dfcflow.ledger import FlowRecord
 from dfcflow.market import DAY, HOUR, PriceSeries
 from dfcflow.registry import Currency, EventRule, Locator
 from dfcflow.report import CorrelationResult, MonthlyDfcRow
+from dfcflow.tables import Table
 from dfcflow.util import SCALE as U
 
 T0 = 1_588_598_520
@@ -196,3 +203,155 @@ def test_integer_cells_take_only_ascii_digits(tmp_path, name, column, form):
     with pytest.raises(TableError) as info:
         read(path)
     assert str(info.value) == f"{path}, line 2: invalid {column} {text!r}: expected ASCII digits"
+
+
+# --- the codec agrees with the csv module --------------------------------------
+
+# small enough for a drawn cell to pass it
+FIELD_LIMIT = 24
+# what `csv` treats apart in a cell, and a cell longer than FIELD_LIMIT
+SPECIAL_TEXTS = [",", '"', "\r", "\n", "\0", "None", "x" * (FIELD_LIMIT + 1)]
+
+
+@st.composite
+def cell_texts(draw, special=None):
+    """Plain text holding `special`, or a drawn one of SPECIAL_TEXTS (or
+    none) when `special` is None."""
+    text = draw(st.text("ab1 é", max_size=4))
+    if special is None:
+        special = draw(st.sampled_from(["", *SPECIAL_TEXTS]))
+    at = draw(st.integers(0, len(text)))
+    return text[:at] + special + text[at:]
+
+
+@st.composite
+def table_rows(draw, special):
+    """Columns, and rows of their width or another, as tuples or lists,
+    of text, None and int cells; the first row holds `special`, a piece
+    of SPECIAL_TEXTS, None (a None cell) or "" (nothing)."""
+    columns = draw(st.sampled_from([("a",), ("a", "b"), ("b", "a", "c")]))
+    rows = []
+    for row in range(draw(st.integers(1, 5))):
+        width = draw(st.sampled_from([len(columns)] * 4 + [0, 1, 2, 4]) if row else st.just(
+            len(columns)))
+        cells = [draw(cell_texts("") | st.integers(-3, 10**20)) for _ in range(width)]
+        if row == 0:
+            cells[draw(st.integers(0, width - 1))] = None if special is None else draw(
+                cell_texts(special))
+        else:
+            cells = [draw(cell_texts() | st.none()) if draw(st.booleans()) else cell
+                     for cell in cells]
+        rows.append(draw(st.sampled_from([tuple, list]))(cells))
+    return columns, rows
+
+
+def write_with_csv_module(columns, rows) -> bytes:
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+def read_with_csv_module(path, columns):
+    """`Table(columns).read` with csv.reader alone: the rows, or the
+    error's message and line."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            missing = [name for name in columns if name not in header]
+            if missing:
+                raise ValueError(f"missing columns {missing}")
+            index = [header.index(name) for name in columns]
+            pick = itemgetter(*index)  # one column gives its cell, not a tuple
+            rows = []
+            for row in reader:
+                if row and len(row) <= max(index):
+                    raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+                if row:
+                    rows.append(pick(row))
+            return rows
+        except (ValueError, csv.Error) as exc:
+            return str(exc), max(reader.line_num, 1)
+
+
+def read_with_table(path, columns):
+    try:
+        return Table(columns).read(path)
+    except TableError as exc:
+        return str(exc).removeprefix(f"{path}, line {exc.line}: "), exc.line
+
+
+@contextlib.contextmanager
+def field_limit(limit):
+    old = csv.field_size_limit(limit)
+    try:
+        yield
+    finally:
+        csv.field_size_limit(old)
+
+
+SPECIAL_IDS = ["comma", "quote", "cr", "lf", "nul", "None-text", "over-limit"]
+
+
+@pytest.mark.parametrize("special", ["", None, *SPECIAL_TEXTS],
+                         ids=["plain", "none-cell", *SPECIAL_IDS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_plain_write_matches_the_csv_module(tmp_path_factory, special, data):
+    columns, rows = data.draw(table_rows(special))
+    path = tmp_path_factory.mktemp("write") / "table.csv"
+    with field_limit(FIELD_LIMIT):
+        try:  # a NUL cell is an error before Python 3.11
+            expected = write_with_csv_module(columns, rows)
+        except csv.Error as exc:
+            expected = str(exc)
+        try:
+            Table(columns).write(path, rows)
+        except csv.Error as exc:
+            assert str(exc) == expected
+        else:
+            assert path.read_bytes() == expected
+            assert read_with_table(path, columns) == read_with_csv_module(path, columns)
+
+
+@st.composite
+def csv_texts(draw, special):
+    """A CSV file of header a,b or b,x,a: rows written by csv.writer or
+    joined at commas whatever they hold, blank lines, CRLF line ends; a
+    cell of the first row holds `special`."""
+    lines = [draw(st.sampled_from(["a,b", "b,x,a", '"a",b', "a", ""]))]
+    for row in range(draw(st.integers(1, 8))):
+        form = draw(st.sampled_from(["csv", "csv", "joined", "blank", "crlf"]))
+        cells = draw(st.lists(cell_texts(), min_size=1, max_size=4))
+        if row == 0:
+            form = draw(st.sampled_from(["csv", "joined"]))
+            cells[0] = draw(cell_texts(special))
+        if form == "csv":
+            out = io.StringIO(newline="")
+            try:  # a NUL cell is an error before Python 3.11
+                csv.writer(out, lineterminator="\n").writerow(cells)
+            except csv.Error:
+                form = "joined"
+            else:
+                lines.append(out.getvalue()[:-1])  # a quoted cell may span lines
+        if form == "joined":
+            lines.append(",".join(cells))
+        elif form == "blank":
+            lines.append("")
+        elif form == "crlf":
+            lines.append(",".join(cells) + "\r")
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\r\n", "\n\n"]))
+
+
+@pytest.mark.parametrize("special", ["", *SPECIAL_TEXTS], ids=["plain", *SPECIAL_IDS])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_read_matches_the_csv_module(tmp_path_factory, special, data):
+    text = data.draw(csv_texts(special))
+    path = tmp_path_factory.mktemp("read") / "table.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with field_limit(FIELD_LIMIT):
+        assert read_with_table(path, ("a", "b")) == read_with_csv_module(path, ("a", "b"))
+
