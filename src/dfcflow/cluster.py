@@ -23,9 +23,11 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .decode import DEBT_REPAY, SWAP, ApprovalEvent, CanonicalEvent, VaultTriple
+from .decode import ApprovalEvent, CanonicalEvent, VaultTriple
 from .errors import TableError
+from .registry import DEBT_REPAY, PROTOCOLS, SWAP
 from .tables import Table
+from .util import address_cell_error, is_address
 
 _REPAY_SOURCE = {
     "Aave": "AaveRepayOnBehalf",
@@ -312,13 +314,21 @@ def apply_heuristic_pairs(
     return result
 
 
-DENYLIST = Table(("address", "label"), from_row=lambda address, label: address.lower())
+def _denylisted(address: str, label: str) -> str:
+    """A deny-list address, `0x` and 40 hex digits in either case, lowercased."""
+    lowered = address.lower()
+    if address[:2] != "0x" or not is_address(lowered):
+        raise ValueError(f"invalid address {address!r}: expected 0x and 40 hex digits")
+    return lowered
+
+
+DENYLIST = Table(("address", "label"), from_row=_denylisted)
 PARTITION = Table(("representative", "member", "protocols_touched"))
 write_comparison_csv = Table(("metric", "value")).write
 
 
 def load_denylist(path: str | Path) -> frozenset[str]:
-    """Deny-list CSV: columns address,label."""
+    """Deny-list CSV: columns address,label; a bad address names its line."""
     return frozenset(DENYLIST.read(path))
 
 
@@ -331,7 +341,8 @@ def write_partition_csv(path: str | Path, partition: Partition) -> None:
 
 
 def read_partition_csv(path: str | Path) -> Partition:
-    """`write_partition_csv`'s file back.  A member listed twice, a member
+    """`write_partition_csv`'s file back.  A cell that is not an address, a
+    protocol outside `registry.PROTOCOLS`, a member listed twice, a member
     smaller than its representative, or rows of one group that disagree on
     `protocols_touched` name their line; a representative that is not a
     member of its own group names the file."""
@@ -340,11 +351,15 @@ def read_partition_csv(path: str | Path) -> Partition:
     rep_of: dict[str, str] = {}
 
     def row(rep: str, member: str, touched: str) -> None:
+        if not (is_address(rep) and is_address(member)):
+            raise address_cell_error(representative=rep, member=member)
         if member in rep_of:
             raise ValueError(f"member {member} listed under {rep_of[member]} and {rep}")
         if member < rep:
             raise ValueError(f"member {member} is smaller than its representative {rep}")
         touched = frozenset(p for p in touched.split(";") if p)
+        if not touched.issubset(PROTOCOLS):
+            raise ValueError(f"unknown protocol {min(touched.difference(PROTOCOLS))!r}")
         if protos.setdefault(rep, touched) != touched:
             raise ValueError(f"group {rep} has two different protocols_touched")
         rep_of[member] = rep

@@ -42,22 +42,13 @@ from typing import NamedTuple, Sequence
 
 from .errors import DecodeError
 from .ingest import RawLog
-from .registry import ContractRegistry, EventRule, Locator
+from .registry import (  # and COLLATERAL_DEPOSIT, which the demos import from here
+    APPROVAL, CANONICAL_KINDS, COLLATERAL_DEPOSIT, CURRENCIES, LIQUIDATION, PROTOCOLS, SWAP,
+    VAULT_OPEN, ContractRegistry, EventRule, Locator,
+)
 from .tables import Table
-from .util import PLACES, format_fixed, parse_amount, to_hex, uint_cell_error
-
-COLLATERAL_DEPOSIT = "collateral_deposit"
-COLLATERAL_WITHDRAW = "collateral_withdraw"
-DEBT_CREATE = "debt_create"
-DEBT_REPAY = "debt_repay"
-SWAP = "swap"
-
-CANONICAL_KINDS = (
-    COLLATERAL_DEPOSIT,
-    COLLATERAL_WITHDRAW,
-    DEBT_CREATE,
-    DEBT_REPAY,
-    SWAP,
+from .util import (
+    PLACES, address_cell_error, format_fixed, is_address, parse_amount, to_hex, uint_cell_error,
 )
 
 EVENT_CSV_COLUMNS = (
@@ -336,14 +327,14 @@ def _compile(registry: ContractRegistry, key: tuple[bytes, bytes | None]):
     if rule is None:
         return _nothing, None, "unmatched"
     kind = rule.kind
-    if kind == "liquidation":
+    if kind == LIQUIDATION:
         return _nothing, kind, "liquidation_excluded"
-    if kind == "vault_open":
+    if kind == VAULT_OPEN:
         locators = [rule.vault_user, rule.vault_proxy]
         if rule.vault_urn is not None:
             locators.append(rule.vault_urn)
         return _address_decoder(locators, _vault_triple), kind, None
-    if kind == "approval":
+    if kind == APPROVAL:
         approval = partial(_approval, registry.tokens[rule.contract])
         return _address_decoder([rule.owner, rule.spender], approval), kind, None
     build = _swap_decoder if kind == SWAP else _lending_decoder
@@ -369,7 +360,7 @@ def decode_event(log: RawLog, registry: ContractRegistry) -> CanonicalEvent | No
             to_hex(log.tx_hash),
             log.log_index,
         )
-    if kind == "vault_open" or kind == "approval":
+    if kind == VAULT_OPEN or kind == APPROVAL:
         return None
     return decode(log)
 
@@ -383,7 +374,7 @@ def decode_stream(logs: Sequence[RawLog], registry: ContractRegistry) -> DecodeR
     result = DecodeResult()
     stats = result.stats
     records = dict.fromkeys(CANONICAL_KINDS, result.events)
-    records.update(vault_open=result.vault_triples, approval=result.approvals)
+    records[VAULT_OPEN], records[APPROVAL] = result.vault_triples, result.approvals
     decoders = registry.decoders
     for log in logs:
         topics = log.topics
@@ -427,11 +418,21 @@ def _event_from_row(
     if kind not in CANONICAL_KINDS:
         raise ValueError(f"unknown event kind {kind!r}")
     position = (kind, protocol, actor, *_log_position(block_number, log_index, timestamp))
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if not (is_address(actor) and (not on_behalf_of or is_address(on_behalf_of))):
+        raise address_cell_error(actor=actor, on_behalf_of=on_behalf_of)
     on_behalf_of = on_behalf_of or None
     if on_behalf_of == actor:
         # the decoder leaves the cell empty when the two coincide
         raise ValueError(f"on_behalf_of equals actor {actor!r}")
+    if currency not in CURRENCIES:
+        raise ValueError(f"unknown currency {currency!r}")
     if kind == SWAP:
+        if currency_received not in CURRENCIES:
+            raise ValueError(f"unknown currency {currency_received!r}")
+        if currency_received == currency:  # as the decoder refuses such a pair
+            raise ValueError(f"swap sends and receives {currency}")
         return CanonicalEvent(
             *position,
             currency_sent=currency,
@@ -440,6 +441,9 @@ def _event_from_row(
             amount_received=parse_amount("amount_received", amount_received),
             on_behalf_of=on_behalf_of,
         )
+    if currency_received or amount_received:
+        raise ValueError(f"a {kind} row has a currency_received or amount_received;"
+                         " only a swap has them")
     return CanonicalEvent(
         *position, currency=currency, amount=parse_amount("amount", amount),
         on_behalf_of=on_behalf_of,
@@ -447,12 +451,22 @@ def _event_from_row(
 
 
 def _approval_from_row(block_number, log_index, timestamp, token, owner, spender):
-    return ApprovalEvent(token, owner, spender,
-                         *_log_position(block_number, log_index, timestamp))
+    position = _log_position(block_number, log_index, timestamp)
+    if token not in CURRENCIES:
+        raise ValueError(f"token {token!r} is not a currency symbol")
+    if not (is_address(owner) and is_address(spender)):
+        raise address_cell_error(owner=owner, spender=spender)
+    return ApprovalEvent(token, owner, spender, *position)
+
+
+def _vault_from_row(user, proxy, urn):
+    if not (is_address(user) and is_address(proxy) and is_address(urn)):
+        raise address_cell_error(user=user, proxy=proxy, urn=urn)
+    return VaultTriple(user, proxy, urn)
 
 
 EVENTS = Table(EVENT_CSV_COLUMNS, _event_row, _event_from_row)
-VAULTS = Table(("user", "proxy", "urn"), from_row=VaultTriple)
+VAULTS = Table(("user", "proxy", "urn"), from_row=_vault_from_row)
 APPROVALS = Table(
     ("block_number", "log_index", "timestamp", "token", "owner", "spender"),
     lambda a: (a.block_number, a.log_index, a.timestamp, a.token, a.owner, a.spender),

@@ -48,26 +48,36 @@ _JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", floa
 
 
 def decode_hex_fields(tx_hash, address, topics, data):
-    """(tx_hash, address, topics, data) of one log as bytes, each field
-    decoded once with `binascii.a2b_hex`.
+    """(tx_hash, address, topics, data) of one log, a list of topics, as
+    bytes, each field decoded once with `binascii.a2b_hex`.
 
-    Gives None unless every field is a 0x-prefixed string of its size (32
-    bytes, 20 bytes, 32 bytes per topic, whole bytes of data) holding only
-    hex digits; the caller then parses field by field with `parse_hex`
-    for the error message.
+    Each field must be a 0x-prefixed string of its size (32 bytes, 20
+    bytes, 32 bytes per topic, whole bytes of data) holding only hex
+    digits.  Otherwise the fields are parsed one by one with `parse_hex`,
+    and the first that fails raises its ValueError, with the field's
+    FIXTURE_FIELDS name as the error's `field`.
     """
     try:
-        if not (len(tx_hash) == 66 and len(address) == 42
+        if (len(tx_hash) == 66 and len(address) == 42
                 and tx_hash[:2] == address[:2] == data[:2] == "0x"):
-            return None
-        words = []
-        for topic in topics:
-            if len(topic) != 66 or topic[:2] != "0x":
-                return None
-            words.append(_unhex(topic[2:]))
-        return _unhex(tx_hash[2:]), _unhex(address[2:]), tuple(words), _unhex(data[2:])
+            words = []
+            for topic in topics:
+                if len(topic) != 66 or topic[:2] != "0x":
+                    break
+                words.append(_unhex(topic[2:]))
+            else:
+                return _unhex(tx_hash[2:]), _unhex(address[2:]), tuple(words), _unhex(data[2:])
     except (TypeError, ValueError):  # a field that is not a string, or not hex
-        return None
+        pass
+    parsed = []
+    for field, value, size in (("tx_hash", tx_hash, 32), ("address", address, 20),
+                               *(("topics", topic, 32) for topic in topics), ("data", data, None)):
+        try:
+            parsed.append(parse_hex(value, size))
+        except ValueError as exc:
+            exc.field = field
+            raise
+    return parsed[0], parsed[1], tuple(parsed[2:-1]), parsed[-1]
 
 
 class RawLog(NamedTuple):
@@ -124,15 +134,7 @@ class RawLog(NamedTuple):
             # JSON true/false are ints to Python; reject them here
             if type(obj[name]) is not int or obj[name] < 0:
                 raise ValueError(f"{name} must be a non-negative integer")
-        fields = decode_hex_fields(tx_hash, address, topics, data)
-        if fields is None:  # field by field, for parse_hex's error message
-            fields = (
-                parse_hex(tx_hash, expected_bytes=32),
-                parse_hex(address, expected_bytes=20),
-                tuple(parse_hex(t, expected_bytes=32) for t in topics),
-                parse_hex(data),
-            )
-        tx_hash, address, topics, data = fields
+        tx_hash, address, topics, data = decode_hex_fields(tx_hash, address, topics, data)
         return _new_log(cls, (block_number, tx_hash, log_index, address, topics, data,
                               timestamp))
 

@@ -58,17 +58,13 @@ from collections import defaultdict
 from typing import Callable, NamedTuple, Sequence
 
 from .cluster import Partition
-from .decode import (
-    COLLATERAL_DEPOSIT,
-    COLLATERAL_WITHDRAW,
-    DEBT_CREATE,
-    DEBT_REPAY,
-    SWAP,
-    CanonicalEvent,
-)
+from .decode import CanonicalEvent
 from .errors import LedgerError, SequencingError
+from .registry import (
+    COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW, CURRENCIES, DEBT_CREATE, DEBT_REPAY, PROTOCOLS, SWAP,
+)
 from .tables import Table
-from .util import format_fixed, parse_amount, uint_cell_error
+from .util import address_cell_error, format_fixed, is_address, parse_amount, uint_cell_error
 
 _new = tuple.__new__  # a named tuple from all of its fields, without `__new__`'s defaults
 
@@ -255,6 +251,12 @@ def _flow_from_row(
         raise uint_cell_error(timestamp=timestamp, block_number=block_number)
     if kind not in (COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW):
         raise ValueError(f"unknown flow kind {kind!r}")
+    if protocol not in PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if currency not in CURRENCIES:
+        raise ValueError(f"unknown currency {currency!r}")
+    if not is_address(group):
+        raise address_cell_error(group_representative=group)
     return FlowRecord(
         group, int(timestamp), int(block_number), protocol, currency, kind,
         parse_amount("debt_amount_token", debt_token),

@@ -2,7 +2,7 @@
 
 Prices are carry-forward: a lookup returns the latest point at or before
 the query time, provided the point is no staler than twice the series'
-declared granularity (hourly for BTC/ETH/USDC/DAI, daily for USDT).
+declared granularity (`registry.GRANULARITY`: hourly, daily for USDT).
 Carry-forward avoids lookahead bias; the staleness bound keeps gaps from
 silently valuing events with week-old prices.
 
@@ -29,18 +29,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, PriceFetchError, TableError, ValuationError
-from .registry import Currency
+from .registry import DAY, GRANULARITY, HOUR, Currency  # noqa: F401 (DAY, HOUR re-exported)
 from .tables import Table
 from .util import PLACES, SCALE, format_fixed, parse_fixed, uint_cell_error
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-HOUR = 3600
-DAY = 86400
-
-# declared sampling granularity per price key, in seconds
-GRANULARITY = {"BTC": HOUR, "ETH": HOUR, "USDC": HOUR, "DAI": HOUR, "USDT": DAY}
 
 # a lookup accepts a point at most this many granularities old
 DEFAULT_STALENESS_MULTIPLIER = 2

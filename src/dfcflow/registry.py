@@ -5,6 +5,10 @@ The registry is configuration, not code.  It is loaded from a JSON document
 shipped mainnet set) and drives log filtering, event decoding and actor
 extraction.  Adding a protocol version means editing the JSON, not this
 module.
+
+This module is also the one home of the pipeline's vocabulary, which
+every stage imports: the protocols, the currencies, the price keys with
+their sampling granularity and the kinds of rule.
 """
 
 from __future__ import annotations
@@ -18,15 +22,27 @@ from .util import parse_hex
 
 PROTOCOLS = ("Aave", "Compound", "Maker", "Uniswap")
 CURRENCIES = ("WBTC", "WETH", "USDT", "USDC", "DAI")
-PRICE_KEYS = ("BTC", "ETH", "USDT", "USDC", "DAI")
 
-LENDING_KINDS = (
-    "collateral_deposit",
-    "collateral_withdraw",
-    "debt_create",
-    "debt_repay",
-)
-KINDS = LENDING_KINDS + ("swap", "liquidation", "vault_open", "approval")
+HOUR = 3600
+DAY = 86400
+# each price key's declared sampling granularity, in seconds
+GRANULARITY = {"BTC": HOUR, "ETH": HOUR, "USDC": HOUR, "DAI": HOUR, "USDT": DAY}
+PRICE_KEYS = tuple(GRANULARITY)
+
+# the kinds of registry rule; the five canonical kinds are the events
+# decode writes to events.csv
+COLLATERAL_DEPOSIT = "collateral_deposit"
+COLLATERAL_WITHDRAW = "collateral_withdraw"
+DEBT_CREATE = "debt_create"
+DEBT_REPAY = "debt_repay"
+SWAP = "swap"
+LIQUIDATION = "liquidation"
+VAULT_OPEN = "vault_open"
+APPROVAL = "approval"
+
+LENDING_KINDS = (COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW, DEBT_CREATE, DEBT_REPAY)
+CANONICAL_KINDS = LENDING_KINDS + (SWAP,)
+KINDS = CANONICAL_KINDS + (LIQUIDATION, VAULT_OPEN, APPROVAL)
 
 
 class Currency(NamedTuple):
@@ -242,7 +258,7 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
     signature = edoc.get("signature", "")
     where = f"{protocol}/{signature or '<unnamed event>'}"
     kind = edoc.get("kind")
-    if kind not in KINDS or kind == "approval":
+    if kind not in KINDS or kind == APPROVAL:
         raise ConfigError(f"{where}: unknown event kind {kind!r}")
     topic0 = _topic(edoc.get("topic0"), where=where)
 
@@ -254,7 +270,7 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
         kind=kind,
     )
 
-    if kind == "swap":
+    if kind == SWAP:
         if protocol != "Uniswap":
             raise ConfigError(f"{where}: swap events belong to Uniswap only")
         token0 = _addr(edoc.get("token0"), where=f"{where}.token0")
@@ -269,7 +285,7 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
             token1=token1,
         )
 
-    if kind == "vault_open":
+    if kind == VAULT_OPEN:
         if protocol != "Maker":
             raise ConfigError(f"{where}: vault_open events belong to Maker only")
         return EventRule(
@@ -279,7 +295,7 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
             vault_urn=_opt_locator(edoc, "urn", where=where),
         )
 
-    if kind == "liquidation":
+    if kind == LIQUIDATION:
         return EventRule(**base, actor=_opt_locator(edoc, "actor", where=where))
 
     # lending kinds
@@ -322,7 +338,7 @@ def _approval_rules(obj, tokens) -> list[EventRule]:
             contract=token,
             topic0=topic0,
             signature=signature,
-            kind="approval",
+            kind=APPROVAL,
             owner=owner,
             spender=spender,
         )

@@ -26,11 +26,14 @@ from collections import defaultdict
 from datetime import datetime, timezone
 from typing import NamedTuple, Sequence
 
-from .decode import COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW, SWAP, CanonicalEvent
+from .decode import CanonicalEvent
 from .errors import InsufficientDataError, UndefinedCorrelationError, ValuationError
 from .ledger import FlowRecord
-from .market import DAY, HOUR, PriceSeries
-from .registry import PROTOCOLS, Currency
+from .market import PriceSeries
+from .registry import (
+    COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW, DAY, DEBT_CREATE, DEBT_REPAY, HOUR, PROTOCOLS, SWAP,
+    Currency,
+)
 from .tables import Table
 from .util import SCALE
 
@@ -301,8 +304,8 @@ def summary_stats(
     kind_to_stat = {
         COLLATERAL_DEPOSIT: "collateral_deposited_usd",
         COLLATERAL_WITHDRAW: "collateral_withdrawn_usd",
-        "debt_create": "debt_created_usd",
-        "debt_repay": "debt_repaid_usd",
+        DEBT_CREATE: "debt_created_usd",
+        DEBT_REPAY: "debt_repaid_usd",
         SWAP: "currency_swapped_usd",
     }
     usd: dict[tuple[str, str], int] = defaultdict(int)

@@ -73,7 +73,7 @@ from typing import Sequence
 from .errors import ConfigError, RpcServerError, RpcTransportError
 from .ingest import DEFAULT_WINDOW_SIZE, BlockRange, RawLog, decode_hex_fields, filter_logs
 from .registry import ContractRegistry
-from .util import parse_hex, to_hex
+from .util import to_hex
 
 BATCH_CALLS = 100
 TIMEOUT = 30.0  # seconds, on connect and on each read
@@ -235,23 +235,12 @@ def _log_fields(obj) -> tuple:
         raise RpcServerError(-1, f"{where}: topics is not a list: {topics!r}")
     if len(topics) > 4:  # no EVM log has more, and the fixture reader rejects them
         raise RpcServerError(-1, f"{where}: {len(topics)} topics, at most 4 allowed")
-
-    def hex_field(name: str, value, expected_bytes: int | None = None) -> bytes:
-        try:
-            return parse_hex(value, expected_bytes)
-        except ValueError as exc:
-            raise RpcServerError(-1, f"{where}: {name}: {exc}") from None
-
-    tx_hash, address, data = obj.get("transactionHash"), obj.get("address"), obj.get("data")
-    fields = decode_hex_fields(tx_hash, address, topics, data)
-    if fields is None:  # field by field, so the error names the field
-        fields = (
-            hex_field("transactionHash", tx_hash, 32),
-            hex_field("address", address, 20),
-            tuple(hex_field("topics", topic, 32) for topic in topics),
-            hex_field("data", data),
-        )
-    tx_hash, address, topics, data = fields
+    try:
+        tx_hash, address, topics, data = decode_hex_fields(
+            obj.get("transactionHash"), obj.get("address"), topics, obj.get("data"))
+    except ValueError as exc:
+        name = "transactionHash" if exc.field == "tx_hash" else exc.field
+        raise RpcServerError(-1, f"{where}: {name}: {exc}") from None
     return block_number, tx_hash, log_index, address, topics, data
 
 

@@ -20,8 +20,10 @@ from itertools import chain
 
 from .cluster import DENYLIST
 from .ingest import RawLog
-from .market import DAY, HOUR, PriceSeries
-from .registry import ContractRegistry, EventRule, Locator
+from .market import PriceSeries
+from .registry import (
+    APPROVAL, DAY, HOUR, LIQUIDATION, SWAP, VAULT_OPEN, ContractRegistry, EventRule, Locator,
+)
 from .util import parse_hex
 
 START_BLOCK = 10_000_000
@@ -108,7 +110,7 @@ def encode_event_log(
     """
     builder = _LogBuilder(rule.topic0)
 
-    if rule.kind == "swap":
+    if rule.kind == SWAP:
         cur0 = registry.token_currency(rule.token0)
         cur1 = registry.token_currency(rule.token1)
         dec0 = cur0.decimals if cur0 else 18
@@ -130,16 +132,16 @@ def encode_event_log(
         builder.put_uint(Locator("data", 96), out1)
         builder.put_address(rule.actor, fields["actor"])
         builder.put_address(rule.recipient, fields["recipient"])
-    elif rule.kind == "vault_open":
+    elif rule.kind == VAULT_OPEN:
         builder.put_address(rule.vault_user, fields["user"])
         builder.put_address(rule.vault_proxy, fields["proxy"])
         if rule.vault_urn is not None:
             builder.put_address(rule.vault_urn, fields["urn"])
-    elif rule.kind == "approval":
+    elif rule.kind == APPROVAL:
         builder.put_address(rule.owner, fields["owner"])
         builder.put_address(rule.spender, fields["spender"])
         builder.put_uint(Locator("data", 0), fields.get("value", 0))
-    elif rule.kind == "liquidation":
+    elif rule.kind == LIQUIDATION:
         if rule.actor is not None and "actor" in fields:
             builder.put_address(rule.actor, fields["actor"])
     else:  # lending kinds

@@ -15,6 +15,8 @@ so that this module, which every stage imports, loads no `datetime`.
 
 from __future__ import annotations
 
+import re
+
 # decimal places of a fixed-point count; SCALE units make one token or dollar
 PLACES = 36
 SCALE = 10**PLACES
@@ -79,6 +81,18 @@ def uint_cell_error(**cells: str) -> ValueError:
     name, text = next((name, text) for name, text in cells.items()
                       if not (text.isdigit() and text.isascii()))
     return ValueError(f"invalid {name} {text!r}: expected ASCII digits")
+
+
+# whether a cell is an address in the form the pipeline writes: 0x and 40
+# lowercase hex digits
+is_address = re.compile("0x[0-9a-f]{40}").fullmatch
+
+
+def address_cell_error(**cells: str) -> ValueError:
+    """The error for the first of `cells` (column name -> text) that
+    `is_address` rejects; readers check address cells inline."""
+    name, text = next((name, text) for name, text in cells.items() if not is_address(text))
+    return ValueError(f"invalid {name} {text!r}: expected 0x and 40 lowercase hex digits")
 
 
 def format_fixed(units: int) -> str:

@@ -605,6 +605,23 @@ def test_bad_csv_fails_its_stage_naming_file_and_line(tmp_path, capsys, name, li
     assert message in err and "Traceback" not in err
 
 
+def test_currency_outside_the_registry_fails_track_and_report_naming_the_line(tmp_path, capsys):
+    # the valuer and the summary look each currency up in the registry, so
+    # the events reader refuses one the vocabulary lacks
+    out = tmp_path / "out"
+    config = write_config(tmp_path, out)
+    assert run("all", "--config", config, "--quiet") == 0
+    events = out / "events.csv"
+    lines = events.read_text().splitlines()
+    lines[2] = set_cell(7, lambda _: "FOO")(lines[2])
+    events.write_text("\n".join(lines) + "\n")
+    for stage, code in (("track", 6), ("report", 7)):
+        capsys.readouterr()
+        assert run(stage, "--config", config, "--quiet") == code
+        assert capsys.readouterr().err == (
+            f"{stage}: error: {events}, line 3: unknown currency 'FOO'\n")
+
+
 def test_duplicate_price_row_names_the_price_file(tmp_path, capsys):
     out = tmp_path / "out"
     prices = tmp_path / "prices.csv"

@@ -209,8 +209,14 @@ A, B, C = addr(1), addr(2), addr(3)
     ([(A, A, "Aave;Maker"), (A, B, "Aave")], 3,
      f"group {A} has two different protocols_touched"),
     ([(A, B, "Aave")], None, f"representative {A} is not a member of its group"),
+    ([(A, A, "Aave;Maker"), (A, B, "Aave;Foo")], 3, "unknown protocol 'Foo'"),
+    ([(A, A, "Aave"), (A, B.upper(), "Aave")], 3,
+     f"invalid member '{B.upper()}': expected 0x and 40 lowercase hex digits"),
+    ([("alice", "alice", "Aave")], 2,
+     "invalid representative 'alice': expected 0x and 40 lowercase hex digits"),
 ], ids=["member-twice", "member-below-representative", "protocols-differ",
-        "representative-not-member"])
+        "representative-not-member", "unknown-protocol", "member-not-address",
+        "representative-not-address"])
 def test_corrupt_partition_checkpoint_is_rejected(tmp_path, rows, line, message):
     path = tmp_path / "partition.csv"
     path.write_text("representative,member,protocols_touched\n"

@@ -41,6 +41,20 @@ def test_cited_docs_exist_and_only_tables_imports_csv():
     assert _importers("fractions") == ["dfcflow/market.py", "dfcflow/synth.py"]
 
 
+def test_registry_is_the_one_home_of_the_vocabulary():
+    from dfcflow import market, registry
+
+    assert market.GRANULARITY is registry.GRANULARITY
+    assert registry.PRICE_KEYS == tuple(registry.GRANULARITY)
+    spelt = sorted(
+        f"{path.name}:{node.lineno}: {node.value!r}"
+        for path in (REPO_ROOT / "src" / "dfcflow").glob("*.py") if path.name != "registry.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in registry.KINDS
+    )
+    assert spelt == []
+
+
 def test_no_source_file_imports_requests():
     # the RPC and price transports are the standard library's
     assert _importers("requests") == []

@@ -488,12 +488,13 @@ def test_timestamp_failure_resumes_at_its_window_batch(mock_node, registry, node
     ("data", None, "log {index} of block {block}: data: expected 0x-prefixed hex string"),
     ("topics", "0x00", "log {index} of block {block}: topics is not a list: '0x00'"),
     ("topics", ["0x" + "00" * 32] * 5, "log {index} of block {block}: 5 topics, at most 4 allowed"),
+    ("topics", ["0x" + "00" * 32, "0x00"], "log {index} of block {block}: topics: expected 32 bytes"),
     ("timestamp", "noon", "block {block}: timestamp is not a hex quantity: 'noon'"),
 ], ids=[
     "blockNumber-null", "blockNumber-not-hex", "blockNumber-underscore",
     "blockNumber-trailing-newline", "blockNumber-non-ascii-digit", "logIndex-null",
     "transactionHash-not-hex", "transactionHash-short", "address-null", "data-odd-length", "data-null",
-    "topics-not-a-list", "topics-five", "timestamp-not-hex",
+    "topics-not-a-list", "topics-five", "topic-short", "timestamp-not-hex",
 ])
 def test_malformed_log_or_block_is_a_server_error(
     mock_node, registry, narrow_range, node_logs, field, value, message

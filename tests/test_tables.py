@@ -110,6 +110,31 @@ def test_table_round_trip(tmp_path, name, layout):
 
 
 VAULT_ROW = f"{addr(1)},{addr(2)},{addr(3)}"
+UPPER = "0x" + "AB" * 20  # an address in a form the pipeline never writes
+
+
+def event_file(protocol="Aave", kind="debt_create", actor=addr(1), on_behalf_of="",
+               currency="DAI", currency_received="", amount="5", amount_received=""):
+    return (",".join(decode.EVENT_CSV_COLUMNS) + f"\n1,0,{T0},{protocol},{kind},{actor},"
+            f"{on_behalf_of},{currency},{currency_received},{amount},{amount_received}\n")
+
+
+def flow_file(group=addr(1), protocol="Aave", currency="DAI"):
+    return (",".join(ledger.FLOW_CSV_COLUMNS)
+            + f"\n{group},{T0},1,{protocol},{currency},collateral_deposit,1,0,1,0\n")
+
+
+def approval_file(token="USDC", owner=addr(1), spender=addr(2)):
+    return (f"block_number,log_index,timestamp,token,owner,spender\n"
+            f"1,0,{T0},{token},{owner},{spender}\n")
+
+
+def swap_file(**cells):
+    return event_file(protocol="Uniswap", kind="swap", amount_received="6", **cells)
+
+
+ONLY_SWAPS = "a debt_create row has a currency_received or amount_received; only a swap has them"
+NOT_ADDRESS = "expected 0x and 40 lowercase hex digits"
 
 
 @pytest.mark.parametrize("read, text, error", [
@@ -125,7 +150,39 @@ VAULT_ROW = f"{addr(1)},{addr(2)},{addr(3)}"
      + f"\n{addr(1)},{T0},1,Aave,DAI,collateral_deposit,1,0,1,0.{'0' * 36}1\n",
      "line 2: invalid amount '0." + "0" * 36 + "1': expected [-]digits[.digits], "
      "at most 36 decimals"),
-], ids=["short-row", "unknown-kind", "fraction-amount", "amount-too-fine"])
+    (decode.read_events_csv, event_file(protocol="Foo"), "line 2: unknown protocol 'Foo'"),
+    (decode.read_events_csv, event_file(currency="FOO"), "line 2: unknown currency 'FOO'"),
+    (decode.read_events_csv, swap_file(currency_received="FOO"), "line 2: unknown currency 'FOO'"),
+    (decode.read_events_csv, swap_file(currency_received=""), "line 2: unknown currency ''"),
+    (decode.read_events_csv, swap_file(currency_received="DAI"),
+     "line 2: swap sends and receives DAI"),
+    (decode.read_events_csv, event_file(currency_received="USDC"), f"line 2: {ONLY_SWAPS}"),
+    (decode.read_events_csv, event_file(amount_received="0"), f"line 2: {ONLY_SWAPS}"),
+    (decode.read_events_csv, event_file(actor=UPPER),
+     f"line 2: invalid actor '{UPPER}': {NOT_ADDRESS}"),
+    (decode.read_events_csv, event_file(on_behalf_of=addr(2)[:-1]),
+     f"line 2: invalid on_behalf_of '{addr(2)[:-1]}': {NOT_ADDRESS}"),
+    (ledger.read_flows_csv, flow_file(protocol="Foo"), "line 2: unknown protocol 'Foo'"),
+    (ledger.read_flows_csv, flow_file(currency="FOO"), "line 2: unknown currency 'FOO'"),
+    (ledger.read_flows_csv, flow_file(group="alice"),
+     f"line 2: invalid group_representative 'alice': {NOT_ADDRESS}"),
+    (decode.read_approvals_csv, approval_file(token="FOO"),
+     "line 2: token 'FOO' is not a currency symbol"),
+    (decode.read_approvals_csv, approval_file(spender=addr(2) + " "),
+     f"line 2: invalid spender '{addr(2)} ': {NOT_ADDRESS}"),
+    (decode.read_vaults_csv, f"user,proxy,urn\n{addr(1)},{addr(2)},0X{addr(3)[2:]}\n",
+     f"line 2: invalid urn '0X{addr(3)[2:]}': {NOT_ADDRESS}"),
+    (cluster.load_denylist, f"address,label\n{UPPER},exchange\n0x{'g' * 40},otc\n",
+     f"line 3: invalid address '0x{'g' * 40}': expected 0x and 40 hex digits"),
+    (cluster.load_denylist, f"address,label\n0X{'ab' * 20},exchange\n",
+     f"line 2: invalid address '0X{'ab' * 20}': expected 0x and 40 hex digits"),
+], ids=["short-row", "unknown-kind", "fraction-amount", "amount-too-fine",
+        "events-unknown-protocol", "events-unknown-currency", "events-swap-unknown-received",
+        "events-swap-no-received", "events-swap-same-legs", "events-received-on-lending",
+        "events-amount-received-on-lending", "events-actor-not-address",
+        "events-on-behalf-of-not-address", "flows-unknown-protocol", "flows-unknown-currency",
+        "flows-group-not-address", "approvals-unknown-token", "approvals-spender-not-address",
+        "vaults-urn-not-address", "denylist-not-hex", "denylist-upper-prefix"])
 def test_bad_row_names_the_file_and_line(tmp_path, read, text, error):
     path = tmp_path / "table.csv"
     path.write_text(text)
