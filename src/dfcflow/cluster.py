@@ -342,8 +342,10 @@ def write_partition_csv(path: str | Path, partition: Partition) -> None:
 
 def read_partition_csv(path: str | Path) -> Partition:
     """`write_partition_csv`'s file back.  A cell that is not an address, a
-    protocol outside `registry.PROTOCOLS`, a member listed twice, a member
-    smaller than its representative, or rows of one group that disagree on
+    protocol outside `registry.PROTOCOLS`, a `protocols_touched` cell in a
+    form the writer never writes (its protocols sorted, each once, joined
+    by `;`), a member listed twice, a member smaller than its
+    representative, or rows of one group that disagree on
     `protocols_touched` name their line; a representative that is not a
     member of its own group names the file."""
     members: dict[str, set[str]] = defaultdict(set)
@@ -357,10 +359,13 @@ def read_partition_csv(path: str | Path) -> Partition:
             raise ValueError(f"member {member} listed under {rep_of[member]} and {rep}")
         if member < rep:
             raise ValueError(f"member {member} is smaller than its representative {rep}")
-        touched = frozenset(p for p in touched.split(";") if p)
-        if not touched.issubset(PROTOCOLS):
-            raise ValueError(f"unknown protocol {min(touched.difference(PROTOCOLS))!r}")
-        if protos.setdefault(rep, touched) != touched:
+        protocols = frozenset(p for p in touched.split(";") if p)
+        if not protocols.issubset(PROTOCOLS):
+            raise ValueError(f"unknown protocol {min(protocols.difference(PROTOCOLS))!r}")
+        if ";".join(sorted(protocols)) != touched:
+            raise ValueError(f"protocols_touched {touched!r} is not its protocols sorted, "
+                             "each once, joined by ';'")
+        if protos.setdefault(rep, protocols) != protocols:
             raise ValueError(f"group {rep} has two different protocols_touched")
         rep_of[member] = rep
         members[rep].add(member)

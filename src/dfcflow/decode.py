@@ -44,7 +44,7 @@ from .errors import DecodeError
 from .ingest import RawLog
 from .registry import (  # and COLLATERAL_DEPOSIT, which the demos import from here
     APPROVAL, CANONICAL_KINDS, COLLATERAL_DEPOSIT, CURRENCIES, LIQUIDATION, PROTOCOLS, SWAP,
-    VAULT_OPEN, ContractRegistry, EventRule, Locator,
+    VAULT_OPEN, ContractRegistry, EventRule, Locator, kind_protocol_error,
 )
 from .tables import Table
 from .util import (
@@ -420,6 +420,9 @@ def _event_from_row(
     position = (kind, protocol, actor, *_log_position(block_number, log_index, timestamp))
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    mismatch = kind_protocol_error(kind, protocol)
+    if mismatch:
+        raise ValueError(f"{protocol} {kind}: {mismatch}")
     if not (is_address(actor) and (not on_behalf_of or is_address(on_behalf_of))):
         raise address_cell_error(actor=actor, on_behalf_of=on_behalf_of)
     on_behalf_of = on_behalf_of or None

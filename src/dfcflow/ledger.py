@@ -62,6 +62,7 @@ from .decode import CanonicalEvent
 from .errors import LedgerError, SequencingError
 from .registry import (
     COLLATERAL_DEPOSIT, COLLATERAL_WITHDRAW, CURRENCIES, DEBT_CREATE, DEBT_REPAY, PROTOCOLS, SWAP,
+    kind_protocol_error,
 )
 from .tables import Table
 from .util import address_cell_error, format_fixed, is_address, parse_amount, uint_cell_error
@@ -253,6 +254,9 @@ def _flow_from_row(
         raise ValueError(f"unknown flow kind {kind!r}")
     if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
+    mismatch = kind_protocol_error(kind, protocol)
+    if mismatch:
+        raise ValueError(f"{protocol} {kind}: {mismatch}")
     if currency not in CURRENCIES:
         raise ValueError(f"unknown currency {currency!r}")
     if not is_address(group):

@@ -45,6 +45,18 @@ CANONICAL_KINDS = LENDING_KINDS + (SWAP,)
 KINDS = CANONICAL_KINDS + (LIQUIDATION, VAULT_OPEN, APPROVAL)
 
 
+def kind_protocol_error(kind: str, protocol: str) -> str | None:
+    """Why a rule, event or flow of `kind` cannot belong to `protocol`, or
+    None: the one rule the registry and every checkpoint reader apply."""
+    if kind == SWAP and protocol != "Uniswap":
+        return "swap events belong to Uniswap only"
+    if kind == VAULT_OPEN and protocol != "Maker":
+        return "vault_open events belong to Maker only"
+    if kind in LENDING_KINDS and protocol == "Uniswap":
+        return "lending events cannot belong to Uniswap"
+    return None
+
+
 class Currency(NamedTuple):
     symbol: str
     decimals: int
@@ -261,6 +273,9 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
     if kind not in KINDS or kind == APPROVAL:
         raise ConfigError(f"{where}: unknown event kind {kind!r}")
     topic0 = _topic(edoc.get("topic0"), where=where)
+    mismatch = kind_protocol_error(kind, protocol)
+    if mismatch:
+        raise ConfigError(f"{where}: {mismatch}")
 
     base = dict(
         protocol=protocol,
@@ -271,8 +286,6 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
     )
 
     if kind == SWAP:
-        if protocol != "Uniswap":
-            raise ConfigError(f"{where}: swap events belong to Uniswap only")
         token0 = _addr(edoc.get("token0"), where=f"{where}.token0")
         token1 = _addr(edoc.get("token1"), where=f"{where}.token1")
         if token0 == token1:
@@ -286,8 +299,6 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
         )
 
     if kind == VAULT_OPEN:
-        if protocol != "Maker":
-            raise ConfigError(f"{where}: vault_open events belong to Maker only")
         return EventRule(
             **base,
             vault_user=_req_locator(edoc, "user", where=where),
@@ -299,8 +310,6 @@ def _parse_event_rule(protocol, contract, edoc, currencies) -> EventRule:
         return EventRule(**base, actor=_opt_locator(edoc, "actor", where=where))
 
     # lending kinds
-    if protocol == "Uniswap":
-        raise ConfigError(f"{where}: lending events cannot belong to Uniswap")
     currency = edoc.get("currency")
     if not isinstance(currency, dict):
         raise ConfigError(f"{where}: missing currency rule")

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import inspect
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -158,9 +159,10 @@ def test_conflicting_fixture_lines_fail_ingest_with_line_number(tmp_path, capsys
     assert not (tmp_path / "out" / "logs.jsonl").exists()
 
 
-def loaded_modules(tmp_path, command):
+def loaded_modules(tmp_path, command, env=None, **config):
     """The modules loaded in a fresh interpreter after `import dfcflow.cli`,
-    and after it runs `command` on the bundled fixture."""
+    and after it runs `command` on the bundled fixture (or on what `config`
+    overrides), with `env` as its environment."""
     probe = (
         "import json, sys\n"
         "import dfcflow.cli\n"
@@ -169,10 +171,10 @@ def loaded_modules(tmp_path, command):
         "print(json.dumps(sorted(sys.modules)))\n"
         "sys.exit(code)\n"
     )
-    config = write_config(tmp_path, tmp_path / "out")
+    config = write_config(tmp_path, tmp_path / "out", **config)
     proc = subprocess.run(
         [sys.executable, "-c", probe, command, "--config", str(config), "--quiet"],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=env,
     )
     return [set(json.loads(line)) for line in proc.stdout.splitlines()]
 
@@ -192,6 +194,28 @@ def test_cli_import_loads_no_scipy_numpy_or_requests(tmp_path):
     unused = {"dataclasses", "inspect", "fractions", "decimal", "dfcflow.rpc",
               "dfcflow.background", "pickle"}
     assert sorted(unused & (after_import | after_ingest)) == []
+
+
+def test_ingest_from_a_node_loads_no_http_client_ssl_email_or_urllib_request(tmp_path):
+    from tests.test_rpc import _serve
+
+    env = {name: value for name, value in os.environ.items()
+           if not name.lower().endswith("_proxy")}
+    bare = set(json.loads(subprocess.run(
+        [sys.executable, "-c", "import json, sys; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, check=True, env=env,
+    ).stdout))
+    with _serve(ingest.load_fixture(DATA_DIR / "fixture_logs.jsonl")) as (endpoint, state):
+        _, after_ingest = loaded_modules(
+            tmp_path, "ingest", env, fixture=None, rpc_endpoint=endpoint,
+            to_block=10_020_000, rpc_window=5_000,
+        )
+    assert state.requests > 0 and (tmp_path / "out" / "logs.jsonl").exists()
+    # a plain-http fetch with no proxy set needs none of the library's
+    # HTTP client, TLS, mail parsing, URL opening or gzip stack
+    transport = {"http.client", "ssl", "email", "urllib.request", "gzip"}
+    assert sorted(transport & (after_ingest - bare)) == []
+    assert "dfcflow.rpc" in after_ingest
 
 
 def test_all_on_a_fixture_loads_neither_rpc_nor_dataclasses(tmp_path):

@@ -214,9 +214,18 @@ A, B, C = addr(1), addr(2), addr(3)
      f"invalid member '{B.upper()}': expected 0x and 40 lowercase hex digits"),
     ([("alice", "alice", "Aave")], 2,
      "invalid representative 'alice': expected 0x and 40 lowercase hex digits"),
+    ([(A, A, "Maker;Aave;Aave")], 2, "protocols_touched 'Maker;Aave;Aave' is not its protocols "
+     "sorted, each once, joined by ';'"),
+    ([(A, A, "Aave;Maker"), (A, B, "Maker;Aave")], 3, "protocols_touched 'Maker;Aave' is not "
+     "its protocols sorted, each once, joined by ';'"),
+    ([(A, A, ";Aave")], 2, "protocols_touched ';Aave' is not its protocols sorted, each once, "
+     "joined by ';'"),
+    ([(A, A, "Aave;;Maker")], 2, "protocols_touched 'Aave;;Maker' is not its protocols sorted, "
+     "each once, joined by ';'"),
 ], ids=["member-twice", "member-below-representative", "protocols-differ",
         "representative-not-member", "unknown-protocol", "member-not-address",
-        "representative-not-address"])
+        "representative-not-address", "protocols-repeated", "protocols-unsorted",
+        "protocols-empty-entry", "protocols-doubled-separator"])
 def test_corrupt_partition_checkpoint_is_rejected(tmp_path, rows, line, message):
     path = tmp_path / "partition.csv"
     path.write_text("representative,member,protocols_touched\n"

@@ -6,6 +6,7 @@ import json
 import math
 import select
 import threading
+from collections import Counter
 from fractions import Fraction
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlsplit
@@ -39,9 +40,15 @@ class _NodeState:
         self.gzip_replies = False    # gzip replies to requests that accept gzip
         self.close_after_reply = False  # close each connection after one reply
         self.drop_second_request = False  # read a connection's 2nd request, close unanswered
+        self.chunked_replies = False  # send bodies with Transfer-Encoding: chunked
+        self.close_delimited = False  # send bodies with no Content-Length, then close
+        self.missing_bytes = 0       # announce a body this much longer than sent, then close
+        self.status_line = None      # send this status line, then a well-framed body
+        self.faulty_from = 1         # the two switches above act from this request on
         self.gzipped = 0
         self.limit_errors = 0
-        self.window_lengths = []   # blocks in each eth_getLogs window asked for
+        self.windows = []          # (from, to) of each eth_getLogs window asked for
+        self.limited_windows = []  # (from, to) of each window answered -32005
         self.get_logs_calls = 0
         self.block_calls = 0
         self.requests = 0
@@ -102,8 +109,8 @@ def _node_handler(state: _NodeState):
             if method == "eth_getLogs":
                 state.get_logs_calls += 1
                 params = call["params"][0]
-                state.window_lengths.append(
-                    int(params["toBlock"], 16) - int(params["fromBlock"], 16) + 1)
+                window = (int(params["fromBlock"], 16), int(params["toBlock"], 16))
+                state.windows.append(window)
                 if state.fail_after is not None and state.get_logs_calls > state.fail_after:
                     return None
                 if state.error_object is not None:
@@ -128,6 +135,7 @@ def _node_handler(state: _NodeState):
                             obj[field] = value
                 if state.max_results is not None and len(result) > state.max_results:
                     state.limit_errors += 1
+                    state.limited_windows.append(window)
                     return {"jsonrpc": "2.0", "id": call["id"], "error": {
                         "code": -32005,
                         "message": f"query returned more than {state.max_results} results"}}
@@ -148,13 +156,31 @@ def _node_handler(state: _NodeState):
 
         def _reply(self, obj):
             payload = state.raw_body or json.dumps(obj).encode()
+            faulty = state.requests >= state.faulty_from
+            if faulty and state.status_line is not None:
+                self.wfile.write(b"%s\r\nContent-Length: %d\r\n\r\n%s"
+                                 % (state.status_line, len(payload), payload))
+                return
             self.send_response(state.http_status)
             self.send_header("Content-Type", "application/json")
             if state.gzip_replies and "gzip" in self.headers.get("Accept-Encoding", ""):
                 payload = gzip.compress(payload)
                 self.send_header("Content-Encoding", "gzip")
                 state.gzipped += 1
-            self.send_header("Content-Length", str(len(payload)))
+            if state.chunked_replies:
+                self.send_header("Transfer-Encoding", "chunked")
+                self.end_headers()
+                # uneven chunks, one with an extension, then a trailer field
+                for chunk in (payload[:1], payload[1:40], payload[40:]):
+                    if chunk:
+                        self.wfile.write(b"%x;note=x\r\n%s\r\n" % (len(chunk), chunk))
+                self.wfile.write(b"0\r\nX-Trailer: done\r\n\r\n")
+                return
+            missing = state.missing_bytes if faulty else 0
+            if state.close_delimited or missing:
+                self.close_connection = True
+            if not state.close_delimited:
+                self.send_header("Content-Length", str(len(payload) + missing))
             self.end_headers()
             self.wfile.write(payload)
             if state.close_after_reply:
@@ -342,6 +368,14 @@ def test_node_that_always_exceeds_its_limit_fails_within_the_bound(
     assert state.requests <= math.ceil(math.log2(window_size)) + 1
 
 
+def assert_no_range_asked_twice(state, block_range):
+    """Each block of the range lies in exactly one window the node answered
+    with its logs: a range is asked for again only after a -32005 reply."""
+    answered = Counter(state.windows) - Counter(state.limited_windows)
+    blocks = sorted(b for first, last in answered.elements() for b in range(first, last + 1))
+    assert blocks == list(range(block_range.start, block_range.end + 1))
+
+
 @pytest.fixture(scope="module")
 def capped_node(registry, tmp_path_factory):
     """A node over 40 logs in 30 blocks, at most two per block, and the
@@ -368,8 +402,11 @@ def test_capped_fetch_equals_uncapped_fetch_and_export(
     state.max_results = None
     uncapped = fetch_logs(endpoint, block_range, registry, window_size=window_size)
     state.max_results = cap
+    state.windows.clear()
+    state.limited_windows.clear()
     capped = fetch_logs(endpoint, block_range, registry, window_size=window_size)
     assert capped == uncapped == filter_logs(exported, registry, block_range)
+    assert_no_range_asked_twice(state, block_range)
 
 
 def test_capped_fetch_shrinks_and_keeps_every_log(capped_node, registry):
@@ -377,9 +414,12 @@ def test_capped_fetch_shrinks_and_keeps_every_log(capped_node, registry):
     block_range = BlockRange(10_000_000, 10_000_029)
     state.max_results = 2
     state.limit_errors = 0
+    state.windows.clear()
+    state.limited_windows.clear()
     fetched = fetch_logs(endpoint, block_range, registry, window_size=1000)
     assert fetched == filter_logs(exported, registry, block_range)
     assert state.limit_errors > 0
+    assert_no_range_asked_twice(state, block_range)
 
 
 def test_transport_failure_after_a_shrink_resumes_and_stitches(registry):
@@ -391,9 +431,10 @@ def test_transport_failure_after_a_shrink_resumes_and_stitches(registry):
         state.max_results = 2
         full = fetch_logs(endpoint, block_range, registry, window_size=4)
         assert state.limit_errors == 1
+        assert_no_range_asked_twice(state, block_range)
 
-        # the first batch (100 windows) shrinks at block 200; the batch
-        # that restarts there fails in transport
+        # the first batch (100 windows) splits the window at block 200;
+        # the batch of its halves fails in transport
         state.get_logs_calls = 0
         state.fail_after = BATCH_CALLS
         with pytest.raises(RpcTransportError) as err:
@@ -420,8 +461,10 @@ def test_window_grows_back_after_a_dense_stretch(registry):
         state.max_results = 2
         fetched = fetch_logs(endpoint, block_range, registry, window_size=1000)
     assert fetched == filter_logs(logs, registry, block_range)
-    assert min(state.window_lengths) == 1
-    assert state.window_lengths[-2] == 1000
+    assert_no_range_asked_twice(state, block_range)
+    window_lengths = [last - first + 1 for first, last in state.windows]
+    assert min(window_lengths) == 1
+    assert window_lengths[-2] == 1000
     # one-block windows to the end would be 200,000 calls
     assert state.get_logs_calls < 5_000
 
@@ -605,6 +648,14 @@ def test_proxy_comes_from_the_environment(mock_node, registry, narrow_range, mon
         assert seen == []
 
 
+def test_proxy_with_a_bad_port_is_a_config_error(registry, narrow_range, monkeypatch):
+    for name in ("no_proxy", "NO_PROXY"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("http_proxy", "http://127.0.0.1:31x8")
+    with pytest.raises(ConfigError, match="the http proxy 'http://127.0.0.1:31x8' has a bad port"):
+        fetch_logs("http://127.0.0.1:9", narrow_range, registry)
+
+
 def test_credentials_in_the_endpoint_become_basic_authorization(
     mock_node, registry, narrow_range
 ):
@@ -637,7 +688,7 @@ def test_connection_the_node_closed_while_idle_is_reopened(registry, node_logs):
         with contextlib.closing(RpcClient(endpoint)) as client:
             first = client.batch(calls, resume_block=0)
             # wait until the node's close has reached the idle connection
-            select.select([client._conn.sock], [], [], 5)
+            select.select([client._sock], [], [], 5)
             assert client.batch(calls, resume_block=0) == first
     assert state.connections == 2
 
@@ -677,7 +728,58 @@ def test_gzip_reply_gives_the_same_logs(mock_node, registry, narrow_range):
     assert state.gzipped == state.requests - requests_before > 0
 
 
-@pytest.mark.parametrize("endpoint", ["localhost:8545", "ws://127.0.0.1:8546", "http://"])
+@pytest.mark.parametrize("gzip_replies", [False, True], ids=["identity", "gzip"])
+def test_chunked_reply_gives_the_same_logs(registry, node_logs, narrow_range, gzip_replies):
+    with _serve(node_logs, _keep_alive_handler) as (endpoint, state):
+        plain = fetch_logs(endpoint, narrow_range, registry, window_size=1)
+        state.chunked_replies = True
+        state.gzip_replies = gzip_replies
+        requests_before = state.requests
+        assert fetch_logs(endpoint, narrow_range, registry, window_size=1) == plain
+        assert state.gzipped == (state.requests - requests_before if gzip_replies else 0)
+    # a chunked body ends where its framing says, so each fetch keeps one connection
+    assert state.connections == 2
+
+
+def test_reply_delimited_by_the_close_gives_the_same_logs(registry, node_logs, narrow_range):
+    with _serve(node_logs, _keep_alive_handler) as (endpoint, state):
+        plain = fetch_logs(endpoint, narrow_range, registry, window_size=1)
+        state.close_delimited = True
+        before = (state.requests, state.connections)
+        assert fetch_logs(endpoint, narrow_range, registry, window_size=1) == plain
+        # with no Content-Length the body runs to the close; each batch reconnects
+        assert state.connections - before[1] == state.requests - before[0] > 1
+
+
+@pytest.mark.parametrize("switch, value, message", [
+    ("missing_bytes", 1000, r"reply body ended after \d+ of \d+ bytes"),
+    # far more than could be held: the client reads what comes, not what is announced
+    ("missing_bytes", 10**15, r"reply body ended after \d+ of 10000000000\d+ bytes"),
+    ("status_line", b"HTTP/1.1 2OO OK", "malformed status line b'HTTP/1.1 2OO OK\\\\r\\\\n'"),
+    ("status_line", b"ICY 200 OK", "malformed status line"),
+    ("status_line", b"HTTP/1.1", "malformed status line"),
+], ids=["truncated-body", "overstated-body", "status-not-digits", "status-not-http", "status-without-code"])
+def test_truncated_or_malformed_reply_is_a_transport_error(
+    registry, node_logs, switch, value, message
+):
+    block_range = BlockRange(10_000_000, 10_000_299)
+    with _serve(node_logs, _keep_alive_handler) as (endpoint, state):
+        # the first batch of windows and its timestamps go through; the
+        # second batch's reply is broken, on the kept-alive connection
+        state.faulty_from = 3
+        setattr(state, switch, value)
+        with pytest.raises(RpcTransportError, match=message) as err:
+            fetch_logs(endpoint, block_range, registry, window_size=1)
+    assert err.value.resume_from_block == block_range.start + BATCH_CALLS
+    # a status line arrived, so the batch is not sent again
+    assert (state.requests, state.connections) == (3, 1)
+
+
+@pytest.mark.parametrize("endpoint", [
+    "localhost:8545", "ws://127.0.0.1:8546", "http://",
+    # a port that is not a number, and what a request line cannot carry
+    "http://127.0.0.1:85x5", "http://127.0.0.1:8545/a b", "http://127.0.0.1:8545/\u00e9",
+])
 def test_endpoint_must_be_an_http_url(registry, narrow_range, endpoint):
     with pytest.raises(ConfigError, match="is not an http or https URL"):
         fetch_logs(endpoint, narrow_range, registry)

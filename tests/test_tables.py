@@ -162,6 +162,13 @@ NOT_ADDRESS = "expected 0x and 40 lowercase hex digits"
      f"line 2: invalid actor '{UPPER}': {NOT_ADDRESS}"),
     (decode.read_events_csv, event_file(on_behalf_of=addr(2)[:-1]),
      f"line 2: invalid on_behalf_of '{addr(2)[:-1]}': {NOT_ADDRESS}"),
+    (decode.read_events_csv, event_file(protocol="Uniswap", kind="collateral_deposit"),
+     "line 2: Uniswap collateral_deposit: lending events cannot belong to Uniswap"),
+    (decode.read_events_csv, event_file(protocol="Aave", kind="swap", currency_received="USDC",
+                                        amount_received="6"),
+     "line 2: Aave swap: swap events belong to Uniswap only"),
+    (ledger.read_flows_csv, flow_file(protocol="Uniswap"),
+     "line 2: Uniswap collateral_deposit: lending events cannot belong to Uniswap"),
     (ledger.read_flows_csv, flow_file(protocol="Foo"), "line 2: unknown protocol 'Foo'"),
     (ledger.read_flows_csv, flow_file(currency="FOO"), "line 2: unknown currency 'FOO'"),
     (ledger.read_flows_csv, flow_file(group="alice"),
@@ -180,7 +187,8 @@ NOT_ADDRESS = "expected 0x and 40 lowercase hex digits"
         "events-unknown-protocol", "events-unknown-currency", "events-swap-unknown-received",
         "events-swap-no-received", "events-swap-same-legs", "events-received-on-lending",
         "events-amount-received-on-lending", "events-actor-not-address",
-        "events-on-behalf-of-not-address", "flows-unknown-protocol", "flows-unknown-currency",
+        "events-on-behalf-of-not-address", "events-uniswap-deposit", "events-aave-swap",
+        "flows-uniswap-deposit", "flows-unknown-protocol", "flows-unknown-currency",
         "flows-group-not-address", "approvals-unknown-token", "approvals-spender-not-address",
         "vaults-urn-not-address", "denylist-not-hex", "denylist-upper-prefix"])
 def test_bad_row_names_the_file_and_line(tmp_path, read, text, error):
