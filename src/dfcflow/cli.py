@@ -1,21 +1,23 @@
 """Pipeline orchestration: checkpointed stages behind one config file.
 
 A stage is a plain function over typed values: it takes its inputs as
-arguments and returns its status line followed by its outputs (the kept
-logs; the events, vault triples and approvals; the `Partition`; the flow
-records; the report rows).  Its `COMMANDS` row names its inputs, each
-`cfg`, a file-backed value of `INPUTS` (registry, prices, deny-list) or
-a checkpoint of `OUTPUTS`, which gives each output's file, stage, writer
-and reader.  `run_stages` runs every command: it reads each input at
-most once, calls the stage and writes its outputs with
-`write_checkpoint`.  `dfcflow all` runs ingest through report, then
-`compare-clusters`, handing outputs from stage to stage in memory; a
-single stage reads its checkpoint inputs back from their files.  Either
-way every stage leaves its outputs, in the CSV/JSONL formats of
-docs/file_formats.md, so runs are resumable and auditable.  Stage
-failures exit with distinct codes (config 2, ingest 3, decode 4, cluster
-5, ledger 6, report 7); a config key that is neither a `PipelineConfig`
-field nor `comment` is a config error.
+arguments and returns its counts, a dict of named integers, followed by
+its outputs (the kept logs; the events, vault triples and approvals; the
+`Partition`; the flow records; the report rows; fetched prices).  Its
+`COMMANDS` row names its inputs, each `cfg`, a file-backed value of
+`INPUTS` (registry, prices, deny-list) or a checkpoint of `OUTPUTS`,
+which gives each output's file, stage, writer and reader.  `run_stages`
+runs every command: it reads each input at most once, calls the stage,
+formats its status line from its counts by its `STATUS` template and
+writes its outputs with `write_checkpoint`; it prints every status line.
+`dfcflow all` runs ingest through report, then `compare-clusters`,
+handing outputs from stage to stage in memory; a single stage reads its
+checkpoint inputs back from their files.  Either way every stage leaves
+its outputs, in the CSV/JSONL formats of docs/file_formats.md, so runs
+are resumable and auditable.  Stage failures exit with distinct codes
+(config 2, ingest 3, decode 4, cluster 5, ledger 6, report 7); a config
+key that is neither a `PipelineConfig` field nor `comment` is a config
+error.
 
 At import this module loads only what config parsing and `ingest` from
 a fixture need (`ingest`, `registry`, `errors`, `util`); each stage
@@ -82,7 +84,24 @@ OUTPUTS = {
     "summary": ("summary.csv", "report", "report.write_summary_csv", None),
     "comparison": ("cluster_comparison.csv", "compare-clusters",
                    "cluster.write_comparison_csv", None),
+    # written to the config's `prices` file where it names one
+    "price_file": ("prices.csv", "fetch-prices", "market.write_prices_csv", None),
 }
+
+# each command's status line after its name, a template of its counts by
+# name: `{counts}` is the `name=value` list of the counts it names nowhere
+# else, `{names}` the names of all of them and an output's name its file
+STATUS = {
+    "ingest": "{kept} of {read} logs kept",
+    "decode": "{events} events ({counts})",
+    "cluster": "{eligible_groups} eligible groups ({groups} total, {link_pairs} link pairs)",
+    "track": "{flow_records} flow records ({counts})",
+    "report": "{months} months, {correlation_rows} correlation rows",
+    "compare-clusters": "{self_approval_pairs} approval pairs, {heuristic_pairs} heuristic"
+                        " pairs, {overlap_pairs} overlapping",
+    "fetch-prices": "{names} prices for {price_file}",
+}
+LINE_AFTER_WRITES = frozenset({"fetch-prices"})  # its line names the file it writes
 
 
 def _lookup(name: str):
@@ -203,12 +222,12 @@ INPUTS = {
 }
 
 
-def write_checkpoint(path: Path, writer, *args) -> str:
+def write_checkpoint(path: Path, writer, *args) -> bool:
     """Render `writer(tmp, *args)` into the `.tmp` sibling of `path`.
-    When `path` already holds the same bytes, leave it untouched;
-    otherwise move the new file into place.  Gives the status line.
-    An `OSError` becomes a `DfcError` naming `path`, and no failure
-    leaves the `.tmp` behind."""
+    When `path` already holds the same bytes, leave it untouched and give
+    False; otherwise move the new file into place and give True.  An
+    `OSError` becomes a `DfcError` naming `path`, and no failure leaves
+    the `.tmp` behind."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -216,9 +235,9 @@ def write_checkpoint(path: Path, writer, *args) -> str:
         filecmp.clear_cache()  # its cache keys on size and mtime, not content
         if path.exists() and filecmp.cmp(path, tmp, shallow=False):
             tmp.unlink()
-            return f"{path.name}: cache hit (unchanged)"
+            return False
         tmp.replace(path)
-        return f"{path.name}: written"
+        return True
     except BaseException as exc:
         try:
             tmp.unlink(missing_ok=True)
@@ -227,10 +246,6 @@ def write_checkpoint(path: Path, writer, *args) -> str:
         if isinstance(exc, OSError):
             raise DfcError(f"cannot write {path}: {exc.strerror or exc}") from exc
         raise
-
-
-def _counts(stats: dict) -> str:
-    return ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
 
 
 def stage_ingest(cfg: PipelineConfig, registry: ContractRegistry) -> tuple:
@@ -245,15 +260,16 @@ def stage_ingest(cfg: PipelineConfig, registry: ContractRegistry) -> tuple:
         logs = rpc.fetch_logs(
             cfg.rpc_endpoint, block_range, registry, window_size=cfg.rpc_window
         )
-    kept = ingest.filter_logs(logs, registry, block_range)
-    return f"ingest: {len(kept)} of {len(logs)} logs kept", kept
+    counts = {}
+    kept = ingest.filter_logs(logs, registry, block_range, counts)
+    return counts, kept
 
 
 def stage_decode(registry: ContractRegistry, logs: list[ingest.RawLog]) -> tuple:
     from . import decode
 
     result = decode.decode_stream(logs, registry)
-    return (f"decode: {len(result.events)} events ({_counts(result.stats)})",
+    return ({"events": len(result.events), **result.stats},
             result.events, result.vault_triples, result.approvals)
 
 
@@ -265,8 +281,8 @@ def stage_cluster(events: list[decode.CanonicalEvent], triples: list[decode.Vaul
     partition = cluster.group_addresses(triples, activity)
     pairs = cluster.extract_heuristic_pairs(events, denylist)
     final = cluster.apply_heuristic_pairs(partition, pairs, activity)
-    return (f"cluster: {len(final.eligible)} eligible groups "
-            f"({len(final.groups)} total, {len(pairs)} link pairs)", final)
+    return ({"eligible_groups": len(final.eligible), "groups": len(final.groups),
+             "link_pairs": len(pairs)}, final)
 
 
 def stage_track(events: list[decode.CanonicalEvent], partition: cluster.Partition,
@@ -275,8 +291,7 @@ def stage_track(events: list[decode.CanonicalEvent], partition: cluster.Partitio
 
     valuer = market.make_valuer(prices, registry.currencies)
     result = ledger.run_ledger(events, partition, valuer)
-    return (f"track: {len(result.flow_records)} flow records ({_counts(result.stats)})",
-            result.flow_records)
+    return {"flow_records": len(result.flow_records), **result.stats}, result.flow_records
 
 
 def stage_report(records: list[ledger.FlowRecord], events: list[decode.CanonicalEvent],
@@ -287,8 +302,8 @@ def stage_report(records: list[ledger.FlowRecord], events: list[decode.Canonical
     breakdown = report.protocol_breakdown(records)
     correlations = report.lagged_correlations(records, prices)
     summary = report.summary_stats(events, prices, registry.currencies)
-    line = f"report: {len(monthly)} months, {len(correlations)} correlation rows"
-    return line, monthly, breakdown, correlations, summary
+    counts = {"months": len(monthly), "correlation_rows": len(correlations)}
+    return counts, monthly, breakdown, correlations, summary
 
 
 def stage_compare_clusters(approvals: list[decode.ApprovalEvent],
@@ -302,26 +317,18 @@ def stage_compare_clusters(approvals: list[decode.ApprovalEvent],
     approval_pairs = cluster.self_approval_pairs(approvals, denylist, known_contracts)
     heuristic_pairs = cluster.extract_heuristic_pairs(events, denylist)
     overlap = {p.unordered for p in approval_pairs} & {p.unordered for p in heuristic_pairs}
-    rows = [
-        ("self_approval_pairs", len(approval_pairs)),
-        ("heuristic_pairs", len(heuristic_pairs)),
-        ("overlap_pairs", len(overlap)),
-    ]
-    return (f"compare-clusters: {len(approval_pairs)} approval pairs, "
-            f"{len(heuristic_pairs)} heuristic pairs, {len(overlap)} overlapping", rows)
+    counts = {"self_approval_pairs": len(approval_pairs),
+              "heuristic_pairs": len(heuristic_pairs), "overlap_pairs": len(overlap)}
+    return counts, list(counts.items())
 
 
 def cmd_fetch_prices(cfg: PipelineConfig) -> tuple:
-    """Its price file is no checkpoint of `OUTPUTS`, so it writes it here
-    and gives the write's status line under its own."""
     from . import market
 
     if not cfg.price_fetch:
         raise ConfigError("config has no price_fetch section")
     series = market.fetch_prices(cfg.price_fetch)
-    target = cfg.prices if cfg.prices is not None else cfg.output / "prices.csv"
-    line = f"fetch-prices: {', '.join(sorted(series.keys))} prices for {target}"
-    return (f"{line}\n{write_checkpoint(target, series.to_csv)}",)
+    return series.sizes(), series
 
 
 STAGE_FUNCTIONS = {
@@ -388,21 +395,36 @@ WRITER_STAGES = frozenset({"ingest", "decode", "track"})
 
 def run_stages(cfg: PipelineConfig, stages, quiet: bool = False) -> tuple[str, DfcError] | None:
     """Run `stages` in order: call each with the values its `COMMANDS`
-    row names, print its status line, and write each of its outputs to
-    its `OUTPUTS` file with `write_checkpoint`.  A value is read at most
-    once per run: an `INPUTS` value by its loader, a checkpoint that no
-    stage of the run gave by its `OUTPUTS` reader.
+    row names, print the line its `STATUS` template makes of the counts
+    it returns, and write each of its outputs to its `OUTPUTS` file with
+    `write_checkpoint`.  Only this prints status lines, and once stdout's
+    reader has gone it drops the rest.  A value is read at most once per
+    run: an `INPUTS` value by its loader, a checkpoint that no stage of
+    the run gave by its `OUTPUTS` reader.
 
     A run of several stages, where `background.can_fork()`, forks a price
     reader first, whose result stands in for the `prices` loader, and
     forks one writer for each stage of `WRITER_STAGES` when it returns;
-    the writers are joined, and their status lines printed, after the
+    the writers are joined, and their files' lines printed, after the
     last stage.  Otherwise each stage's outputs are written when it
     returns.  Gives the earliest failed stage and its error, or None; an
     error that is not a `DfcError` is re-raised once every worker has
     been joined.
     """
-    say = (lambda line: None) if quiet else print
+    def say(line: str) -> None:
+        if quiet:
+            return
+        try:
+            print(line, flush=True)
+        except BrokenPipeError:
+            # the reader has gone: the rest, and the flush at exit, go to
+            # os.devnull, as the Python docs' note on SIGPIPE does
+            import os
+
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+
     loaders = {name: partial(load, cfg) for name, load in INPUTS.items()}
     values = {"cfg": cfg}
 
@@ -418,6 +440,10 @@ def run_stages(cfg: PipelineConfig, stages, quiet: bool = False) -> tuple[str, D
                 values[name] = _lookup(reader)(path)
         return values[name]
 
+    def write_file(path: Path, name: str) -> str:
+        written = write_checkpoint(path, _lookup(OUTPUTS[name][2]), values[name])
+        return f"{path.name}: {'written' if written else 'cache hit (unchanged)'}"
+
     background = None
     if len(stages) > 1:
         from . import background
@@ -432,18 +458,26 @@ def run_stages(cfg: PipelineConfig, stages, quiet: bool = False) -> tuple[str, D
             loaders["prices"] = prices.result
         for stage in stages:
             try:
-                line, *outputs = STAGE_FUNCTIONS[stage](*map(value, COMMANDS[stage][2]))
-                say(line)
+                counts, *outputs = STAGE_FUNCTIONS[stage](*map(value, COMMANDS[stage][2]))
                 names = [name for name, row in OUTPUTS.items() if row[1] == stage]
                 values.update(zip(names, outputs, strict=True))
-                writes = [partial(write_checkpoint, cfg.output / OUTPUTS[name][0],
-                                  _lookup(OUTPUTS[name][2]), values[name])
-                          for name in names]
+                paths = {name: cfg.prices if name == "price_file" and cfg.prices
+                         else cfg.output / OUTPUTS[name][0] for name in names}
+                template = STATUS[stage]
+                line = f"{stage}: " + template.format_map({
+                    **paths, **counts, "names": ", ".join(sorted(counts)),
+                    "counts": ", ".join(f"{name}={n}" for name, n in sorted(counts.items())
+                                        if f"{{{name}}}" not in template)})
+                writes = [partial(write_file, path, name) for name, path in paths.items()]
                 if background is not None and stage in WRITER_STAGES:
                     writers.append((stage, background.Worker(background.write_all, writes)))
-                else:
-                    for write in writes:
-                        say(write())
+                    writes = []  # their lines are printed once the writer is joined
+                lines = (write() for write in writes)
+                if stage in LINE_AFTER_WRITES:
+                    lines = list(lines)
+                say(line)
+                for line in lines:
+                    say(line)
             except BaseException as exc:  # re-raised below unless a DfcError
                 failure = stage, exc
                 break

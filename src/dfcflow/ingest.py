@@ -215,6 +215,7 @@ def filter_logs(
     logs: Sequence[RawLog],
     registry: ContractRegistry,
     block_range: BlockRange,
+    counts: dict | None = None,
 ) -> list[RawLog]:
     """Keep registry-relevant logs inside the range, in global event order.
 
@@ -223,15 +224,14 @@ def filter_logs(
     inclusive range.  The result is sorted by (block_number, log_index),
     which is unique per dataset, so the order is total and deterministic:
     a record repeated verbatim is kept once, and two different records at
-    one position raise ConflictingLogError.
+    one position raise ConflictingLogError.  A `counts` dict is given the
+    logs `read`, those dropped as `out_of_range`, `not_registered` or
+    `repeats`, and those `kept`.
     """
-    kept = [
-        log
-        for log in logs
-        if log.block_number in block_range
-        and log.topics
-        and (log.contract_address, log.topics[0]) in registry.rules
-    ]
+    start, end = block_range
+    in_range = [log for log in logs if start <= log.block_number <= end]
+    kept = [log for log in in_range
+            if log.topics and (log.contract_address, log.topics[0]) in registry.rules]
     kept.sort(key=RawLog.order_key.fget)
     unique: list[RawLog] = []
     for log in kept:
@@ -244,4 +244,8 @@ def filter_logs(
                 )
             continue
         unique.append(log)
+    if counts is not None:
+        counts.update(read=len(logs), out_of_range=len(logs) - len(in_range),
+                      not_registered=len(in_range) - len(kept),
+                      repeats=len(kept) - len(unique), kept=len(unique))
     return unique

@@ -109,6 +109,10 @@ class PriceSeries:
     def keys(self) -> frozenset[str]:
         return frozenset(self._timestamps)
 
+    def sizes(self) -> dict[str, int]:
+        """The number of points of each key."""
+        return {key: len(ts_list) for key, ts_list in self._timestamps.items()}
+
     def span(self, key: str) -> tuple[int, int]:
         ts = self._timestamps[key]
         return ts[0], ts[-1]
@@ -260,6 +264,10 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
         if delay:
             time.sleep(delay)
     return PriceSeries(points)
+
+
+def write_prices_csv(path: str | Path, series: PriceSeries) -> None:
+    series.to_csv(path)
 
 
 def make_valuer(series: PriceSeries, currencies: dict[str, Currency]):

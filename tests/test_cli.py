@@ -15,7 +15,7 @@ from dfcflow import cli, ingest, synth, tables
 from dfcflow.cli import main, write_checkpoint
 from dfcflow.errors import DfcError
 from dfcflow.market import HOUR, PriceSeries
-from dfcflow.registry import ContractRegistry
+from dfcflow.registry import CANONICAL_KINDS, ContractRegistry
 from dfcflow.util import to_hex
 
 from tests.conftest import DATA_DIR, GOLDEN_DIR, REGISTRY_PATH, REPO_ROOT
@@ -237,6 +237,130 @@ def test_rerun_reports_cache_hit(tmp_path, capsys):
     assert (out / "logs.jsonl").read_bytes() == first
 
 
+# each stage's status line on the bundled fixture and the files it writes,
+# in `dfcflow all` order
+FIXTURE_TRANSCRIPT = (
+    ("ingest", "ingest: 575 of 593 logs kept", ("logs.jsonl",)),
+    ("decode", "decode: 517 events (approval=33, collateral_deposit=195, collateral_withdraw=76,"
+               " debt_create=66, debt_repay=53, liquidation_excluded=6, not_relevant=10,"
+               " swap=127, vault_open=9)", ("events.csv", "vaults.csv", "approvals.csv")),
+    ("cluster", "cluster: 15 eligible groups (21 total, 19 link pairs)", ("partition.csv",)),
+    ("track", "track: 251 flow records (applied=480, cross_group_repays=6, skipped_unrouted=37)",
+     ("flows.csv",)),
+    ("report", "report: 4 months, 4 correlation rows", REPORT_FILES),
+    ("compare-clusters", "compare-clusters: 22 approval pairs, 19 heuristic pairs, 5 overlapping",
+     ("cluster_comparison.csv",)),
+)
+
+
+def transcript(outcome, stages=STAGES, forked=()):
+    """The stdout of `stages` when each file write ends in `outcome`: each
+    stage's line, then its write lines, except that those of the `forked`
+    stages come after the last stage, in stage order."""
+    lines, later = [], []
+    for stage, line, files in FIXTURE_TRANSCRIPT:
+        if stage in stages:
+            lines.append(line)
+            (later if stage in forked else lines).extend(f"{name}: {outcome}" for name in files)
+    return "".join(line + "\n" for line in lines + later)
+
+
+def test_status_transcript_is_pinned_line_for_line(tmp_path, monkeypatch, capsys, request):
+    def stdout(*argv, fork=True):
+        capsys.readouterr()
+        with monkeypatch.context() as patch:
+            if not fork:
+                patch.delattr(os, "fork")
+            assert run(*argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    forked = ("ingest", "decode", "track")
+    config = write_config(tmp_path, tmp_path / "fork")
+    assert stdout("all", "--config", config) == transcript("written", forked=forked)
+    assert stdout("all", "--config", config) == transcript("cache hit (unchanged)", forked=forked)
+    config = write_config(tmp_path, tmp_path / "inline")
+    assert stdout("all", "--config", config, fork=False) == transcript("written")
+    config = write_config(tmp_path, tmp_path / "staged")
+    for stage in STAGES:
+        assert stdout(stage, "--config", config) == transcript("written", (stage,))
+    # the candle server's thread would keep `all` from forking, so it starts last
+    server = request.getfixturevalue("candle_server")
+    target = tmp_path / "fetched.csv"
+    config = write_config(tmp_path, tmp_path / "out", prices=str(target), price_fetch={
+        "url_template": server + "/candles/{key}",
+        "key_map": {"ETH": "ETH-USD", "BTC": "BTC-USD"},
+    })
+    assert stdout("fetch-prices", "--config", config) == (
+        f"fetch-prices: BTC, ETH prices for {target}\nfetched.csv: written\n")
+
+
+@pytest.mark.parametrize("unbuffered", (True, False), ids=["unbuffered", "buffered"])
+def test_closed_stdout_drops_the_status_lines_and_finishes_the_run(tmp_path, unbuffered):
+    # as `dfcflow all ... | head -n 1` once `head` has exited
+    reference = tmp_path / "reference"
+    assert run("all", "--config", write_config(tmp_path, reference), "--quiet") == 0
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    piped = tmp_path / "piped"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "dfcflow.cli", "all", "--config", str(write_config(
+                tmp_path, piped))],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in piped.iterdir()) == sorted(ALL_OUTPUTS)
+    for name in ALL_OUTPUTS:
+        assert (piped / name).read_bytes() == (reference / name).read_bytes(), name
+
+
+def test_stage_counts_add_up_on_the_fixture(tmp_path, candle_server):
+    cfg = cli.PipelineConfig.from_file(write_config(tmp_path, tmp_path / "out"))
+    registry, prices, denylist = cfg.load_registry(), cfg.load_prices(), cfg.load_denylist()
+    counts = {}
+    counts["ingest"], logs = cli.stage_ingest(cfg, registry)
+    counts["decode"], events, triples, approvals = cli.stage_decode(registry, logs)
+    counts["cluster"], partition = cli.stage_cluster(events, triples, denylist)
+    counts["track"], flows = cli.stage_track(events, partition, registry, prices)
+    counts["report"], *_ = cli.stage_report(flows, events, registry, prices)
+    counts["compare-clusters"], _ = cli.stage_compare_clusters(approvals, events, registry,
+                                                               denylist)
+    fetching = cfg._replace(price_fetch={"url_template": candle_server + "/candles/{key}",
+                                         "key_map": {"BTC": "BTC-USD", "ETH": "ETH-USD"}})
+    counts["fetch-prices"], _ = cli.cmd_fetch_prices(fetching)
+    assert sorted(counts) == sorted(cli.STAGE_FUNCTIONS)
+    for stage, named in counts.items():
+        assert named and {type(n) for n in named.values()} == {int}, stage
+
+    assert counts["ingest"] == {"read": 593, "out_of_range": 1, "not_registered": 17,
+                                "repeats": 0, "kept": 575}
+    read, *dropped_and_kept = counts["ingest"].values()
+    assert read == sum(dropped_and_kept) and counts["ingest"]["kept"] == len(logs)
+    # every log decoded is counted under its kind or the reason it gave none
+    decoded = dict(counts["decode"])
+    assert decoded.pop("events") == len(events) == 517
+    assert sum(decoded.values()) == len(logs)
+    assert sum(decoded[kind] for kind in CANONICAL_KINDS) == len(events)
+    track = counts["track"]
+    assert (track["applied"], track["skipped_unrouted"]) == (480, 37)
+    assert track["applied"] + track["skipped_unrouted"] == len(events)
+    assert track["flow_records"] == len(flows) <= track["applied"]
+    cluster = counts["cluster"]
+    assert cluster["eligible_groups"] == len(partition.eligible) <= cluster["groups"]
+    compared = counts["compare-clusters"]
+    assert compared["overlap_pairs"] <= min(compared["self_approval_pairs"],
+                                            compared["heuristic_pairs"])
+    assert counts["fetch-prices"] == {"BTC": 3, "ETH": 3}
+
+
 def test_write_compares_checkpoints_by_content(tmp_path):
     path = tmp_path / "out" / "big.bin"
     # more than one 1 MiB comparison chunk, the two versions differing in the last byte
@@ -245,9 +369,10 @@ def test_write_compares_checkpoints_by_content(tmp_path):
     def writer(target, data):
         target.write_bytes(data)
 
-    assert write_checkpoint(path, writer, old) == "big.bin: written"
-    assert write_checkpoint(path, writer, old) == "big.bin: cache hit (unchanged)"
-    assert write_checkpoint(path, writer, new) == "big.bin: written"
+    # True for a write, False for a cache hit
+    assert write_checkpoint(path, writer, old) is True
+    assert write_checkpoint(path, writer, old) is False
+    assert write_checkpoint(path, writer, new) is True
     assert path.read_bytes() == new
     assert sorted(p.name for p in path.parent.iterdir()) == ["big.bin"]
 
@@ -263,7 +388,8 @@ def test_each_checkpoint_input_is_given_by_an_earlier_stage():
     for stage in cli.ALL_STAGES:
         assert {name for name in cli.COMMANDS[stage][2] if name in cli.OUTPUTS} <= given, stage
         given |= {name for name, row in cli.OUTPUTS.items() if row[1] == stage}
-    assert given == set(cli.OUTPUTS)
+    # every output but the price file of `fetch-prices`, which `all` does not run
+    assert given | {"price_file"} == set(cli.OUTPUTS)
 
 
 def test_stage_function_arity_matches_its_row():
@@ -329,7 +455,8 @@ def test_fetch_prices_writes_through_the_checkpoint_path(tmp_path, capsys, candl
     code = run("fetch-prices", "--config", config)
     out, err = capsys.readouterr()
     if blocked:
-        assert code == 3
+        # its line names the price file, so a failed write leaves it unprinted
+        assert (code, out) == (3, "")
         assert err == f"fetch-prices: error: cannot write {target}: Is a directory\n"
     else:
         assert (code, err) == (0, "")

@@ -350,6 +350,36 @@ def test_filter_is_idempotent_sorted_subset(registry, logs):
 
 
 @settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_filter_counts_add_up(registry, data):
+    """Logs at distinct positions, in and out of the range, with a
+    registered or unregistered contract or topic0 or with no topics, plus
+    verbatim repeats, shuffled: each is counted once, under one reason."""
+    block_range = BlockRange(10_000_000, 10_000_020)
+    distinct = [log._replace(topics=()) if data.draw(st.integers(0, 4)) == 0 else log
+                for log in data.draw(st.lists(raw_logs(), max_size=30,
+                                              unique_by=RawLog.order_key.fget))]
+    repeats = data.draw(st.lists(st.sampled_from(distinct), max_size=10)) if distinct else []
+    logs = data.draw(st.permutations(distinct + repeats))
+    expected = dict.fromkeys(("out_of_range", "not_registered", "repeats", "kept"), 0)
+    for log in distinct:
+        copies = 1 + repeats.count(log)
+        if log.block_number not in block_range:
+            expected["out_of_range"] += copies
+        elif log.topics[:1] != (parse_hex(AAVE_DEPOSIT, 32),) or to_hex(
+                log.contract_address) != AAVE_POOL:
+            expected["not_registered"] += copies
+        else:
+            expected["repeats"] += copies - 1
+            expected["kept"] += 1
+    counts = {}
+    kept = filter_logs(logs, registry, block_range, counts)
+    assert counts == {"read": len(logs), **expected}
+    assert counts["read"] == sum(expected.values()) and counts["kept"] == len(kept)
+    assert kept == filter_logs(logs, registry, block_range)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     block=st.integers(min_value=0, max_value=2**64),
     timestamp=st.integers(min_value=0, max_value=2**40),
