@@ -53,19 +53,16 @@ class HeuristicPair(NamedTuple("HeuristicPair", [("r1", str), ("r2", str), ("sou
 
 
 class DisjointSet:
-    """Union-find with path compression and a deterministic representative
-    (the smallest member) per set."""
+    """Union-find with path compression and union by rank."""
 
     def __init__(self):
         self._parent: dict[str, str] = {}
         self._rank: dict[str, int] = {}
-        self._min: dict[str, str] = {}
 
     def add(self, item: str) -> None:
         if item not in self._parent:
             self._parent[item] = item
             self._rank[item] = 0
-            self._min[item] = item
 
     def __contains__(self, item: str) -> bool:
         return item in self._parent
@@ -89,14 +86,13 @@ class DisjointSet:
         self._parent[rb] = ra
         if self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
-        self._min[ra] = min(self._min[ra], self._min[rb])
 
-    def groups(self) -> dict[str, frozenset[str]]:
-        """Map smallest-member representative -> member set."""
+    def groups(self) -> list[frozenset[str]]:
+        """The member set of each disjoint set."""
         by_root: dict[str, set[str]] = defaultdict(set)
         for item in self._parent:
             by_root[self.find(item)].add(item)
-        return {self._min[root]: frozenset(members) for root, members in by_root.items()}
+        return [frozenset(members) for members in by_root.values()]
 
 
 class Partition:
@@ -257,7 +253,7 @@ def group_addresses(
             dsu.union(left, right)
     for actor in activity:
         dsu.add(actor)
-    return Partition.build(dsu.groups().values(), activity)
+    return Partition.build(dsu.groups(), activity)
 
 
 def apply_heuristic_pairs(
@@ -292,7 +288,7 @@ def apply_heuristic_pairs(
 
     moved: set[str] = set()
     final_sets: list[frozenset[str]] = []
-    for component in scratch.groups().values():
+    for component in scratch.groups():
         touches_eligible = any(
             partition.addr_to_rep.get(addr) in partition.eligible for addr in component
         )

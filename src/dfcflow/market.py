@@ -8,14 +8,13 @@ silently valuing events with week-old prices.
 
 A series is built once, by its constructor, from points in any order;
 `from_csv`, `fetch_prices` and `synth.generate_prices` all build through
-it.  A price is a decimal of at most 36 places, in the grammar of every
-numeric cell (`util.parse_fixed`), whether read from the price file or
-from a fetched candle.  Each key's prices are held as integer units over
-one scale, the least common denominator of that key's prices (10**4 for
-prices of four decimals), so building and lookups make no `Fraction`;
-only `price_at` returns one.  `value_usd` takes a token amount and
-returns a USD value, both as fixed-point `int` counts of 1/`util.SCALE`
-units, floored to a whole unit (the rounding rule of `dfcflow.ledger`).
+it.  A price cell, in the price file or a fetched candle, is read by
+`util.parse_fixed` like every numeric cell, and a price is held as what
+it reads: an `int` count of 1/`util.SCALE` dollars, the unit of every
+amount and USD value, so building and lookups make no `Fraction`; only
+`price_at` returns one.  `value_usd` takes a token amount and returns a
+USD value, floored to a whole unit (the rounding rule of
+`dfcflow.ledger`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import TYPE_CHECKING
 from .errors import ConfigError, PriceFetchError, TableError, ValuationError
 from .registry import DAY, GRANULARITY, HOUR, Currency  # noqa: F401 (DAY, HOUR re-exported)
 from .tables import Table
-from .util import PLACES, SCALE, format_fixed, parse_fixed, uint_cell_error
+from .util import SCALE, format_fixed, parse_fixed, uint_cell_error
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -40,70 +39,48 @@ if TYPE_CHECKING:
 DEFAULT_STALENESS_MULTIPLIER = 2
 
 
-def _check_point(key: str, timestamp: int, numerator: int, error=ConfigError) -> None:
+def _check_point(key: str, timestamp: int, units: int, error=ConfigError) -> None:
     if key not in GRANULARITY:
         raise error(f"unknown price key {key!r}")
-    if numerator <= 0:
+    if units <= 0:
         raise error(f"{key} price at {timestamp} is not positive")
 
 
 class PriceSeries:
-    """Sorted (timestamp, price) points per price key; a key's prices are
-    `_units[key][i] / _scales[key]`.  Two series are equal when they hold
-    the same points at the same scales."""
+    """Sorted (timestamp, price) points per price key, each price an `int`
+    count of 1/`util.SCALE` dollars.  Two series are equal when they hold
+    the same points."""
 
     def __init__(self, points=()):
-        """A series of `(key, timestamp, numerator, denominator)` points, in
-        any order.  An unknown key, a price that is not positive or not a
-        decimal of at most 36 places (its denominator does not divide
-        `util.SCALE`) or a repeated timestamp raises ConfigError."""
-        columns: dict[str, tuple[list[int], list[int], list[int]]] = {}
-        for key, timestamp, numerator, denominator in points:
-            column = columns.get(key) or columns.setdefault(key, ([], [], []))
+        """A series of `(key, timestamp, units)` points, in any order, the
+        price in 1/`util.SCALE` dollars.  An unknown key, a price that is
+        not positive or a repeated timestamp raises ConfigError."""
+        columns: dict[str, tuple[list[int], list[int]]] = {}
+        for key, timestamp, price in points:
+            column = columns.get(key) or columns.setdefault(key, ([], []))
             column[0].append(timestamp)
-            column[1].append(numerator)
-            column[2].append(denominator)
+            column[1].append(price)
         self._timestamps: dict[str, list[int]] = {}
         self._units: dict[str, list[int]] = {}
-        self._scales: dict[str, int] = {}
         for key in sorted(columns):
-            ts_list, numerators, denominators = columns.pop(key)
+            ts_list, units = columns.pop(key)
             if not all(map(operator.lt, ts_list, ts_list[1:])):
                 order = sorted(range(len(ts_list)), key=ts_list.__getitem__)
-                ts_list, numerators, denominators = (
-                    [column[i] for i in order] for column in (ts_list, numerators, denominators))
+                ts_list, units = [ts_list[i] for i in order], [units[i] for i in order]
                 for earlier, timestamp in zip(ts_list, ts_list[1:]):
                     if timestamp == earlier:
                         raise ConfigError(
                             f"{key} timestamps must be strictly increasing (got {timestamp})")
-            if key not in GRANULARITY or min(numerators) <= 0:
-                for timestamp, numerator in zip(ts_list, numerators):
-                    _check_point(key, timestamp, numerator)
-            distinct = set(denominators)
-            for den in distinct:
-                if den <= 0 or SCALE % den:
-                    timestamp = ts_list[denominators.index(den)]
-                    raise ConfigError(f"{key} price at {timestamp} is not a decimal of"
-                                      f" at most {PLACES} places (denominator {den})")
-            scale = math.lcm(*distinct)
-            units = numerators
-            if len(distinct) > 1:
-                factors = {den: scale // den for den in distinct}
-                units = [num * factors[den] for num, den in zip(numerators, denominators)]
-            # the least common denominator, so a series equals itself read back
-            common = math.gcd(scale, *units)
-            if common > 1:
-                scale //= common
-                units = [u // common for u in units]
+            if key not in GRANULARITY or min(units) <= 0:
+                for timestamp, price in zip(ts_list, units):
+                    _check_point(key, timestamp, price)
             self._timestamps[key] = ts_list
             self._units[key] = units
-            self._scales[key] = scale
 
     def __eq__(self, other):
         if not isinstance(other, PriceSeries):
             return NotImplemented
-        return ((self._timestamps, self._units, self._scales)
-                == (other._timestamps, other._units, other._scales))
+        return (self._timestamps, self._units) == (other._timestamps, other._units)
 
     @property
     def keys(self) -> frozenset[str]:
@@ -118,8 +95,8 @@ class PriceSeries:
         return ts[0], ts[-1]
 
     def units_at(self, key: str, timestamp: int) -> int:
-        """`price_at` in units of 1 / the key's scale: two lookups on one
-        key give the price ratio as an int division."""
+        """`price_at` as a count of 1/`util.SCALE` dollars, the unit of every
+        USD value: two lookups give the price ratio as an int division."""
         ts_list = self._timestamps.get(key)
         if not ts_list:
             raise ValuationError(key, timestamp, "empty series")
@@ -138,7 +115,7 @@ class PriceSeries:
         """Latest price at or before `timestamp`, within the staleness bound."""
         from fractions import Fraction  # here alone: no stage calls price_at
 
-        return Fraction(self.units_at(key, timestamp), self._scales[key])
+        return Fraction(self.units_at(key, timestamp), SCALE)
 
     def value_usd(self, amount: int, currency: Currency, timestamp: int) -> int:
         """amount x carry-forward price, in fixed-point units, floored."""
@@ -146,8 +123,7 @@ class PriceSeries:
             raise ValueError("cannot value a negative amount")
         if amount == 0:
             return 0
-        key = currency.price_key
-        return amount * self.units_at(key, timestamp) // self._scales[key]
+        return amount * self.units_at(currency.price_key, timestamp) // SCALE
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PriceSeries":
@@ -163,26 +139,19 @@ class PriceSeries:
 
     def to_csv(self, path: str | Path) -> None:
         PRICES.write(path, (
-            (key, ts, format_fixed(units * (SCALE // self._scales[key])))
+            (key, ts, format_fixed(units))
             for key in sorted(self._timestamps)
             for ts, units in zip(self._timestamps[key], self._units[key])
         ))
 
 
-def _price_row(key: str, timestamp: str, price: str) -> tuple[str, int, int, int]:
+def _price_row(key: str, timestamp: str, price: str) -> tuple[str, int, int]:
     if not (timestamp.isdigit() and timestamp.isascii()):
         raise uint_cell_error(timestamp=timestamp)
-    timestamp = int(timestamp)
-    # parse_fixed's test without the sign, keeping the cell's own scale
-    whole, dot, frac = price.partition(".")
-    if (whole.isdigit() and price.isascii() and len(frac) <= PLACES
-            and (frac.isdigit() or not dot)):
-        num, den = int(whole + frac), 10 ** len(frac)
-    else:  # parse_fixed raises its error, or reads a negative price
-        num, den = parse_fixed(price), SCALE
+    timestamp, units = int(timestamp), parse_fixed(price)
     # a ValueError, so the table reader names the line
-    _check_point(key, timestamp, num, ValueError)
-    return key, timestamp, num, den
+    _check_point(key, timestamp, units, ValueError)
+    return key, timestamp, units
 
 
 PRICES = Table(("price_key", "timestamp", "price_usd"), from_row=_price_row)
@@ -242,7 +211,7 @@ def fetch_prices(fetch_config: dict) -> PriceSeries:
     except (LookupError, ValueError) as exc:
         raise ConfigError(f"price_fetch url_template {template!r} cannot be filled: {exc}") from exc
 
-    points: list[tuple[str, int, int, int]] = []
+    points: list[tuple[str, int, int]] = []
     for key, url in urls:
         try:
             with urllib.request.urlopen(url, timeout=30) as response:

@@ -250,7 +250,10 @@ def _parse_tokens(obj, currencies) -> dict[bytes, str]:
     for addr_hex, symbol in _object(obj, where="tokens", optional=True).items():
         if not isinstance(symbol, str) or symbol not in currencies:
             raise ConfigError(f"token {addr_hex} maps to undefined currency {symbol!r}")
-        out[_addr(addr_hex, where="token")] = symbol
+        token = _addr(addr_hex, where="token")
+        if token in out:
+            raise ConfigError(f"token {addr_hex} listed twice")
+        out[token] = symbol
     return out
 
 

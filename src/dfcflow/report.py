@@ -275,7 +275,7 @@ def lagged_correlations(
                         close_units = prices.units_at("ETH", (bucket + 1) * period)
                     except ValuationError:
                         continue
-                    # both at the key's one scale; int division rounds correctly
+                    # both in 1/SCALE dollars; int division rounds correctly
                     x = close_units / open_units - 1.0
                 xs.append(x)
                 ys.append(y)

@@ -24,7 +24,7 @@ from .market import PriceSeries
 from .registry import (
     APPROVAL, DAY, HOUR, LIQUIDATION, SWAP, VAULT_OPEN, ContractRegistry, EventRule, Locator,
 )
-from .util import parse_hex
+from .util import PLACES, parse_hex
 
 START_BLOCK = 10_000_000
 START_TIMESTAMP = 1_588_598_520  # block 10,000,000 UTC
@@ -175,10 +175,10 @@ def encode_event_log(
 
 def _price_walk(rng, key, timestamps, start_units, step_per_10k, unit_exp):
     """Integer random walk in 10**-unit_exp USD units, as price points."""
-    scale = 10**unit_exp
+    scale = 10 ** (PLACES - unit_exp)
     units = start_units
     for ts in timestamps:
-        yield key, ts, units, scale
+        yield key, ts, units * scale
         units = units * (10_000 + rng.randint(-step_per_10k, step_per_10k)) // 10_000
         units = max(units, 1)
 

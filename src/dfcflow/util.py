@@ -1,16 +1,15 @@
 """Hex and fixed-point helpers used throughout the pipeline.
 
-Token amounts, debt balances and USD values are `int` counts of
+Token amounts, debt balances, prices and USD values are `int` counts of
 1/:data:`SCALE` units from decoding through the report.  The scale is
 10**36: 18 digits for the largest token `decimals`, plus 18 guard digits
 for the one division the ledger makes (see `dfcflow.ledger`).  Every
 numeric CSV cell, amount or price, is a plain decimal of at most 36
-places, read by :func:`parse_fixed` and written by :func:`format_fixed`;
-the price reader in `dfcflow.market` keeps a price's own scale but
-takes the same grammar.  Binary floating point only appears in the
-statistics layer.  The rounding formatter and the calendar-month
-helpers of the report tables live in `dfcflow.report`, their only user,
-so that this module, which every stage imports, loads no `datetime`.
+places, read by :func:`parse_fixed` and written by :func:`format_fixed`.
+Binary floating point only appears in the statistics layer.  The
+rounding formatter and the calendar-month helpers of the report tables
+live in `dfcflow.report`, their only user, so that this module, which
+every stage imports, loads no `datetime`.
 """
 
 from __future__ import annotations

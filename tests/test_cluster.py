@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dfcflow.cluster import (
-    DisjointSet,
     HeuristicPair,
     address_protocol_map,
     apply_heuristic_pairs,
@@ -288,10 +287,13 @@ def test_overlap_count_between_methods():
 
 
 def test_representative_is_smallest_member():
-    ds = DisjointSet()
-    ds.union(addr(9), addr(4))
-    ds.union(addr(4), addr(7))
-    assert ds.groups() == {addr(4): frozenset({addr(4), addr(7), addr(9)})}
+    # two triples joined through addr(7), the smaller one read second
+    partition = group_addresses(
+        [VaultTriple(addr(9), addr(7), addr(8)), VaultTriple(addr(7), addr(4), addr(4))],
+        {addr(9): frozenset({"Maker"})})
+    members = frozenset({addr(4), addr(7), addr(8), addr(9)})
+    assert partition.groups == {addr(4): members}
+    assert {partition.addr_to_rep[a] for a in members} == {addr(4)}
 
 
 # --- randomized equivalence with the brute-force oracle -----------------------

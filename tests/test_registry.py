@@ -253,6 +253,18 @@ def test_contract_listed_twice_rejected():
     reject(mutate, match="listed twice")
 
 
+def test_token_listed_twice_rejected():
+    # the shipped WETH token again, in upper-case hex, as another currency
+    with open(REGISTRY_PATH, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    weth = next(addr for addr, symbol in doc["tokens"].items() if symbol == "WETH")
+    again = "0x" + weth[2:].upper()
+    doc["tokens"][again] = "WBTC"
+    with pytest.raises(ConfigError) as info:
+        ContractRegistry.from_dict(doc)
+    assert str(info.value) == f"token {again} listed twice"
+
+
 def test_filter_sets_exposed():
     doc = minimal_doc()
     doc["approvals"] = {

@@ -20,7 +20,7 @@ from dfcflow.report import (
     write_breakdown_csv,
     write_monthly_csv,
 )
-from dfcflow.util import SCALE
+from dfcflow.util import SCALE, parse_fixed
 
 from tests.conftest import units
 from tests.oracles import pearson_reference
@@ -289,12 +289,12 @@ BASE = aligned(MAY_4_2020) + 10 * HOUR
 def daily_usdt_points(days):
     """Daily points so next_day rows have usable prices."""
     day0 = BASE - BASE % 86_400
-    return [("USDT", day0 + i * 86_400, 1, 1) for i in range(-2, days)]
+    return [("USDT", day0 + i * 86_400, SCALE) for i in range(-2, days)]
 
 
 def constant_price_series(hours=200, price="210.5"):
-    num, den = F(price).as_integer_ratio()
-    return PriceSeries([("ETH", BASE + i * HOUR, num, den) for i in range(-4, hours)]
+    units = parse_fixed(price)
+    return PriceSeries([("ETH", BASE + i * HOUR, units) for i in range(-4, hours)]
                        + daily_usdt_points(hours // 24 + 3))
 
 
@@ -349,7 +349,7 @@ def test_perfectly_predictive_price_change_gives_r_one():
     total_hours = 5 * 24
     changes = {}
     for h in range(-4, total_hours + 4):
-        points.append(("ETH", BASE + h * HOUR, *price.as_integer_ratio()))
+        points.append(("ETH", BASE + h * HOUR, int(price * SCALE)))
         delta = run_hours.get(h + 1)
         step = F(str(delta)) if delta is not None else F(0)
         changes[h] = step

@@ -53,8 +53,8 @@ def partition():
 
 def prices():
     return PriceSeries(point for i in range(3) for point in (
-        ("ETH", T0 + i * HOUR, 20_000 + i, 100),
-        ("USDT", T0 + i * DAY, i * U + 1, U),  # all 36 decimals
+        ("ETH", T0 + i * HOUR, (20_000 + i) * U // 100),
+        ("USDT", T0 + i * DAY, i * U + 1),  # all 36 decimals
     ))
 
 
